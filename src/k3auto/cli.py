@@ -212,7 +212,17 @@ def _linear_str(coeffs: Sequence[int], names: Sequence[str],
 _COUNT_NAMES = ("n2", "n3", "n4", "alpha")
 
 
+def _as_count(data, key: str) -> int:
+    value = data[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError("%r must be a non-negative integer, not %r"
+                         % (key, value))
+    return value
+
+
 def _lefschetz_check(data, fmt: str) -> int:
+    for key in ("n2", "n3", "n4"):
+        _as_count(data, key)
     config = FixedLocusConfig.from_json(data)
     values = (config.n2, config.n3, config.n4, config.alpha)
     entries = []
@@ -254,29 +264,18 @@ def _lefschetz_check(data, fmt: str) -> int:
     return 0 if passed else 1
 
 
-def _as_count(data, key: str) -> int:
-    value = data[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError("%r must be a non-negative integer, not %r"
-                         % (key, value))
-    return value
-
-
 def enumerate_point_counts(alpha: int,
                            pins: Dict[str, int]) -> List[Tuple[int, int, int]]:
-    """All (n2, n3, n4) >= 0 with N <= 14 matching the two point
+    """All (n2, n3, n4) >= 0 with N <= 14 satisfying the derived point
     constraints for the given curve-genus defect, honouring pinned counts."""
-    solutions = []
-    for n2 in range(0, 15):
-        n3 = 2 + 4 * alpha - n2
-        n4 = 2 - n2 + n3 + 2 * alpha
-        if n3 < 0 or n4 < 0 or n2 + n3 + n4 > 14:
-            continue
-        if any(pins.get(k, v) != v
-               for k, v in (("n2", n2), ("n3", n3), ("n4", n4))):
-            continue
-        solutions.append((n2, n3, n4))
-    return solutions
+    rows = derive_prop1_constraints()
+    return [(n2, n3, n4)
+            for n2 in range(15) for n3 in range(15 - n2)
+            for n4 in range(15 - n2 - n3)
+            if all(c2 * n2 + c3 * n3 + c4 * n4 + ca * alpha == rhs
+                   for c2, c3, c4, ca, rhs in rows)
+            and all(pins.get(k, v) == v
+                    for k, v in (("n2", n2), ("n3", n3), ("n4", n4)))]
 
 
 def _lefschetz_enumerate(data, fmt: str) -> int:

@@ -151,40 +151,23 @@ class Cyc8Element:
     # -- field structure -------------------------------------------------
 
     def invert(self) -> "Cyc8Element":
-        """Multiplicative inverse, by solving x*y = 1 as a 4x4 linear system.
+        """Multiplicative inverse x^-1 = (x^s3 * x^s5 * x^s7) / N(x).
 
-        The matrix is multiplication-by-x on the power basis; Gaussian
-        elimination over Fraction keeps everything exact.
+        The product of all four Galois conjugates is the rational norm, so
+        the division is exact.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in Q(zeta_8)")
-        # column j of M is x * z^j on the basis
-        cols = []
-        power = Cyc8Element.one()
-        z = zeta_pow(1)
-        for _ in range(4):
-            cols.append((self * power).coords)
-            power = power * z
-        m = [[cols[j][i] for j in range(4)] + [Fraction(1 if i == 0 else 0)]
-             for i in range(4)]
-        # forward elimination with partial pivot by first nonzero
-        for col in range(4):
-            pivot = next(r for r in range(col, 4) if m[r][col] != 0)
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [v * inv for v in m[col]]
-            for r in range(4):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-        return Cyc8Element(tuple(m[i][4] for i in range(4)))
+        conj = self.galois(3) * self.galois(5) * self.galois(7)
+        n = (self * conj).rational_part()
+        return Cyc8Element(c / n for c in conj.coords)
 
     def galois(self, j: int) -> "Cyc8Element":
         """The field automorphism sending z to z^j, for j in {1,3,5,7}.
 
         On the power basis:
           j=3: (c0, c3, -c2, c1)     j=5: (c0, -c1, c2, -c3)
-          j=7: (c0, -c3, -c2, -c1)   (j=7 is complex conjugation)
+          j=7: (c0, -c3, -c2, -c1)   (j=7 sends z to its inverse)
         """
         c0, c1, c2, c3 = self.coords
         j = j % 8
@@ -198,17 +181,10 @@ class Cyc8Element:
             return Cyc8Element((c0, -c3, -c2, -c1))
         raise ValueError("galois exponent must be odd mod 8, got %d" % j)
 
-    def conjugate(self) -> "Cyc8Element":
-        """Complex conjugation (z -> z^7 = z^-1)."""
-        return self.galois(7)
-
     def norm(self) -> Fraction:
         """Product of all four Galois conjugates; always rational."""
-        prod = self
-        for j in (3, 5, 7):
-            prod = prod * self.galois(j)
-        assert prod.is_rational()
-        return prod.coords[0]
+        return (self * self.galois(3) * self.galois(5)
+                * self.galois(7)).rational_part()
 
     # -- misc -------------------------------------------------------------
 
@@ -240,11 +216,6 @@ class Cyc8Element:
         for t in terms[1:]:
             out += " - " + t[1:] if t.startswith("-") else " + " + t
         return "Cyc8(%s)" % out
-
-    def __complex__(self) -> complex:
-        import cmath
-        z = cmath.exp(2j * cmath.pi / 8)
-        return sum(float(c) * z ** k for k, c in enumerate(self.coords))
 
 
 def zeta_pow(e: int) -> Cyc8Element:

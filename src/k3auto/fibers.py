@@ -43,8 +43,6 @@ ROTATION_4 = "rotation-4"
 BRANCH_SWAP = "branch-swap"
 
 _SMOOTH_ACTIONS = (IDENTITY, TRANSLATION_2, TRANSLATION_4, INVOLUTION, ORDER_4)
-_CYCLE_ACTIONS = (PRESERVE, REFLECTION, ROTATION_2, ROTATION_4)
-_STAR_ACTIONS = (PRESERVE, BRANCH_SWAP)
 
 
 @dataclass(frozen=True)
@@ -127,10 +125,6 @@ class FiberFixedData:
     def __post_init__(self):
         if not self.k_sigma <= self.k_sigma2 <= self.k_sigma4:
             raise ValueError("pointwise component counts must be monotone in the power")
-
-    @property
-    def point_total(self) -> int:
-        return sum(self.points)
 
 
 def chain_step(pair: Tuple[int, int]) -> Tuple[int, int]:

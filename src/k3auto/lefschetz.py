@@ -20,6 +20,7 @@ hardcoding them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -95,9 +96,19 @@ class FixedLocusConfig:
 
     @classmethod
     def from_json(cls, data: Dict) -> "FixedLocusConfig":
-        curves = tuple(FixedCurve(c["genus"], c["normal_exp"])
-                       for c in data.get("curves", ()))
-        return cls(curves=curves, n2=data["n2"], n3=data["n3"], n4=data["n4"])
+        curves = data.get("curves", [])
+        if not isinstance(curves, list) \
+                or not all(isinstance(c, dict) for c in curves):
+            raise ValueError("'curves' must be a list of objects, not %r"
+                             % (curves,))
+        for c in curves:
+            for key in ("genus", "normal_exp"):
+                if type(c[key]) is not int:
+                    raise ValueError("%r must be an integer, not %r"
+                                     % (key, c[key]))
+        return cls(curves=tuple(FixedCurve(c["genus"], c["normal_exp"])
+                                for c in curves),
+                   n2=data["n2"], n3=data["n3"], n4=data["n4"])
 
 
 def holo_target(power_j: int) -> Cyc8Element:
@@ -162,14 +173,6 @@ def holo_total(config: FixedLocusConfig,
 def topo_check(config: FixedLocusConfig, r: int, l: int) -> bool:
     """Topological count: chi(Fix) = 2 + r - l, i.e. N + 2*alpha = r - l + 2."""
     return config.N + 2 * config.alpha == r - l + 2
-
-
-def power_point_type(pt: PointType) -> str:
-    """Fate of an isolated point under squaring the automorphism."""
-    if pt.t == 4:
-        # exponents double to (8,10) = (0,2): tangent eigenvalue 1
-        return "on a sigma^2-fixed curve"
-    return "isolated for sigma^2"
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +251,7 @@ def derive_prop1_constraints() -> List[Tuple[int, int, int, int, int]]:
     raw: List[List[int]] = []
     for i in range(4):
         fracs = [c.coords[i] for c in columns] + [target.coords[i]]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // _gcd(den, f.denominator)
+        den = math.lcm(*(f.denominator for f in fracs))
         row = [int(f * den) for f in fracs]
         if any(row):
             raw.append(row)
@@ -268,9 +269,3 @@ def prop1_satisfied(n2: int, n3: int, n4: int, alpha: int) -> bool:
         if c2 * n2 + c3 * n3 + c4 * n4 + ca * alpha != rhs:
             return False
     return True
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

@@ -11,8 +11,7 @@ is everything the analysis needs.
 
 Composition is purely formal.  Equality is decided componentwise after
 cross-multiplying and, when a curve equation y^2 = cubic(x, t) is supplied,
-reducing even powers of y modulo it.  A complex-number evaluation hook is
-provided so that exact identities can be double-checked numerically.
+reducing even powers of y modulo it.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ from typing import Dict, Optional, Tuple
 from .cyclotomic import Cyc8Element, zeta_pow
 
 Triple = Tuple[int, int, int]
-
-# e^{i pi / 4}, for numeric spot checks only
-ZETA_COMPLEX = complex(2 ** -0.5, 2 ** -0.5)
 
 
 class CurvePolynomial:
@@ -170,10 +166,6 @@ class CurvePolynomial:
             p = low + high
         return p
 
-    def evaluate_complex(self, x: complex, y: complex, t: complex) -> complex:
-        return sum(complex(c) * x ** i * y ** j * t ** k
-                   for (i, j, k), c in self.terms.items())
-
     def __repr__(self):
         if not self.terms:
             return "CurvePolynomial(0)"
@@ -209,14 +201,6 @@ class RationalMap:
         x = CurvePolynomial({(1, 0, 0): zeta_pow(ex % 8)})
         y = CurvePolynomial({(0, 1, 0): zeta_pow(ey % 8)})
         return cls(x, _ONE, y, _ONE, et % 8)
-
-    def apply_numeric(self, point) -> Tuple[complex, complex, complex]:
-        x, y, t = point
-        return (self.x_num.evaluate_complex(x, y, t)
-                / self.x_den.evaluate_complex(x, y, t),
-                self.y_num.evaluate_complex(x, y, t)
-                / self.y_den.evaluate_complex(x, y, t),
-                ZETA_COMPLEX ** self.t_exponent * t)
 
 
 def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:

@@ -15,21 +15,14 @@ or the point at infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-Scalar = Union[int, Fraction]
+from .cyclotomic import Scalar, _as_fraction
 
 NEG_INF = float("-inf")
-
-
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError("expected an int or Fraction, got %r" % (value,))
 
 
 class RationalPolynomial:
@@ -41,7 +34,7 @@ class RationalPolynomial:
         clean: Dict[int, Fraction] = {}
         if coeffs:
             for exp, c in coeffs.items():
-                if exp < 0 or not isinstance(exp, int):
+                if not isinstance(exp, int) or exp < 0:
                     raise ValueError("exponents must be non-negative integers")
                 f = _as_fraction(c)
                 if f != 0:
@@ -51,11 +44,27 @@ class RationalPolynomial:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[Scalar, int]]) -> "RationalPolynomial":
-        """Build from [coefficient, exponent] pairs (coefficients may repeat)."""
+    def from_pairs(cls, pairs: Sequence[Sequence]) -> "RationalPolynomial":
+        """Build from [coefficient, exponent] pairs (coefficients may repeat).
+
+        A coefficient is an int, a Fraction or a rational string such as
+        "-3/4"; any other input raises ValueError.
+        """
+        if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+            raise ValueError("expected [coefficient, exponent] pairs, not %r"
+                             % (pairs,))
         acc: Dict[int, Fraction] = {}
         for coeff, exp in pairs:
-            c = Fraction(coeff) if isinstance(coeff, str) else _as_fraction(coeff)
+            try:
+                c = Fraction(coeff) if isinstance(coeff, str) \
+                    else _as_fraction(coeff)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError("coefficient %r is not a rational number"
+                                 % (coeff,)) from None
+            if not isinstance(exp, int) or exp < 0:
+                raise ValueError("exponent %r is not a non-negative integer"
+                                 % (exp,))
             acc[exp] = acc.get(exp, Fraction(0)) + c
         return cls(acc)
 
@@ -98,21 +107,12 @@ class RationalPolynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[max(self.coeffs)]
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get(0, Fraction(0))
-
-    def is_constant(self) -> bool:
-        return self.is_zero() or self.degree() == 0
-
     def evaluate(self, t: Scalar) -> Fraction:
         t = _as_fraction(t)
         out = Fraction(0)
         for exp, c in self.coeffs.items():
             out += c * t ** exp
         return out
-
-    def evaluate_float(self, t: float) -> float:
-        return sum(float(c) * t ** exp for exp, c in self.coeffs.items())
 
     # -- ring arithmetic ----------------------------------------------------
 
@@ -245,11 +245,6 @@ class RationalPolynomial:
         lead = self.leading_coefficient()
         return RationalPolynomial({e: c / lead for e, c in self.coeffs.items()})
 
-    def substitute_scaled(self, scale: Scalar) -> "RationalPolynomial":
-        """p(scale * t) for a rational scale."""
-        s = _as_fraction(scale)
-        return RationalPolynomial({e: c * s ** e for e, c in self.coeffs.items()})
-
 
 def gcd(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
     """Monic gcd over Q (a nonzero constant gcd normalizes to 1)."""
@@ -314,9 +309,7 @@ def rational_roots(p: RationalPolynomial) -> List[Fraction]:
     if p.degree() < 1:
         return roots
     # clear denominators to a primitive integer polynomial
-    denom = 1
-    for c in p.coeffs.values():
-        denom = denom * c.denominator // _gcd_int(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for c in p.coeffs.values()))
     ints = {e: int(c * denom) for e, c in p.coeffs.items()}
     a0 = ints.get(0)
     an = ints[max(ints)]
@@ -328,12 +321,6 @@ def rational_roots(p: RationalPolynomial) -> List[Fraction]:
                 if cand not in roots and p.evaluate(cand) == 0:
                     roots.append(cand)
     return sorted(roots)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,6 @@ class FiberReport:
     v_delta: int
     kodaira: str
 
-    @property
-    def euler(self) -> int:
-        # all types reachable here have Euler number v(delta)
-        return self.v_delta
-
     def to_dict(self) -> Dict:
         def fin(v):
             return None if v == float("inf") else v
@@ -116,12 +111,20 @@ class FiberReport:
                 "v_delta": self.v_delta, "kodaira": self.kodaira}
 
 
+def _pairs_field(data: Dict, key: str) -> RationalPolynomial:
+    """The polynomial of the pairs under data[key]; errors name the key."""
+    try:
+        return RationalPolynomial.from_pairs(data[key])
+    except ValueError as err:
+        raise ValueError("%r: %s" % (key, err)) from None
+
+
 class WeierstrassFibration:
     """An elliptic K3 given by coefficient polynomials over Q."""
 
     def __init__(self, a: RationalPolynomial, b: RationalPolynomial,
                  form: str = SHORT_FORM):
-        if form not in _DEGREE_BOUNDS:
+        if form not in (SHORT_FORM, TWO_TORSION_FORM):
             raise ValueError("unknown Weierstrass form %r" % (form,))
         da, db = _DEGREE_BOUNDS[form]
         if a.degree() > da or b.degree() > db:
@@ -155,9 +158,9 @@ class WeierstrassFibration:
 
     @classmethod
     def from_json(cls, data: Dict) -> "WeierstrassFibration":
-        a = RationalPolynomial.from_pairs(data["a"])
-        b = RationalPolynomial.from_pairs(data["b"])
-        return cls(a, b, data.get("form", SHORT_FORM))
+        _require(isinstance(data, dict), "the fibration must be a JSON object")
+        return cls(_pairs_field(data, "a"), _pairs_field(data, "b"),
+                   data.get("form", SHORT_FORM))
 
     def __repr__(self):
         return "WeierstrassFibration(%r, %r, form=%r)" % (
@@ -215,13 +218,17 @@ def _tag_sort_key(tag: str) -> Tuple[int, int, str]:
     return (1, 0, tag)
 
 
-def fiber_inventory(f: WeierstrassFibration) -> Dict[str, int]:
-    """Count of singular fibers by Kodaira type, residue degrees expanded."""
+def _inventory(reports: Sequence[FiberReport]) -> Dict[str, int]:
     counts: Dict[str, int] = {}
-    for report in fiber_reports(f):
+    for report in reports:
         counts[report.kodaira] = (counts.get(report.kodaira, 0)
                                   + report.place.degree())
     return {tag: counts[tag] for tag in sorted(counts, key=_tag_sort_key)}
+
+
+def fiber_inventory(f: WeierstrassFibration) -> Dict[str, int]:
+    """Count of singular fibers by Kodaira type, residue degrees expanded."""
+    return _inventory(fiber_reports(f))
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +268,18 @@ class DiagonalAutomorphism:
 
     @classmethod
     def from_json(cls, data: Dict) -> "DiagonalAutomorphism":
-        x0 = data.get("torsion_x0")
+        _require(isinstance(data, dict),
+                 "the automorphism must be a JSON object")
+        for key in ("ex", "ey", "et"):
+            _require(type(data[key]) is int,
+                     "%r must be an integer, not %r" % (key, data[key]))
+        translate = data.get("translate", False)
+        _require(type(translate) is bool,
+                 "'translate' must be true or false, not %r" % (translate,))
         return cls(ex=data["ex"], ey=data["ey"], et=data["et"],
-                   translate=bool(data.get("translate", False)),
-                   torsion_x0=None if x0 is None
-                   else RationalPolynomial.from_pairs(x0))
+                   translate=translate,
+                   torsion_x0=None if data.get("torsion_x0") is None
+                   else _pairs_field(data, "torsion_x0"))
 
 
 def _coefficient_exponent_failures(p: RationalPolynomial, et: int,
@@ -569,11 +583,6 @@ def torsion_translation(f: WeierstrassFibration,
     return RationalMap(x_num, x_den, y_num, y_den, 0)
 
 
-def translation_map(f: WeierstrassFibration) -> RationalMap:
-    """Translation by the (0, 0) section of the 2-torsion form."""
-    return torsion_translation(f, None)
-
-
 def automorphism_map(f: WeierstrassFibration,
                      g: DiagonalAutomorphism) -> RationalMap:
     """The symmetry as an exact rational self-map (translation first)."""
@@ -699,9 +708,8 @@ def _tally_types(points: Sequence[FixedPoint]) -> Tuple[int, int, int]:
     return (counts[2], counts[3], counts[4])
 
 
-def analyze_action(f: WeierstrassFibration, g: DiagonalAutomorphism,
-                   rows: Optional[Sequence[ClassificationRow]] = None
-                   ) -> ActionAnalysis:
+def analyze_action(f: WeierstrassFibration,
+                   g: DiagonalAutomorphism) -> ActionAnalysis:
     """Verify invariance, locate the invariant fibers, compute the fixed
     points and action labels, and match the unique classification row."""
     failures = invariance_failures(f, g)
@@ -716,15 +724,8 @@ def analyze_action(f: WeierstrassFibration, g: DiagonalAutomorphism,
         raise InvariantError(
             "the 2-form multiplier is zeta^%d; table matching needs the "
             "generator with multiplier zeta" % exponent)
-    table = list(rows) if rows is not None else enumerate_cases()
-
+    table = enumerate_cases()
     singular = fiber_reports(f)
-    inventory: Dict[str, int] = {}
-    for report in singular:
-        inventory[report.kodaira] = (inventory.get(report.kodaira, 0)
-                                     + report.place.degree())
-    inventory = {tag: inventory[tag]
-                 for tag in sorted(inventory, key=_tag_sort_key)}
 
     smooth_entries = []   # (place, kodaira, label, points)
     cycle_entries = []    # (place, kodaira, label)
@@ -841,7 +842,8 @@ def analyze_action(f: WeierstrassFibration, g: DiagonalAutomorphism,
 
     return ActionAnalysis(
         fibration=f, automorphism=g, singular_fibers=singular,
-        inventory=inventory, euler_sum=24, two_form_exponent=exponent,
+        inventory=_inventory(singular), euler_sum=24,
+        two_form_exponent=exponent,
         invariant_fibers=infos, action=(elliptic_entry[2], fiber_label),
         matched_row=row, checks=checks)
 
@@ -863,15 +865,6 @@ def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
-
-
-def _finite_part_simple(delta: RationalPolynomial,
-                        expected_profile: Dict[int, int]) -> bool:
-    """True iff the finite root multiplicities match {mult: degree_total}."""
-    seen: Dict[int, int] = {}
-    for place, mult in multiplicity_profile(delta):
-        seen[mult] = seen.get(mult, 0) + place.degree()
-    return seen == expected_profile
 
 
 _EXAMPLE_PRESETS: Dict[int, Dict[str, Tuple[int, ...]]] = {

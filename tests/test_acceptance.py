@@ -20,7 +20,7 @@ from k3auto.maps import RationalMap, compose, maps_equal
 from k3auto.polynomial import (Place, RationalPolynomial,
                                multiplicity_profile)
 from k3auto.weierstrass import (DiagonalAutomorphism, WeierstrassFibration,
-                                fixed_points_on_fiber, translation_map,
+                                fixed_points_on_fiber, torsion_translation,
                                 two_form_multiplier, worked_example)
 
 from fixtures import (GROUP_CURVE_FIXED, GROUP_NOT_FIXED,
@@ -145,7 +145,7 @@ def test_criterion_8_structural_invariants():
         RationalPolynomial({8: Fraction(1), 0: Fraction(1)}),
         form="two-torsion")
     cubic = f.curve_relation()
-    tau = translation_map(f)
+    tau = torsion_translation(f)
     assert maps_equal(compose(tau, tau), RationalMap.identity(),
                       curve_cubic=cubic)
     diag = RationalMap.diagonal(4, 2, 7)

@@ -1,11 +1,12 @@
 """The command line verbs, their formats and exit codes."""
 
+import itertools
 import json
 
 import pytest
 
 from k3auto.classify import enumerate_cases, rows_from_json
-from k3auto.cli import main
+from k3auto.cli import enumerate_point_counts, main
 
 
 def run(capsys, *argv):
@@ -132,6 +133,45 @@ def test_analyze_parse_error_exits_1(capsys, tmp_path):
     assert code == 1 and "missing field" in err
 
 
+CHECK_CONFIG = {"curves": [{"genus": 1, "normal_exp": 1}],
+                "n2": 2, "n3": 0, "n4": 0}
+
+
+@pytest.mark.parametrize("verb, first, second, field", [
+    ("analyze", dict(EX1_FIBRATION, a=[["1/0", 8]]), EX1_AUTOMORPHISM, "'a'"),
+    ("analyze", dict(EX1_FIBRATION, b=[["1", "8"]]), EX1_AUTOMORPHISM, "'b'"),
+    ("analyze", dict(EX1_FIBRATION, a=[[1.5, 0]]), EX1_AUTOMORPHISM, "'a'"),
+    ("analyze", [EX1_FIBRATION], EX1_AUTOMORPHISM, "fibration"),
+    ("analyze", EX1_FIBRATION, [0, 0, 1], "automorphism"),
+    ("analyze", EX1_FIBRATION, dict(EX1_AUTOMORPHISM, ex="0"), "'ex'"),
+    ("analyze", EX1_FIBRATION, dict(EX1_AUTOMORPHISM, ex=4.5), "'ex'"),
+    ("analyze", EX1_FIBRATION, dict(EX1_AUTOMORPHISM, translate="false"),
+     "'translate'"),
+    ("lefschetz", dict(CHECK_CONFIG, n2="2"), None, "'n2'"),
+    ("lefschetz", dict(CHECK_CONFIG, n3="0"), None, "'n3'"),
+    ("lefschetz", dict(CHECK_CONFIG, n4="0"), None, "'n4'"),
+    ("lefschetz", dict(CHECK_CONFIG, n2=2.5), None, "'n2'"),
+    ("lefschetz", dict(CHECK_CONFIG, curves=[{"genus": 1, "normal_exp": "1"}]),
+     None, "'normal_exp'"),
+    ("lefschetz", dict(CHECK_CONFIG, curves=5), None, "'curves'"),
+], ids=["coefficient-1/0", "string-exponent", "float-coefficient",
+        "fibration-not-object", "automorphism-not-object", "string-ex",
+        "float-ex", "string-translate", "string-n2", "string-n3",
+        "string-n4", "float-n2", "string-normal-exp", "curves-not-list"])
+def test_malformed_input_gives_one_error_line(capsys, tmp_path, verb, first,
+                                              second, field):
+    if verb == "analyze":
+        argv = ("analyze",
+                "--fibration", write_json(tmp_path, "f.json", first),
+                "--automorphism", write_json(tmp_path, "g.json", second))
+    else:
+        argv = ("lefschetz", "--config", write_json(tmp_path, "c.json", first))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_analyze_invariant_failure_exits_2(capsys, tmp_path):
     fib = write_json(tmp_path, "f.json", {
         "form": "short",
@@ -233,3 +273,30 @@ def test_lefschetz_bad_config(capsys, tmp_path):
     config = write_json(tmp_path, "c3.json", [1, 2, 3])
     code, _, err = run(capsys, "lefschetz", "--config", config)
     assert code == 1 and "JSON object" in err
+
+
+def _paper_point_counts(alpha, pins):
+    # n2 + n3 - 4 alpha = 2 and n4 + n2 - n3 - 2 alpha = 2, N <= 14
+    return [(n2, n3, n4)
+            for n2, n3, n4 in itertools.product(range(15), repeat=3)
+            if n2 + n3 - 4 * alpha == 2 and n4 + n2 - n3 - 2 * alpha == 2
+            and n2 + n3 + n4 <= 14
+            and all(pins.get(k, v) == v
+                    for k, v in zip(("n2", "n3", "n4"), (n2, n3, n4)))]
+
+
+def test_enumerator_matches_the_paper_equations():
+    names = ("n2", "n3", "n4")
+    for alpha in range(8):
+        free = _paper_point_counts(alpha, {})
+        assert enumerate_point_counts(alpha, {}) == free
+        for size in (1, 2, 3):
+            for keys in itertools.combinations(range(3), size):
+                # pins that hit a solution, pins shifted off it, and a pin
+                # beyond N <= 14
+                picks = [tuple(v + shift for v in sol)
+                         for sol in free for shift in (0, 1)] + [(15,) * 3]
+                for values in picks:
+                    pins = {names[i]: values[i] for i in keys}
+                    assert enumerate_point_counts(alpha, pins) \
+                        == _paper_point_counts(alpha, pins)

@@ -1,6 +1,5 @@
 """Exact arithmetic in the 8th cyclotomic field."""
 
-import cmath
 import random
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ def test_basis_relations():
     assert I_UNIT * I_UNIT == Cyc8Element.from_rational(-1)
     assert zeta_pow(5) == -ZETA
     assert zeta_pow(-1) == zeta_pow(7)
+    assert (ZETA - ZETA ** 3) ** 2 == 2  # sqrt(2) = z - z^3
     assert ZERO.is_zero() and not ONE.is_zero()
 
 
@@ -43,8 +43,9 @@ def test_field_axioms_randomized():
         if not a.is_zero():
             inv = a.invert()
             assert a * inv == ONE
-            # independent oracle: the product of the other three Galois
-            # conjugates equals norm * inverse
+            # a * inv == ONE above is the independent check; invert is
+            # built from the Galois conjugates, so the lines below only
+            # confirm that their product with a is the rational norm
             conj = a.galois(3) * a.galois(5) * a.galois(7)
             norm = a.norm()
             assert a * conj == Cyc8Element.from_rational(norm)
@@ -86,12 +87,3 @@ def test_rational_embedding_and_mixed_ops():
     assert 2 * ZETA == ZETA * 2
     assert 1 - ZETA == -(ZETA - 1)
     assert Fraction(1, 2) * ONE == Cyc8Element.from_rational(Fraction(1, 2))
-
-
-def test_complex_embedding():
-    target = cmath.exp(1j * cmath.pi / 4)
-    assert abs(complex(ZETA) - target) < 1e-12
-    assert abs(complex(I_UNIT) - 1j) < 1e-12
-    x = Cyc8Element([1, 2, 3, 4])
-    y = Cyc8Element([-2, 1, 0, 5])
-    assert abs(complex(x * y) - complex(x) * complex(y)) < 1e-9

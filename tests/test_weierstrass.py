@@ -15,8 +15,8 @@ from k3auto.weierstrass import (DiagonalAutomorphism, InvariantError,
                                 fiber_inventory, fiber_reports,
                                 fixed_points_on_fiber, invariance_failures,
                                 kodaira_symbol, kodaira_type_at,
-                                torsion_translation, translation_map,
-                                two_form_multiplier, worked_example)
+                                torsion_translation, two_form_multiplier,
+                                worked_example)
 
 T = RationalPolynomial.variable()
 INF = float("inf")
@@ -234,7 +234,7 @@ def _example4(alpha=3, beta=1, gamma=1):
 def test_translation_is_an_involution():
     f = _example4()
     cubic = f.curve_relation()
-    tau = translation_map(f)
+    tau = torsion_translation(f)
     assert maps_equal(compose(tau, tau), RationalMap.identity(),
                       curve_cubic=cubic)
 
@@ -242,7 +242,7 @@ def test_translation_is_an_involution():
 def test_translation_swaps_x_with_b_over_x():
     f = _example4()
     cubic = f.curve_relation()
-    tau = translation_map(f)
+    tau = torsion_translation(f)
     x = CurvePolynomial.coordinate("x")
     b = CurvePolynomial.from_base_polynomial(f.b)
     residue = tau.x_num * x - b * tau.x_den
@@ -252,7 +252,7 @@ def test_translation_swaps_x_with_b_over_x():
 def test_translation_commutes_with_scaling():
     f = _example4()
     cubic = f.curve_relation()
-    tau = translation_map(f)
+    tau = torsion_translation(f)
     diag = RationalMap.diagonal(4, 2, 7)
     assert maps_equal(compose(diag, tau), compose(tau, diag),
                       curve_cubic=cubic)
@@ -277,22 +277,11 @@ def test_square_with_conjugate_section_shifts_by_two_torsion():
     g = DiagonalAutomorphism(4, 2, 7, translate=True, torsion_x0=x0)
     sigma = automorphism_map(f, g)
     square = compose(sigma, sigma)
-    tau0 = translation_map(f)
+    tau0 = torsion_translation(f)
     shifted = compose(tau0, RationalMap.diagonal(0, 4, 6))
     assert maps_equal(square, shifted, curve_cubic=cubic)
     assert not maps_equal(square, RationalMap.diagonal(0, 4, 6),
                           curve_cubic=cubic)
-
-
-def test_translation_numeric_round_trip():
-    f = _example4()
-    tau = translation_map(f)
-    x = 1.0 + 0.0j
-    t = 1.0 + 0.0j
-    y = (x ** 3 + 3 * x ** 2 + 2 * x) ** 0.5
-    moved = tau.apply_numeric((x, y, t))
-    back = tau.apply_numeric(moved)
-    assert abs(back[0] - x) < 1e-9 and abs(back[1] - y) < 1e-9
 
 
 def test_torsion_translation_needs_a_section():
