@@ -10,7 +10,8 @@ from .classify import (CSV_HEADER, ClassificationRow, enumerate_cases,
                        rows_to_json, theorem1_groups, validate_row)
 from .cyclotomic import Cyc8Element, I_UNIT, ONE, ZERO, ZETA, zeta_pow
 from .fibers import (FiberAction, FiberFixedData, FiberShape, action_label,
-                     chain_step, elliptic_action_data, fiber_fixed_data)
+                     chain_step, elliptic_action_data, fiber_fixed_data,
+                     parse_action_label)
 from .lattice import EigenRanks, power_ranks, sigma4_skeletons, solve_ranks
 from .lefschetz import (FixedCurve, FixedLocusConfig, PointType,
                         derive_prop1_constraints, holo_target, holo_total,

@@ -8,8 +8,9 @@ or I_8, respectively I_16).  The enumerator walks the closed vocabulary of
 actions on these fibers, assembles the total fixed-locus configuration,
 and keeps a case only when
 
-  * the two integer point-count constraints hold,
-  * the holomorphic fixed point sum is exactly 1 + zeta^7, and
+  * the holomorphic fixed point sum is exactly 1 + zeta^7 (the two
+    integer point-count constraints are this identity's coordinates, so
+    it is tested once), and
   * the eigenspace rank system has a non-negative integral solution.
 
 Exactly sixteen cases survive.  validate_row re-checks each row from
@@ -25,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, IV_STAR, ORDER_4,
                      PRESERVE, REFLECTION, ROTATION_2, ROTATION_4, SMOOTH,
                      TRANSLATION_2, TRANSLATION_4, FiberAction, FiberShape,
-                     action_label, fiber_fixed_data)
+                     action_label, fiber_fixed_data, parse_action_label)
 from .lattice import EigenRanks, power_ranks, sigma4_skeletons, solve_ranks
 from .lefschetz import (FixedCurve, FixedLocusConfig, holo_total,
                         prop1_satisfied, topo_check)
@@ -94,14 +95,6 @@ _ORDER4_SPLITS = ((2, 0), (1, 1), (0, 2))
 _ELLIPTIC_ORDER = {IDENTITY: 0, TRANSLATION_2: 1, TRANSLATION_4: 2,
                    INVOLUTION: 3, ORDER_4: 4}
 
-_ELLIPTIC_LABELS = {
-    "identity": IDENTITY,
-    "translation of order two": TRANSLATION_2,
-    "translation of order four": TRANSLATION_4,
-    "involution": INVOLUTION,
-    "order four": ORDER_4,
-}
-
 
 def _candidates(rk_pic: int):
     """(elliptic action, second-fiber shape, second-fiber action) triples."""
@@ -140,39 +133,49 @@ def _category_rank(shape: FiberShape, action: FiberAction) -> int:
     return {ROTATION_2: 1, ROTATION_4: 2, REFLECTION: 3, PRESERVE: 5}[action.name]
 
 
-def _assemble(rk_pic: int, num_c: int, k_sigma4: int, c_action: FiberAction,
-              cp_shape: FiberShape, cp_action: FiberAction):
-    m1 = (22 - rk_pic) // 4
+def _fixed_locus(c_action: FiberAction, cp_shape: FiberShape,
+                 cp_action: FiberAction,
+                 row: Optional[ClassificationRow] = None):
+    """Both fibers' fixed data and the fixed-locus configuration.
+
+    The point counts and the k fixed rational curves come from the row
+    when one is given, else from the two fibers; the elliptic curve is
+    fixed as well when the action is the identity on it.
+    """
     fd_c = fiber_fixed_data(_SMOOTH_C, c_action)
     fd_cp = fiber_fixed_data(cp_shape, cp_action)
-    n2 = fd_c.points[0] + fd_cp.points[0]
-    n3 = fd_c.points[1] + fd_cp.points[1]
-    n4 = fd_c.points[2] + fd_cp.points[2]
-    k = fd_c.alpha_contrib + fd_cp.alpha_contrib  # fixed rational curves
-    alpha = k  # fixed elliptic curves contribute 1 - g = 0
-    if not prop1_satisfied(n2, n3, n4, alpha):
-        return None
+    if row is None:
+        n2, n3, n4 = (c + cp for c, cp in zip(fd_c.points, fd_cp.points))
+        k = fd_c.alpha_contrib + fd_cp.alpha_contrib
+    else:
+        n2, n3, n4, k = row.n2, row.n3, row.n4, row.k
     curves: Tuple[FixedCurve, ...] = (FixedCurve(0, 1),) * k
     if c_action.name == IDENTITY:
         curves = (FixedCurve(1, 1),) + curves
-    config = FixedLocusConfig(curves, n2, n3, n4)
-    _, exact = holo_total(config, 1)
-    if not exact:
+    return fd_c, fd_cp, FixedLocusConfig(curves, n2, n3, n4)
+
+
+def _assemble(rk_pic: int, num_c: int, k_sigma4: int, c_action: FiberAction,
+              cp_shape: FiberShape, cp_action: FiberAction):
+    m1 = (22 - rk_pic) // 4
+    _, fd_cp, config = _fixed_locus(c_action, cp_shape, cp_action)
+    if not holo_total(config, 1)[1]:
         return None
     k_sigma2 = fd_cp.k_sigma2 if cp_shape.kind != SMOOTH else 0
     rational_k4 = fd_cp.k_sigma4 if cp_shape.kind != SMOOTH else 0
     if rational_k4 != k_sigma4:
         return None  # shape incompatible with the skeleton
     try:
-        r, l, m = solve_ranks(m1, config.N, alpha, k_sigma2)
+        r, l, m = solve_ranks(m1, config.N, config.alpha, k_sigma2)
     except ValueError:
         return None
     labels = (action_label(_SMOOTH_C, c_action), action_label(cp_shape, cp_action))
     sort_key = (rk_pic, _category_rank(cp_shape, cp_action),
                 _ELLIPTIC_ORDER[c_action.name])
     return sort_key, dict(r=r, l=l, m=m, k_sigma2=k_sigma2, num_c=num_c,
-                          rk_pic=rk_pic, k_sigma4=k_sigma4, n2=n2, n3=n3,
-                          n4=n4, k=k, action=labels)
+                          rk_pic=rk_pic, k_sigma4=k_sigma4, n2=config.n2,
+                          n3=config.n3, n4=config.n4, k=config.k,
+                          action=labels)
 
 
 def enumerate_cases() -> List[ClassificationRow]:
@@ -189,34 +192,17 @@ def enumerate_cases() -> List[ClassificationRow]:
             for i, (_, fields) in enumerate(found)]
 
 
-def _parse_fiber_label(label: str) -> Tuple[FiberShape, str]:
-    if label == "order four":
-        return _SMOOTH_C, ORDER_4
-    if label == "preserves each curve of IV*":
-        return FiberShape.iv_star(), PRESERVE
-    if label == "reflection of IV*":
-        return FiberShape.iv_star(), BRANCH_SWAP
-    for prefix, name in (("preserves each curve of I_", PRESERVE),
-                         ("reflection on I_", REFLECTION),
-                         ("rotation of order 2 on I_", ROTATION_2),
-                         ("rotation of order 4 on I_", ROTATION_4)):
-        if label.startswith(prefix):
-            return FiberShape.i_cycle(int(label[len(prefix):])), name
-    raise ValueError("unrecognized fiber action label %r" % (label,))
-
-
 def _decompose(row: ClassificationRow):
     """Recover the (elliptic action, fiber shape, fiber action) of a row."""
     ell_label, fiber_label = row.action
-    cp_shape, cp_name = _parse_fiber_label(fiber_label)
+    cp_shape, cp_name = parse_action_label(fiber_label)
+    ell_name = parse_action_label(ell_label)[1]
     if cp_shape.kind == SMOOTH:
         # rank-10 block: the second curve takes the order-4 action and all
         # of the row's isolated (2,7)/(3,6) points sit on it
         cp_action = FiberAction(ORDER_4, (row.n2, row.n3))
-        c_action = FiberAction(_ELLIPTIC_LABELS[ell_label])
-        return c_action, cp_shape, cp_action
+        return FiberAction(ell_name), cp_shape, cp_action
     cp_action = FiberAction(cp_name)
-    ell_name = _ELLIPTIC_LABELS[ell_label]
     if ell_name == ORDER_4:
         fd_cp = fiber_fixed_data(cp_shape, cp_action)
         split = (row.n2 - fd_cp.points[0], row.n3 - fd_cp.points[1])
@@ -232,17 +218,11 @@ def validate_row(row: ClassificationRow) -> Dict[str, bool]:
     checks["rank-sum"] = row.r + row.l + 2 * row.m + 4 * row.m1 == 22
     checks["point-constraints"] = prop1_satisfied(row.n2, row.n3, row.n4, row.k)
 
-    c_action, cp_shape, cp_action = _decompose(row)
-    curves: Tuple[FixedCurve, ...] = (FixedCurve(0, 1),) * row.k
-    if c_action.name == IDENTITY:
-        curves = (FixedCurve(1, 1),) + curves
-    config = FixedLocusConfig(curves, row.n2, row.n3, row.n4)
+    fd_c, fd_cp, config = _fixed_locus(*_decompose(row), row)
     checks["topological"] = topo_check(config, row.r, row.l)
     checks["holomorphic"] = holo_total(config, 1)[1]
 
     # induced order-4 data of the square
-    fd_c = fiber_fixed_data(_SMOOTH_C, c_action)
-    fd_cp = fiber_fixed_data(cp_shape, cp_action)
     n_square = fd_c.n_sigma2 + fd_cp.n_sigma2
     checks["square-point-count"] = n_square == 2 * row.k_sigma2 + 4
     square_curves: Tuple[FixedCurve, ...] = (FixedCurve(0, 2),) * row.k_sigma2
@@ -265,22 +245,14 @@ def validate_row(row: ClassificationRow) -> Dict[str, bool]:
     return checks
 
 
-_CURVE_FIXED_BY = {
-    "identity": 1,
-    "translation of order two": 2,
-    "involution": 2,
-    "translation of order four": 4,
-    "order four": 4,
-}
-
-
 def theorem1_groups(rows: Sequence[ClassificationRow]):
     """Partition the (k, N, rkPic) triples by which power of the action
     first fixes the smooth elliptic curve pointwise; duplicates dropped,
     first occurrence kept."""
     groups: Dict[int, List[Tuple[int, int, int]]] = {1: [], 2: [], 4: []}
     for row in rows:
-        fixed_by = _CURVE_FIXED_BY[row.action[0]]
+        fixed_by = fiber_fixed_data(_SMOOTH_C,
+                                    _decompose(row)[0]).elliptic_fixed_by
         triple = (row.k, row.N, row.rk_pic)
         if triple not in groups[fixed_by]:
             groups[fixed_by].append(triple)

@@ -221,8 +221,6 @@ def _as_count(data, key: str) -> int:
 
 
 def _lefschetz_check(data, fmt: str) -> int:
-    for key in ("n2", "n3", "n4"):
-        _as_count(data, key)
     config = FixedLocusConfig.from_json(data)
     values = (config.n2, config.n3, config.n4, config.alpha)
     entries = []

@@ -16,13 +16,14 @@ they all produce the same counting data.  The same propagation with the
 doubled or quadrupled multiplier yields the sigma^2 / sigma^4 data.
 
 Action labels serialize as the classification table strings, e.g.
-"rotation of order 2 on I_8" or "reflection of IV*".
+"rotation of order 2 on I_8" or "reflection of IV*"; action_label and
+parse_action_label read one table in both directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 SMOOTH = "smooth-elliptic"
 I_CYCLE = "I_n"
@@ -42,7 +43,21 @@ ROTATION_2 = "rotation-2"
 ROTATION_4 = "rotation-4"
 BRANCH_SWAP = "branch-swap"
 
-_SMOOTH_ACTIONS = (IDENTITY, TRANSLATION_2, TRANSLATION_4, INVOLUTION, ORDER_4)
+# (shape kind, action name) -> classification table label; cycle labels
+# take the component count
+_LABELS = {
+    (SMOOTH, IDENTITY): "identity",
+    (SMOOTH, TRANSLATION_2): "translation of order two",
+    (SMOOTH, TRANSLATION_4): "translation of order four",
+    (SMOOTH, INVOLUTION): "involution",
+    (SMOOTH, ORDER_4): "order four",
+    (I_CYCLE, PRESERVE): "preserves each curve of I_%d",
+    (I_CYCLE, REFLECTION): "reflection on I_%d",
+    (I_CYCLE, ROTATION_2): "rotation of order 2 on I_%d",
+    (I_CYCLE, ROTATION_4): "rotation of order 4 on I_%d",
+    (IV_STAR, PRESERVE): "preserves each curve of IV*",
+    (IV_STAR, BRANCH_SWAP): "reflection of IV*",
+}
 
 
 @dataclass(frozen=True)
@@ -140,14 +155,23 @@ def _chain_step_power(pair: Tuple[int, int], m: int) -> Tuple[int, int]:
     return ((-s) % 8, (m + s) % 8)
 
 
-def _type_counts(pairs: List[Tuple[int, int]]) -> Tuple[int, int, int]:
-    counts = {2: 0, 3: 0, 4: 0}
-    for t, s in pairs:
-        low = min(t % 8, s % 8)
-        if low not in counts or (t + s) % 8 != 1:
-            raise AssertionError("inadmissible point pair %r" % ((t, s),))
-        counts[low] += 1
-    return (counts[2], counts[3], counts[4])
+def point_type(t: int, s: int) -> Optional[int]:
+    """The type slot min(t, s) of an isolated fixed point with exponents
+    (t, s) in 0..7: 2, 3 or 4 when t + s = 1 mod 8, else None."""
+    low = min(t, s)
+    return low if (t + s) % 8 == 1 and low in (2, 3, 4) else None
+
+
+def type_counts(pairs: Iterable[Tuple[int, int]]) -> Tuple[int, int, int]:
+    """(count of type 2, of type 3, of type 4) over the exponent pairs."""
+    counts = [0, 0, 0]
+    for pair in pairs:
+        low = point_type(*pair)
+        if low is None:
+            raise ValueError("pair %r is not an order-8 isolated point type"
+                             % (pair,))
+        counts[low - 2] += 1
+    return (counts[0], counts[1], counts[2])
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +211,7 @@ def _i_n_preserve(n: int) -> FiberFixedData:
     result = None
     for start in range(8):
         k, _, pts = _cycle_preserve_scan(n, 1, start)
-        counts = _type_counts(pts)
+        counts = type_counts(pts)
         seen.add((k, counts))
         result = (k, counts)
     if len(seen) != 1:
@@ -210,7 +234,7 @@ def _i_n_reflection(n: int) -> FiberFixedData:
     if len(derivs) != 1:
         raise AssertionError("axis involution derivative not unique")
     mu = derivs[0]  # 4: two interior fixed points of type (4,5) per axis curve
-    points = _type_counts([(mu, (1 - mu) % 8)] * 4)
+    points = type_counts([(mu, (1 - mu) % 8)] * 4)
     # sigma^2 preserves each component, pointwise on the two axis curves
     k2, _, iso2 = _cycle_preserve_scan(n, 2, 0)
     k4, _, _ = _cycle_preserve_scan(n, 4, 0)
@@ -241,24 +265,28 @@ def _i_n_rotation(n: int, order: int) -> FiberFixedData:
 # IV* engines
 
 
+def _iv_star_sigma2_points() -> int:
+    # sigma^2 fixes the central component pointwise; along each of the
+    # three arms its derivative doubles to 2 then 4, leaving isolated
+    # sigma^2 points at the middle/leaf node and on the leaf
+    pairs, q = [], (0, 2)
+    for _ in range(2):
+        q = _chain_step_power(q, 2)
+        pairs.append(q)
+    return 3 * len([p for p in pairs if p[0] % 8 and p[1] % 8])
+
+
 def _iv_star_preserve() -> FiberFixedData:
     # every component invariant: the central curve has three fixed points
     # (the arm junctions), hence is pointwise fixed; normal exponent 1
     p_junction = (0, 1)
     p_mid = chain_step(p_junction)   # node middle/leaf
     p_leaf = chain_step(p_mid)       # interior fixed point on the leaf
-    points = _type_counts([p_mid] * 3 + [p_leaf] * 3)
-    # sigma^2: central pointwise; arm derivatives double to 2 then 4
-    iso2 = []
-    q = (0, 2)
-    for _ in range(2):
-        q = _chain_step_power(q, 2)
-        iso2.append(q)
-    n_sigma2 = 3 * len([p for p in iso2 if p[0] % 8 and p[1] % 8])
+    points = type_counts([p_mid] * 3 + [p_leaf] * 3)
     # sigma^4 fixes the central component and the three leaves pointwise
     k4 = 1 + sum(1 for e in (4 * 1, 4 * 2) if e % 8 == 0) * 3
     return FiberFixedData(k_sigma=1, points=points, k_sigma2=1, k_sigma4=k4,
-                          alpha_contrib=1, n_sigma2=n_sigma2)
+                          alpha_contrib=1, n_sigma2=_iv_star_sigma2_points())
 
 
 def _iv_star_branch_swap() -> FiberFixedData:
@@ -273,18 +301,10 @@ def _iv_star_branch_swap() -> FiberFixedData:
     p_junction = (mu, (1 - mu) % 8)      # junction with the preserved arm
     p_mid = chain_step(p_junction)
     p_leaf = chain_step(p_mid)
-    points = _type_counts([z_free, p_junction, p_mid, p_leaf])
-    # sigma^2 fixes the center pointwise; each arm then carries two isolated
-    # sigma^2 points (middle/leaf node and the free leaf point)
-    iso2 = []
-    q = (0, 2)
-    for _ in range(2):
-        q = _chain_step_power(q, 2)
-        iso2.append(q)
-    n_sigma2 = 3 * len([p for p in iso2 if p[0] % 8 and p[1] % 8])
+    points = type_counts([z_free, p_junction, p_mid, p_leaf])
     k4 = 1 + 3  # center plus the three leaves (normal exponent doubles to 8)
     return FiberFixedData(k_sigma=0, points=points, k_sigma2=1, k_sigma4=k4,
-                          alpha_contrib=0, n_sigma2=n_sigma2)
+                          alpha_contrib=0, n_sigma2=_iv_star_sigma2_points())
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +344,7 @@ def elliptic_action_data(action: FiberAction) -> FiberFixedData:
 def fiber_fixed_data(shape: FiberShape, action: FiberAction) -> FiberFixedData:
     """Fixed-locus data of the action on the given fiber shape."""
     if shape.kind == SMOOTH:
-        if action.name not in _SMOOTH_ACTIONS:
+        if (SMOOTH, action.name) not in _LABELS:
             raise ValueError("action %r incompatible with a smooth fiber"
                              % (action.name,))
         return elliptic_action_data(action)
@@ -350,23 +370,19 @@ def fiber_fixed_data(shape: FiberShape, action: FiberAction) -> FiberFixedData:
 
 def action_label(shape: FiberShape, action: FiberAction) -> str:
     """The classification table's name for the action."""
-    if shape.kind == SMOOTH:
-        return {
-            IDENTITY: "identity",
-            TRANSLATION_2: "translation of order two",
-            TRANSLATION_4: "translation of order four",
-            INVOLUTION: "involution",
-            ORDER_4: "order four",
-        }[action.name]
-    if shape.kind == I_CYCLE:
-        assert shape.n is not None
-        return {
-            PRESERVE: "preserves each curve of I_%d" % shape.n,
-            REFLECTION: "reflection on I_%d" % shape.n,
-            ROTATION_2: "rotation of order 2 on I_%d" % shape.n,
-            ROTATION_4: "rotation of order 4 on I_%d" % shape.n,
-        }[action.name]
-    return {
-        PRESERVE: "preserves each curve of IV*",
-        BRANCH_SWAP: "reflection of IV*",
-    }[action.name]
+    label = _LABELS[shape.kind, action.name]
+    return label % shape.n if shape.kind == I_CYCLE else label
+
+
+def parse_action_label(label: str) -> Tuple[FiberShape, str]:
+    """The fiber shape and action name of a table label (inverse of
+    action_label)."""
+    for (kind, name), template in _LABELS.items():
+        if kind == I_CYCLE:
+            prefix = template[:-len("%d")]
+            count = label[len(prefix):]
+            if label.startswith(prefix) and count.isdigit():
+                return FiberShape.i_cycle(int(count)), name
+        elif label == template:
+            return FiberShape(kind), name
+    raise ValueError("unrecognized fiber action label %r" % (label,))

@@ -53,6 +53,11 @@ class FixedCurve:
     normal_exponent: int
 
     def __post_init__(self):
+        for key, value in (("genus", self.genus),
+                           ("normal_exp", self.normal_exponent)):
+            if type(value) is not int:
+                raise ValueError("%r must be an integer, not %r"
+                                 % (key, value))
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
 
@@ -72,8 +77,11 @@ class FixedLocusConfig:
     n4: int
 
     def __post_init__(self):
-        if min(self.n2, self.n3, self.n4) < 0:
-            raise ValueError("point counts must be non-negative")
+        for key in ("n2", "n3", "n4"):
+            value = getattr(self, key)
+            if type(value) is not int or value < 0:
+                raise ValueError("%r must be a non-negative integer, not %r"
+                                 % (key, value))
 
     @property
     def N(self) -> int:
@@ -101,11 +109,6 @@ class FixedLocusConfig:
                 or not all(isinstance(c, dict) for c in curves):
             raise ValueError("'curves' must be a list of objects, not %r"
                              % (curves,))
-        for c in curves:
-            for key in ("genus", "normal_exp"):
-                if type(c[key]) is not int:
-                    raise ValueError("%r must be an integer, not %r"
-                                     % (key, c[key]))
         return cls(curves=tuple(FixedCurve(c["genus"], c["normal_exp"])
                                 for c in curves),
                    n2=data["n2"], n3=data["n3"], n4=data["n4"])

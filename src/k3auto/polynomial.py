@@ -332,9 +332,11 @@ class Place:
     """A closed point of the base P^1: rational, irrational class, or infinity.
 
     kind "finite-irreducible" carries a monic squarefree polynomial of
-    degree >= 2 without rational roots.  (It may factor further over Q into
-    irrational pieces; full factorization is intentionally not performed,
-    and no computation here needs it.)
+    degree >= 2 without rational roots: a bundle of irrational roots that
+    share what is being measured (a multiplicity in multiplicity_profile,
+    the valuation triple of (a, b, delta) in a fiber report).  It may
+    factor further over Q; full factorization is intentionally not
+    performed, and no computation here needs it.
     """
 
     kind: str
@@ -408,7 +410,8 @@ def multiplicity_profile(
 
     Rational roots come out as finite-rational places; whatever is left in
     each squarefree layer is reported as a single finite-irreducible place
-    carrying its total degree.  Sum of multiplicity * degree = deg p.
+    carrying its total degree, a bundle of roots of one multiplicity.
+    Sum of multiplicity * degree = deg p.
     """
     if p.is_zero():
         raise ValueError("zero polynomial rejected")
@@ -420,7 +423,9 @@ def multiplicity_profile(
             residual = residual.exact_div(
                 RationalPolynomial({1: Fraction(1), 0: -root}))
         if residual.degree() > 0:
-            out.append((Place.finite_irreducible(residual), mult))
+            # no rational root is left: the place needs no re-check
+            out.append((Place("finite-irreducible", poly=residual.monic()),
+                        mult))
     out.sort(key=_profile_sort_key)
     return out
 

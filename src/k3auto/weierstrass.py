@@ -22,14 +22,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .classify import (ClassificationRow, _parse_fiber_label,
-                       enumerate_cases, match_row, validate_row)
+from .classify import (ClassificationRow, enumerate_cases, match_row,
+                       validate_row)
 from .cyclotomic import Cyc8Element, zeta_pow
-from .fibers import (ORDER_4, FiberAction, elliptic_action_data,
-                     fiber_fixed_data)
+from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, ORDER_4, PRESERVE,
+                     REFLECTION, ROTATION_2, TRANSLATION_2, FiberAction,
+                     FiberShape, action_label, fiber_fixed_data, point_type,
+                     type_counts)
 from .maps import CurvePolynomial, RationalMap, compose
 from .polynomial import (Place, RationalPolynomial, gcd, infinity_transform,
-                         multiplicity_profile, rational_roots, valuation_at,
+                         multiplicity_profile, rational_roots,
+                         split_by_valuation, valuation_at,
                          weierstrass_discriminant)
 
 
@@ -167,6 +170,14 @@ class WeierstrassFibration:
             self.a, self.b, self.form)
 
 
+def _fiber_report(place: Place, v_a, v_b, v_delta: int) -> FiberReport:
+    try:
+        symbol = kodaira_symbol(v_a, v_b, v_delta)
+    except InvariantError as err:
+        raise InvariantError("%s (at %s)" % (err, place)) from None
+    return FiberReport(place, v_a, v_b, v_delta, symbol)
+
+
 def kodaira_type_at(f: WeierstrassFibration, place: Place) -> FiberReport:
     """Fiber report over one place, the place at infinity included."""
     a, b = f.short_coefficients()
@@ -179,30 +190,40 @@ def kodaira_type_at(f: WeierstrassFibration, place: Place) -> FiberReport:
     if delta.is_zero():
         raise InvariantError(
             "discriminant vanishes identically; not an elliptic surface")
-    v_a = valuation_at(a, at)
-    v_b = valuation_at(b, at)
-    v_delta = valuation_at(delta, at)
-    try:
-        symbol = kodaira_symbol(v_a, v_b, v_delta)
-    except InvariantError as err:
-        raise InvariantError("%s (at %s)" % (err, place)) from None
-    return FiberReport(place, v_a, v_b, v_delta, symbol)
+    return _fiber_report(place, valuation_at(a, at), valuation_at(b, at),
+                         valuation_at(delta, at))
+
+
+def _split(f: RationalPolynomial, p: RationalPolynomial):
+    # split_by_valuation, with every root at level inf when p = 0
+    return [(f, float("inf"))] if p.is_zero() else split_by_valuation(f, p)
 
 
 def fiber_reports(f: WeierstrassFibration) -> List[FiberReport]:
     """Reports for every singular fiber, checking the Euler count.
 
-    The sum of v(delta) weighted by residue degree must be 24; a shortfall
-    always surfaces as a non-minimal place instead, so the explicit check
-    is a backstop.
+    v(delta) at a finite place is its multiplicity in delta.  An
+    irrational layer of delta is split by v(a), then by v(b), so every
+    report's place bundles roots sharing one valuation triple.  The sum
+    of v(delta) weighted by residue degree must be 24; a shortfall always
+    surfaces as a non-minimal place instead, so the explicit check is a
+    backstop.
     """
-    delta = f.discriminant()
+    a, b = f.short_coefficients()
+    delta = weierstrass_discriminant(a, b)
     if delta.is_zero():
         raise InvariantError(
             "discriminant vanishes identically; not an elliptic surface")
     reports = []
     for place, mult in multiplicity_profile(delta):
-        reports.append(kodaira_type_at(f, place))
+        if place.kind == "finite-rational":
+            reports.append(_fiber_report(place, valuation_at(a, place),
+                                         valuation_at(b, place), mult))
+            continue
+        for part, v_a in _split(place.poly, a):
+            for piece, v_b in _split(part, b):
+                reports.append(_fiber_report(
+                    Place("finite-irreducible", poly=piece), v_a, v_b, mult))
     if 24 - delta.degree() > 0:
         reports.append(kodaira_type_at(f, Place.infinity()))
     total = sum(r.v_delta * r.place.degree() for r in reports)
@@ -252,7 +273,13 @@ class DiagonalAutomorphism:
 
     def __post_init__(self):
         for name in ("ex", "ey", "et"):
-            object.__setattr__(self, name, getattr(self, name) % 8)
+            value = getattr(self, name)
+            _require(type(value) is int,
+                     "%r must be an integer, not %r" % (name, value))
+            object.__setattr__(self, name, value % 8)
+        _require(type(self.translate) is bool,
+                 "'translate' must be true or false, not %r"
+                 % (self.translate,))
         if self.torsion_x0 is not None and not self.translate:
             raise ValueError("a torsion section needs translate=True")
 
@@ -270,14 +297,8 @@ class DiagonalAutomorphism:
     def from_json(cls, data: Dict) -> "DiagonalAutomorphism":
         _require(isinstance(data, dict),
                  "the automorphism must be a JSON object")
-        for key in ("ex", "ey", "et"):
-            _require(type(data[key]) is int,
-                     "%r must be an integer, not %r" % (key, data[key]))
-        translate = data.get("translate", False)
-        _require(type(translate) is bool,
-                 "'translate' must be true or false, not %r" % (translate,))
         return cls(ex=data["ex"], ey=data["ey"], et=data["et"],
-                   translate=translate,
+                   translate=data.get("translate", False),
                    torsion_x0=None if data.get("torsion_x0") is None
                    else _pairs_field(data, "torsion_x0"))
 
@@ -398,20 +419,16 @@ class FixedPoint:
 
     def point_type(self) -> int:
         """The type slot min(t, s) for pairs with t + s = 1 mod 8."""
-        low = min(self.base_exponent, self.tangent_exponent)
-        if (self.base_exponent + self.tangent_exponent) % 8 != 1 \
-                or low not in (2, 3, 4):
+        low = point_type(*self.pair)
+        if low is None:
             raise ValueError("pair %r is not an order-8 isolated point type"
                              % (self.pair,))
         return low
 
     def to_dict(self) -> Dict:
-        entry: Dict = {"description": self.description,
-                       "pair": [self.base_exponent, self.tangent_exponent]}
-        low = min(self.base_exponent, self.tangent_exponent)
-        total = (self.base_exponent + self.tangent_exponent) % 8
-        entry["type"] = low if total == 1 and low in (2, 3, 4) else None
-        return entry
+        return {"description": self.description,
+                "pair": [self.base_exponent, self.tangent_exponent],
+                "type": point_type(*self.pair)}
 
 
 def _poly_in_x(p: RationalPolynomial) -> str:
@@ -595,23 +612,22 @@ def automorphism_map(f: WeierstrassFibration,
 # ---------------------------------------------------------------------------
 # action labels and classification matching
 
-_IDENTITY_LABELS = ("identity", "translation of order two")
+_SMOOTH = FiberShape.smooth_elliptic()
 
 
-def _smooth_action_label(ex: int, ey: int, translate: bool) -> str:
+def _smooth_action_name(ex: int, ey: int, translate: bool) -> str:
     if translate:
-        table = {(0, 0): "translation of order two",
-                 (4, 2): "order four", (4, 6): "order four"}
+        table = {(0, 0): TRANSLATION_2, (4, 2): ORDER_4, (4, 6): ORDER_4}
     else:
-        table = {(0, 0): "identity", (0, 4): "involution",
-                 (4, 2): "order four", (4, 6): "order four"}
-    label = table.get((ex % 8, ey % 8))
-    if label is None:
+        table = {(0, 0): IDENTITY, (0, 4): INVOLUTION,
+                 (4, 2): ORDER_4, (4, 6): ORDER_4}
+    name = table.get((ex % 8, ey % 8))
+    if name is None:
         raise ValueError(
             "chart exponents (%d, %d)%s do not act on a smooth fiber with "
             "order dividing 8" % (ex % 8, ey % 8,
                                   " with translation" if translate else ""))
-    return label
+    return name
 
 
 def _cycle_node_x(f: WeierstrassFibration, place: Place) -> Fraction:
@@ -625,8 +641,8 @@ def _cycle_node_x(f: WeierstrassFibration, place: Place) -> Fraction:
     return Fraction(-3, 2) * c0 / c1
 
 
-def _cycle_action_label(f: WeierstrassFibration, g: DiagonalAutomorphism,
-                        place: Place, n: int) -> str:
+def _cycle_action_name(f: WeierstrassFibration, g: DiagonalAutomorphism,
+                       place: Place) -> str:
     ex, ey, _ = chart_exponents(g, place)
     if g.translate:
         if (ex, ey) != (0, 0):
@@ -637,13 +653,11 @@ def _cycle_action_label(f: WeierstrassFibration, g: DiagonalAutomorphism,
         # the node of the Weierstrass cubic
         node = _cycle_node_x(f, place)
         section = _section_chart_value(f, g, place)
-        if section == node:
-            return "rotation of order 2 on I_%d" % n
-        return "preserves each curve of I_%d" % n
+        return ROTATION_2 if section == node else PRESERVE
     if (ex, ey) == (0, 0):
-        return "preserves each curve of I_%d" % n
+        return PRESERVE
     if (ex, ey) == (0, 4):
-        return "reflection on I_%d" % n
+        return REFLECTION
     raise ValueError(
         "chart exponents (%d, %d) on a cycle fiber are outside the "
         "classified actions" % (ex, ey))
@@ -701,13 +715,6 @@ class ActionAnalysis:
         }
 
 
-def _tally_types(points: Sequence[FixedPoint]) -> Tuple[int, int, int]:
-    counts = {2: 0, 3: 0, 4: 0}
-    for p in points:
-        counts[p.point_type()] += 1
-    return (counts[2], counts[3], counts[4])
-
-
 def analyze_action(f: WeierstrassFibration,
                    g: DiagonalAutomorphism) -> ActionAnalysis:
     """Verify invariance, locate the invariant fibers, compute the fixed
@@ -727,125 +734,97 @@ def analyze_action(f: WeierstrassFibration,
     table = enumerate_cases()
     singular = fiber_reports(f)
 
-    smooth_entries = []   # (place, kodaira, label, points)
-    cycle_entries = []    # (place, kodaira, label)
-    star_entries = []     # (place, kodaira)
+    # (place, kodaira, shape, action, fixed points, point counts) of each
+    # invariant fiber; the IV* action is left to the table, and degenerate
+    # fibers take their counts from the dual graph
+    entries = []
     for place, _base in base_fixed_fibers(g):
-        report = kodaira_type_at(f, place)
-        tag = report.kodaira
+        tag = kodaira_type_at(f, place).kodaira
         if tag == "I_0":
             ex, ey, _ = chart_exponents(g, place)
-            label = _smooth_action_label(ex, ey, g.translate)
-            points = ([] if label in _IDENTITY_LABELS
+            name = _smooth_action_name(ex, ey, g.translate)
+            points = ([] if name in (IDENTITY, TRANSLATION_2)
                       else fixed_points_on_fiber(f, g, place))
-            smooth_entries.append((place, tag, label, points))
+            counts = type_counts(p.pair for p in points)
+            action = FiberAction(name, counts[:2] if name == ORDER_4 else None)
+            entries.append((place, tag, _SMOOTH, action, points, counts))
         elif tag.startswith("I_") and not tag.endswith("*"):
-            n = int(tag[2:])
-            cycle_entries.append(
-                (place, tag, _cycle_action_label(f, g, place, n)))
+            action = FiberAction(_cycle_action_name(f, g, place))
+            entries.append((place, tag, FiberShape.i_cycle(int(tag[2:])),
+                           action, [], None))
         elif tag == "IV*":
-            star_entries.append((place, tag))
+            entries.append((place, tag, FiberShape.iv_star(), None, [], None))
         else:
             raise ValueError(
                 "invariant fiber of type %s is outside the classified "
                 "shapes" % tag)
 
-    if not smooth_entries:
+    smooth = [entry for entry in entries if entry[2] == _SMOOTH]
+    if not smooth:
         raise InvariantError("no smooth invariant fiber; outside the table")
-
-    if len(smooth_entries) == 2:
-        order4 = [e for e in smooth_entries if e[2] == "order four"]
+    if len(smooth) == 2:
+        order4 = [entry for entry in smooth if entry[3].name == ORDER_4]
         if len(order4) != 1:
             raise InvariantError(
                 "two smooth invariant fibers need exactly one order-four "
                 "action, got labels %r and %r"
-                % (smooth_entries[0][2], smooth_entries[1][2]))
-        plain = smooth_entries[0] if smooth_entries[1] is order4[0] \
-            else smooth_entries[1]
-        elliptic_entry, fiber_entry = plain, order4[0]
-        fiber_label: Optional[str] = "order four"
-        row = match_row(table, plain[2], "order four")
+                % tuple(action_label(_SMOOTH, entry[3]) for entry in smooth))
+        entries = [smooth[1] if smooth[0] is order4[0] else smooth[0],
+                  order4[0]]
     else:
-        elliptic_entry = smooth_entries[0]
-        if cycle_entries:
-            fiber_entry = cycle_entries[0]
-            fiber_label = fiber_entry[2]
-            row = match_row(table, elliptic_entry[2], fiber_label)
-        else:
-            # IV*: the Weierstrass model does not see the dual graph action,
-            # so let the table decide; exactly one option may survive
-            fiber_entry = star_entries[0]
-            hits = []
-            for option in ("preserves each curve of IV*",
-                           "reflection of IV*"):
-                try:
-                    hits.append((match_row(table, elliptic_entry[2], option),
-                                 option))
-                except ValueError:
-                    pass
-            if len(hits) != 1:
-                raise InvariantError(
-                    "cannot decide the IV* action: %d table rows carry the "
-                    "pair (%r, IV*)" % (len(hits), elliptic_entry[2]))
-            row, fiber_label = hits[0]
+        entries.sort(key=lambda entry: entry[2] != _SMOOTH)
+    elliptic_label = action_label(_SMOOTH, entries[0][3])
+    place, tag, shape, action, _, _ = entries[1]
+    if action is None:
+        # IV*: the Weierstrass model does not see the dual graph action,
+        # so let the table decide; exactly one option may survive
+        hits = []
+        for option in (FiberAction(PRESERVE), FiberAction(BRANCH_SWAP)):
+            try:
+                hits.append((match_row(table, elliptic_label,
+                                       action_label(shape, option)), option))
+            except ValueError:
+                pass
+        if len(hits) != 1:
+            raise InvariantError(
+                "cannot decide the IV* action: %d table rows carry the "
+                "pair (%r, IV*)" % (len(hits), elliptic_label))
+        row, action = hits[0]
+        entries[1] = (place, tag, shape, action, [], None)
+    else:
+        row = match_row(table, elliptic_label, action_label(shape, action))
 
     # fixed-point bookkeeping: coordinates on smooth fibers, dual-graph
     # combinatorics on degenerate ones
-    assert fiber_label is not None
-    checks: Dict[str, bool] = {}
     infos: List[InvariantFiberReport] = []
-    totals = [0, 0, 0]
-    curve_total = 0
-    pair_sums_ok = True
-
-    def _push_smooth(entry, label):
-        nonlocal curve_total, pair_sums_ok
-        place, tag, _, points = entry
-        counts = _tally_types(points)
-        pair_sums_ok &= all((p.base_exponent + p.tangent_exponent) % 8
-                            == exponent for p in points)
-        name = {"identity": "identity",
-                "translation of order two": "translation-2",
-                "involution": "involution",
-                "order four": ORDER_4}[label]
-        action = (FiberAction(ORDER_4, (counts[0], counts[1]))
-                  if name == ORDER_4 else FiberAction(name))
-        data = elliptic_action_data(action)
-        checks["smooth-fixed-data"] = checks.get("smooth-fixed-data", True) \
-            and data.points == counts
-        curve_total += data.alpha_contrib
-        for i in range(3):
-            totals[i] += counts[i]
-        infos.append(InvariantFiberReport(place, tag, label, list(points),
-                                          counts, data.alpha_contrib,
-                                          "coordinates"))
-
-    _push_smooth(elliptic_entry, elliptic_entry[2])
-    if len(smooth_entries) == 2:
-        _push_smooth(fiber_entry, "order four")
-    else:
-        place, tag = fiber_entry[0], fiber_entry[1]
-        shape, action_name = _parse_fiber_label(fiber_label)
-        data = fiber_fixed_data(shape, FiberAction(action_name))
-        for i in range(3):
-            totals[i] += data.points[i]
-        curve_total += data.alpha_contrib
-        infos.append(InvariantFiberReport(place, tag, fiber_label, [],
-                                          data.points, data.alpha_contrib,
-                                          "dual-graph"))
-
-    checks["pair-exponent-sums"] = pair_sums_ok
-    checks["isolated-point-counts"] = tuple(totals) == (row.n2, row.n3, row.n4)
-    checks["rational-fixed-curves"] = curve_total == row.k
-    checks["table-row"] = all(validate_row(row).values())
-    checks.setdefault("smooth-fixed-data", True)
+    smooth_data_ok = True
+    for place, tag, shape, action, points, counts in entries:
+        data = fiber_fixed_data(shape, action)
+        if counts is not None:
+            smooth_data_ok &= data.points == counts
+        infos.append(InvariantFiberReport(
+            place, tag, action_label(shape, action), points,
+            data.points if counts is None else counts, data.alpha_contrib,
+            "dual-graph" if counts is None else "coordinates"))
+    totals = tuple(sum(column) for column in
+                   zip(*(info.point_counts for info in infos)))
+    checks = {
+        "smooth-fixed-data": smooth_data_ok,
+        "pair-exponent-sums": all(
+            (p.base_exponent + p.tangent_exponent) % 8 == exponent
+            for info in infos for p in info.fixed_points),
+        "isolated-point-counts": totals == (row.n2, row.n3, row.n4),
+        "rational-fixed-curves":
+            sum(info.rational_fixed_curves for info in infos) == row.k,
+        "table-row": all(validate_row(row).values()),
+    }
 
     return ActionAnalysis(
         fibration=f, automorphism=g, singular_fibers=singular,
         inventory=_inventory(singular), euler_sum=24,
-        two_form_exponent=exponent,
-        invariant_fibers=infos, action=(elliptic_entry[2], fiber_label),
-        matched_row=row, checks=checks)
+        two_form_exponent=exponent, invariant_fibers=infos,
+        action=(infos[0].label, infos[1].label), matched_row=row,
+        checks=checks)
 
 
 # ---------------------------------------------------------------------------

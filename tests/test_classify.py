@@ -4,9 +4,12 @@ from collections import Counter
 
 import pytest
 
-from k3auto.classify import (CSV_HEADER, enumerate_cases, match_row,
-                             render_csv, render_table, rows_from_json,
-                             rows_to_json, theorem1_groups, validate_row)
+from k3auto.classify import (CSV_HEADER, _candidates, _fixed_locus,
+                             enumerate_cases, match_row, render_csv,
+                             render_table, rows_from_json, rows_to_json,
+                             theorem1_groups, validate_row)
+from k3auto.lattice import sigma4_skeletons
+from k3auto.lefschetz import holo_total, prop1_satisfied
 
 from fixtures import (GROUP_CURVE_FIXED, GROUP_NOT_FIXED,
                       GROUP_SQUARE_FIXED, TABLE_ROWS, classification_key,
@@ -33,6 +36,20 @@ def test_every_row_validates():
     for row in enumerate_cases():
         checks = validate_row(row)
         assert checks and all(checks.values()), (row.index, checks)
+
+
+def test_point_constraints_agree_with_holomorphic_sum():
+    # the enumerator tests only the holomorphic sum: the derived point
+    # constraints must accept exactly the same candidates
+    verdicts = []
+    for rk_pic, _, _ in sigma4_skeletons():
+        for candidate in _candidates(rk_pic):
+            _, _, config = _fixed_locus(*candidate)
+            verdict = holo_total(config, 1)[1]
+            assert prop1_satisfied(config.n2, config.n3, config.n4,
+                                   config.alpha) == verdict, candidate
+            verdicts.append(verdict)
+    assert len(verdicts) == 82 and 16 <= verdicts.count(True) < 82
 
 
 def test_theorem_groups():

@@ -7,7 +7,8 @@ from k3auto.fibers import (BRANCH_SWAP, FiberAction, FiberShape, IDENTITY,
                            ROTATION_2, ROTATION_4, TRANSLATION_2,
                            TRANSLATION_4, action_label, chain_step,
                            elliptic_action_data, euler_number,
-                           fiber_fixed_data)
+                           fiber_fixed_data, parse_action_label, point_type,
+                           type_counts)
 
 
 def test_chain_step_period_eight_all_starts():
@@ -101,3 +102,36 @@ def test_action_labels():
         == "preserves each curve of IV*"
     assert action_label(star, FiberAction(BRANCH_SWAP)) \
         == "reflection of IV*"
+
+
+def test_action_labels_parse_back():
+    vocabulary = [(FiberShape.smooth_elliptic(), FiberAction(name))
+                  for name in (IDENTITY, TRANSLATION_2, TRANSLATION_4,
+                               INVOLUTION)]
+    vocabulary.append((FiberShape.smooth_elliptic(),
+                       FiberAction(ORDER_4, split=(2, 0))))
+    for n in (8, 16):
+        vocabulary += [(FiberShape.i_cycle(n), FiberAction(name))
+                       for name in (PRESERVE, REFLECTION, ROTATION_2,
+                                    ROTATION_4)]
+    vocabulary += [(FiberShape.iv_star(), FiberAction(name))
+                   for name in (PRESERVE, BRANCH_SWAP)]
+    labels = set()
+    for shape, action in vocabulary:
+        label = action_label(shape, action)
+        assert parse_action_label(label) == (shape, action.name)
+        labels.add(label)
+    assert len(labels) == len(vocabulary)
+    for unknown in ("rotation of order 3 on I_8", "reflection on I_",
+                    "reflection on I_8 ", "order 4", ""):
+        with pytest.raises(ValueError):
+            parse_action_label(unknown)
+
+
+def test_point_types():
+    assert [point_type(t, (9 - t) % 8) for t in range(8)] \
+        == [None, None, 2, 3, 4, 4, 3, 2]
+    assert point_type(2, 6) is None and point_type(4, 4) is None
+    assert type_counts([(7, 2), (3, 6), (2, 7), (5, 4)]) == (2, 1, 1)
+    with pytest.raises(ValueError, match="isolated point type"):
+        type_counts([(1, 0)])

@@ -94,6 +94,17 @@ def test_holo_total_closes_for_hand_built_configs():
     assert not ok and not (total - holo_target(1)).is_zero()
 
 
+def test_direct_construction_checks_counts():
+    for counts, field in (((2.5, 0, 0), "'n2'"), ((0, -1, 0), "'n3'"),
+                          ((0, 0, True), "'n4'")):
+        with pytest.raises(ValueError, match=field):
+            FixedLocusConfig((), *counts)
+    with pytest.raises(ValueError, match="'genus'"):
+        FixedCurve(1.0, 1)
+    with pytest.raises(ValueError, match="'normal_exp'"):
+        FixedCurve(0, "1")
+
+
 def test_config_json_round_trip():
     config = FixedLocusConfig(curves=(FixedCurve(0, 1), FixedCurve(1, 1)),
                               n2=4, n3=2, n4=2)

@@ -113,6 +113,20 @@ def test_fiber_reports_example_families():
     assert report.kodaira == "IV*"
 
 
+def test_mixed_irrational_layer_is_split_by_valuation():
+    # t^2 - 2 and t^2 - 3 both divide delta twice, but only t^2 - 2
+    # divides a and b: (v(a), v(b), v(delta)) = (2, 1, 2) there, type II,
+    # and (0, 0, 2) at t^2 - 3, type I_2
+    u = T * T - 2
+    w = u * (T * T - 3) ** 2 * (T ** 6 + 5)
+    f = WeierstrassFibration(u * u * -3, u * u * u * 2 + w)
+    assert fiber_inventory(f) == {"I_1": 16, "I_2": 2, "II": 2}
+    triples = {repr(r.place.poly): (r.v_a, r.v_b, r.v_delta, r.kodaira)
+               for r in fiber_reports(f) if r.place.degree() == 2}
+    assert triples == {repr(u): (2, 1, 2, "II"),
+                       repr(T * T - 3): (0, 0, 2, "I_2")}
+
+
 def test_fiber_reports_rejects_zero_discriminant():
     f = WeierstrassFibration(RationalPolynomial.zero(),
                              RationalPolynomial.zero())
@@ -142,6 +156,16 @@ def test_json_round_trip():
     assert DiagonalAutomorphism.from_json(aut.to_json()) == aut
     with pytest.raises(ValueError, match="needs translate=True"):
         DiagonalAutomorphism(4, 2, 7, torsion_x0=poly((1, 0)))
+
+
+def test_direct_construction_checks_field_types():
+    for bad, field in (((1.5, 0, 1), "'ex'"), ((0, True, 1), "'ey'"),
+                       ((0, 0, "1"), "'et'")):
+        with pytest.raises(ValueError, match=field):
+            DiagonalAutomorphism(*bad)
+    with pytest.raises(ValueError, match="'translate'"):
+        DiagonalAutomorphism(0, 0, 1, translate=1)
+    assert DiagonalAutomorphism(9, -1, 1).exponents() == (1, 7, 1)
 
 
 # -- invariance ---------------------------------------------------------------
