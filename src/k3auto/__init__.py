@@ -16,10 +16,9 @@ from .lattice import EigenRanks, power_ranks, sigma4_skeletons, solve_ranks
 from .lefschetz import (FixedCurve, FixedLocusConfig, PointType,
                         derive_prop1_constraints, holo_target, holo_total,
                         prop1_satisfied, topo_check)
-from .polynomial import (Place, RationalPolynomial, infinity_transform,
-                         multiplicity_profile, rational_roots,
-                         squarefree_decomposition, valuation_at,
-                         weierstrass_discriminant)
+from .polynomial import (Place, RationalPolynomial, multiplicity_profile,
+                         rational_roots, squarefree_decomposition,
+                         valuation_at, weierstrass_discriminant)
 from .weierstrass import (ActionAnalysis, DiagonalAutomorphism, FiberReport,
                           FixedPoint, InvariantError, WeierstrassFibration,
                           analyze_action, check_invariance,

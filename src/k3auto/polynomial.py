@@ -3,10 +3,9 @@
 Polynomials are sparse maps {exponent: Fraction} with no zero coefficients
 stored.  Only the operations the surface analysis actually needs live here:
 ring arithmetic, exact division, gcd, Yun squarefree decomposition,
-rational roots, and the place/valuation utilities (including the weighted
-chart change at t = infinity).  Full irreducible factorization is
-deliberately avoided; squarefree grouping plus rational-root extraction is
-enough everywhere.
+rational roots, and the place/valuation utilities at finite places.  Full
+irreducible factorization is deliberately avoided; squarefree grouping plus
+rational-root extraction is enough everywhere.
 
 A Place is where a fiber lives: a rational point t0, a monic squarefree
 factor with no rational roots (a Galois orbit class of irrational points),
@@ -379,11 +378,11 @@ class Place:
 def valuation_at(p: RationalPolynomial, place: Place):
     """Order of vanishing of p at a finite place; inf for the zero polynomial.
 
-    The place at infinity is handled by the weighted chart change
-    (infinity_transform), not here.
+    The place at infinity has no valuation here: a fiber there is read at
+    t = 0 of the weighted chart at infinity.
     """
     if place.kind == "infinity":
-        raise ValueError("use infinity_transform for the place at infinity")
+        raise ValueError("valuation_at takes finite places only")
     if p.is_zero():
         return float("inf")
     count = 0
@@ -472,21 +471,3 @@ def weierstrass_discriminant(a: RationalPolynomial,
                              b: RationalPolynomial) -> RationalPolynomial:
     """4a^3 + 27b^2."""
     return a * a * a * 4 + b * b * 27
-
-
-def infinity_transform(
-        a: RationalPolynomial, b: RationalPolynomial
-) -> Tuple[RationalPolynomial, RationalPolynomial, RationalPolynomial]:
-    """Weighted chart change at t = infinity for a short Weierstrass datum.
-
-    With s = 1/t and weights (4, 6) on (x, y):
-      a~(s) = s^8 a(1/s),  b~(s) = s^12 b(1/s),  D~(s) = s^24 D(1/s).
-    Degree bounds deg a <= 8, deg b <= 12 are what make these polynomial.
-    """
-    if a.degree() > 8 or b.degree() > 12:
-        raise ValueError("not a K3 Weierstrass datum (deg a <= 8, deg b <= 12)")
-    a_t = RationalPolynomial({8 - e: c for e, c in a.coeffs.items()})
-    b_t = RationalPolynomial({12 - e: c for e, c in b.coeffs.items()})
-    delta = weierstrass_discriminant(a, b)
-    d_t = RationalPolynomial({24 - e: c for e, c in delta.coeffs.items()})
-    return a_t, b_t, d_t

@@ -30,9 +30,8 @@ from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, ORDER_4, PRESERVE,
                      FiberShape, action_label, fiber_fixed_data, point_type,
                      type_counts)
 from .maps import CurvePolynomial, RationalMap, compose
-from .polynomial import (Place, RationalPolynomial, gcd, infinity_transform,
-                         multiplicity_profile, rational_roots,
-                         split_by_valuation, valuation_at,
+from .polynomial import (Place, RationalPolynomial, gcd, multiplicity_profile,
+                         rational_roots, split_by_valuation, valuation_at,
                          weierstrass_discriminant)
 
 
@@ -114,6 +113,13 @@ class FiberReport:
                 "v_delta": self.v_delta, "kodaira": self.kodaira}
 
 
+def _reverse(p: RationalPolynomial, weight: int) -> RationalPolynomial:
+    """s^weight p(1/s): the coefficient in the chart at t = infinity."""
+    _require(p.degree() <= weight, "degree %s exceeds the chart weight %d"
+             % (p.degree(), weight))
+    return RationalPolynomial({weight - e: c for e, c in p.coeffs.items()})
+
+
 def _pairs_field(data: Dict, key: str) -> RationalPolynomial:
     """The polynomial of the pairs under data[key]; errors name the key."""
     try:
@@ -137,6 +143,17 @@ class WeierstrassFibration:
         self.a = a
         self.b = b
         self.form = form
+
+    def at_infinity(self) -> "WeierstrassFibration":
+        """The surface in the chart (x/t^4, y/t^6, s = 1/t), where the fiber
+        over t = infinity is the fiber over s = 0.
+
+        a and b become s^da a(1/s) and s^db b(1/s), (da, db) the degree caps
+        of the form (Miranda, The Basic Theory of Elliptic Surfaces, 1989).
+        """
+        da, db = _DEGREE_BOUNDS[self.form]
+        return WeierstrassFibration(_reverse(self.a, da),
+                                    _reverse(self.b, db), self.form)
 
     def short_coefficients(self) -> Tuple[RationalPolynomial, RationalPolynomial]:
         if self.form == SHORT_FORM:
@@ -179,14 +196,13 @@ def _fiber_report(place: Place, v_a, v_b, v_delta: int) -> FiberReport:
 
 
 def kodaira_type_at(f: WeierstrassFibration, place: Place) -> FiberReport:
-    """Fiber report over one place, the place at infinity included."""
-    a, b = f.short_coefficients()
+    """Fiber report over one place; t = infinity is read as the fiber over
+    t = 0 of f.at_infinity()."""
+    at = place
     if place.kind == "infinity":
-        a, b, delta = infinity_transform(a, b)
-        at = Place.finite_rational(0)
-    else:
-        delta = weierstrass_discriminant(a, b)
-        at = place
+        f, at = f.at_infinity(), Place.finite_rational(0)
+    a, b = f.short_coefficients()
+    delta = weierstrass_discriminant(a, b)
     if delta.is_zero():
         raise InvariantError(
             "discriminant vanishes identically; not an elliptic surface")
@@ -286,6 +302,15 @@ class DiagonalAutomorphism:
     def exponents(self) -> Tuple[int, int, int]:
         return (self.ex, self.ey, self.et)
 
+    def at_infinity(self) -> "DiagonalAutomorphism":
+        """The same map in the chart of WeierstrassFibration.at_infinity:
+        exponents (ex - 4 et, ey - 6 et, -et), section x-coordinate
+        s^4 x0(1/s).  x0 must be a section, which bounds its degree by 4."""
+        x0 = self.torsion_x0
+        return DiagonalAutomorphism(
+            self.ex - 4 * self.et, self.ey - 6 * self.et, -self.et,
+            self.translate, None if x0 is None else _reverse(x0, 4))
+
     def to_json(self) -> Dict:
         data: Dict = {"ex": self.ex, "ey": self.ey, "et": self.et,
                       "translate": self.translate}
@@ -343,62 +368,44 @@ def two_form_multiplier(g: DiagonalAutomorphism) -> int:
     return (g.et + g.ex - g.ey) % 8
 
 
-def base_fixed_fibers(g: DiagonalAutomorphism) -> List[Tuple[Place, int]]:
-    """The two invariant fibers with the base eigenvalue exponent there."""
+def _check_section(f: WeierstrassFibration,
+                   x0: Optional[RationalPolynomial]) -> None:
+    """The translation data: the 2-torsion form, and (x0, 0) a section;
+    x0 None or 0 is (0, 0), which lies on every curve of the form."""
+    if f.form != TWO_TORSION_FORM:
+        raise ValueError("translation needs the 2-torsion form")
+    if x0 is not None and not x0.is_zero() \
+            and not (x0 * x0 + f.a * x0 + f.b).is_zero():
+        raise ValueError(
+            "torsion_x0 is not a 2-torsion section: x0^2 + a x0 + b != 0")
+
+
+def _invariant_charts(f: WeierstrassFibration, g: DiagonalAutomorphism
+                      ) -> List[Tuple[Place, WeierstrassFibration,
+                                      DiagonalAutomorphism]]:
+    """(place, fibration, automorphism) for the two invariant fibers, each
+    the fiber over t = 0 of the chart it is given in."""
     if g.et % 2 == 0:
         order = 8 // math.gcd(8, g.et)
         raise ValueError(
             "t-exponent %d acts with order %d on the base; need order 8"
             % (g.et, order))
-    return [(Place.finite_rational(0), g.et),
-            (Place.infinity(), (-g.et) % 8)]
+    return [(Place.finite_rational(0), f, g),
+            (Place.infinity(), f.at_infinity(), g.at_infinity())]
 
 
-def chart_exponents(g: DiagonalAutomorphism,
-                    place: Place) -> Tuple[int, int, int]:
-    """Scaling exponents of the diagonal part in the chart at the place.
-
-    At infinity the chart is (X, Y, s) = (x/t^4, y/t^6, 1/t) for both
-    Weierstrass forms.
-    """
-    if place.kind == "infinity":
-        return ((g.ex - 4 * g.et) % 8, (g.ey - 6 * g.et) % 8, (-g.et) % 8)
-    if place.kind == "finite-rational" and place.t0 == 0:
-        return (g.ex, g.ey, g.et)
-    raise ValueError("the base action fixes only t=0 and t=infinity")
-
-
-def cubic_at(f: WeierstrassFibration,
-             place: Place) -> Tuple[Fraction, Fraction, Fraction]:
-    """(c2, c1, c0) with the fiber at the place being y^2 = x^3 + c2 x^2 +
-    c1 x + c0, in the chart of chart_exponents."""
-    if place.kind == "finite-rational":
-        va, vb = f.a.evaluate(place.t0), f.b.evaluate(place.t0)
-    elif place.kind == "infinity":
-        wa, wb = (8, 12) if f.form == SHORT_FORM else (4, 8)
-        va, vb = f.a.coefficient(wa), f.b.coefficient(wb)
-    else:
-        raise ValueError("fiber charts exist over rational places only")
+def cubic_at(f: WeierstrassFibration) -> Tuple[Fraction, Fraction, Fraction]:
+    """(c2, c1, c0) with the fiber over t = 0 being y^2 = x^3 + c2 x^2 +
+    c1 x + c0; the fiber at infinity is cubic_at(f.at_infinity())."""
+    va, vb = f.a.evaluate(0), f.b.evaluate(0)
     if f.form == SHORT_FORM:
         return (Fraction(0), va, vb)
     return (va, vb, Fraction(0))
 
 
-def _section_chart_value(f: WeierstrassFibration, g: DiagonalAutomorphism,
-                         place: Place) -> Fraction:
-    """Chart x-value of the translation section over the place."""
-    x0 = g.torsion_x0
-    if x0 is None or x0.is_zero():
-        return Fraction(0)
-    residue = x0 * x0 + f.a * x0 + f.b
-    if not residue.is_zero():
-        raise ValueError(
-            "torsion_x0 is not a 2-torsion section: x0^2 + a x0 + b != 0")
-    if place.kind == "finite-rational":
-        return x0.evaluate(place.t0)
-    # deg x0 <= 4 is forced by the section identity and the degree caps
-    assert x0.degree() <= 4
-    return x0.coefficient(4)
+def _section_x(g: DiagonalAutomorphism) -> Fraction:
+    """x-value over t = 0 of the translation section."""
+    return Fraction(0) if g.torsion_x0 is None else g.torsion_x0.evaluate(0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +460,14 @@ def _check_tangent(case_exponent: int, uniform: int, where: str) -> int:
     return case_exponent % 8
 
 
-def _diagonal_fixed_points(ex: int, ey: int, base: int,
-                           cubic: Tuple[Fraction, Fraction, Fraction]
-                           ) -> List[FixedPoint]:
-    c2, c1, c0 = cubic
+def _fixed_points_at_zero(f: WeierstrassFibration,
+                          g: DiagonalAutomorphism) -> List[FixedPoint]:
+    """Isolated fixed points on the smooth fiber over t = 0; the
+    translation data is already checked."""
+    if g.translate:
+        return _translate_fixed_points(f, g)
+    ex, ey, base = g.exponents()
+    c2, c1, c0 = cubic_at(f)
     if (ex, ey) == (0, 0):
         raise ValueError("the action is the identity on this fiber; its "
                          "fixed locus is not a finite set of points")
@@ -495,17 +506,18 @@ def _diagonal_fixed_points(ex: int, ey: int, base: int,
     return points
 
 
-def _translate_fixed_points(ex: int, ey: int, base: int,
-                            cubic: Tuple[Fraction, Fraction, Fraction],
-                            section_x: Fraction) -> List[FixedPoint]:
-    """Fixed points of (scale) o (translate by (section_x, 0)).
+def _translate_fixed_points(f: WeierstrassFibration,
+                            g: DiagonalAutomorphism) -> List[FixedPoint]:
+    """Fixed points over t = 0 of (scale) o (translate by (section_x, 0)).
 
     A point P is fixed iff P + T equals the inverse scaling of P; the group
     law makes this a pair of polynomial conditions over Q(zeta_8).  The
     translation preserves dx/y, so every fixed point has fiber eigenvalue
     zeta^(ex - ey).
     """
-    c2, c1, c0 = cubic
+    ex, ey, base = g.exponents()
+    c2, c1, c0 = cubic_at(f)
+    section_x = _section_x(g)
     assert c0 == 0  # 2-torsion chart
     if (ex, ey) == (0, 0):
         return []  # a translation of order two acts freely
@@ -553,14 +565,12 @@ def fixed_points_on_fiber(f: WeierstrassFibration, g: DiagonalAutomorphism,
         raise ValueError(
             "fiber at %s has type %s; fixed points are enumerated on "
             "smooth fibers only" % (place, report.kodaira))
-    ex, ey, base = chart_exponents(g, place)
-    cubic = cubic_at(f, place)
     if g.translate:
-        if f.form != TWO_TORSION_FORM:
-            raise ValueError("translation needs the 2-torsion form")
-        section_x = _section_chart_value(f, g, place)
-        return _translate_fixed_points(ex, ey, base, cubic, section_x)
-    return _diagonal_fixed_points(ex, ey, base, cubic)
+        _check_section(f, g.torsion_x0)
+    for at, f_chart, g_chart in _invariant_charts(f, g):
+        if at == place:
+            return _fixed_points_at_zero(f_chart, g_chart)
+    raise ValueError("the base action fixes only t=0 and t=infinity")
 
 
 # ---------------------------------------------------------------------------
@@ -576,18 +586,11 @@ def torsion_translation(f: WeierstrassFibration,
     m = y/(x - x0); negating y gives P + T.  For the section (0, 0) this is
     (x, y) -> (b/x, -b y/x^2).
     """
-    if f.form != TWO_TORSION_FORM:
-        raise ValueError("translation needs the 2-torsion form")
+    _check_section(f, x0)
     if x0 is None:
         x0 = RationalPolynomial.zero()
-    if x0.is_zero():
-        if f.b.is_zero():
-            raise ValueError("(0, 0) is not a section when b = 0")
-    else:
-        residue = x0 * x0 + f.a * x0 + f.b
-        if not residue.is_zero():
-            raise ValueError(
-                "torsion_x0 is not a 2-torsion section: x0^2 + a x0 + b != 0")
+    if x0.is_zero() and f.b.is_zero():
+        raise ValueError("(0, 0) is not a section when b = 0")
     x = CurvePolynomial.coordinate("x")
     y = CurvePolynomial.coordinate("y")
     a = CurvePolynomial.from_base_polynomial(f.a)
@@ -630,8 +633,8 @@ def _smooth_action_name(ex: int, ey: int, translate: bool) -> str:
     return name
 
 
-def _cycle_node_x(f: WeierstrassFibration, place: Place) -> Fraction:
-    c2, c1, c0 = cubic_at(f, place)
+def _cycle_node_x(f: WeierstrassFibration) -> Fraction:
+    c2, c1, c0 = cubic_at(f)
     if f.form == TWO_TORSION_FORM:
         if c1 == 0:
             return Fraction(0)
@@ -641,9 +644,10 @@ def _cycle_node_x(f: WeierstrassFibration, place: Place) -> Fraction:
     return Fraction(-3, 2) * c0 / c1
 
 
-def _cycle_action_name(f: WeierstrassFibration, g: DiagonalAutomorphism,
-                       place: Place) -> str:
-    ex, ey, _ = chart_exponents(g, place)
+def _cycle_action_name(f: WeierstrassFibration,
+                       g: DiagonalAutomorphism) -> str:
+    # the cycle fiber over t = 0
+    ex, ey = g.ex, g.ey
     if g.translate:
         if (ex, ey) != (0, 0):
             raise ValueError(
@@ -651,9 +655,7 @@ def _cycle_action_name(f: WeierstrassFibration, g: DiagonalAutomorphism,
                 "are outside the classified actions" % (ex, ey))
         # the section lands on the far component iff it passes through
         # the node of the Weierstrass cubic
-        node = _cycle_node_x(f, place)
-        section = _section_chart_value(f, g, place)
-        return ROTATION_2 if section == node else PRESERVE
+        return ROTATION_2 if _section_x(g) == _cycle_node_x(f) else PRESERVE
     if (ex, ey) == (0, 0):
         return PRESERVE
     if (ex, ey) == (0, 4):
@@ -724,8 +726,8 @@ def analyze_action(f: WeierstrassFibration,
         raise InvariantError(
             "the scaling does not preserve the fibration: "
             + "; ".join(failures))
-    if g.translate and f.form != TWO_TORSION_FORM:
-        raise ValueError("translation needs the 2-torsion form")
+    if g.translate:
+        _check_section(f, g.torsion_x0)
     exponent = two_form_multiplier(g)
     if exponent != 1:
         raise InvariantError(
@@ -733,23 +735,23 @@ def analyze_action(f: WeierstrassFibration,
             "generator with multiplier zeta" % exponent)
     table = enumerate_cases()
     singular = fiber_reports(f)
+    types = {report.place: report.kodaira for report in singular}
 
     # (place, kodaira, shape, action, fixed points, point counts) of each
     # invariant fiber; the IV* action is left to the table, and degenerate
     # fibers take their counts from the dual graph
     entries = []
-    for place, _base in base_fixed_fibers(g):
-        tag = kodaira_type_at(f, place).kodaira
+    for place, f_chart, g_chart in _invariant_charts(f, g):
+        tag = types.get(place, "I_0")
         if tag == "I_0":
-            ex, ey, _ = chart_exponents(g, place)
-            name = _smooth_action_name(ex, ey, g.translate)
+            name = _smooth_action_name(g_chart.ex, g_chart.ey, g.translate)
             points = ([] if name in (IDENTITY, TRANSLATION_2)
-                      else fixed_points_on_fiber(f, g, place))
+                      else _fixed_points_at_zero(f_chart, g_chart))
             counts = type_counts(p.pair for p in points)
             action = FiberAction(name, counts[:2] if name == ORDER_4 else None)
             entries.append((place, tag, _SMOOTH, action, points, counts))
         elif tag.startswith("I_") and not tag.endswith("*"):
-            action = FiberAction(_cycle_action_name(f, g, place))
+            action = FiberAction(_cycle_action_name(f_chart, g_chart))
             entries.append((place, tag, FiberShape.i_cycle(int(tag[2:])),
                            action, [], None))
         elif tag == "IV*":
@@ -890,12 +892,10 @@ def _validate_example_12(preset: str, params, f: WeierstrassFibration):
 
 
 def _validate_example_3(preset: str, params, f: WeierstrassFibration):
-    p, q, r, s = (Fraction(v) for v in params)
-    h1 = 4 * p ** 3 + 27 * s ** 2
-    h2 = 12 * p ** 2 * q + 54 * r * s
-    h3 = 12 * p * q ** 2 + 27 * r ** 2
     delta = f.discriminant()
-    _require(q != 0, "fiber at t=0 must be smooth (constant term of a)")
+    h1, h2, h3 = (delta.coefficient(e) for e in (24, 16, 8))
+    _require(f.a.coefficient(0) != 0,
+             "fiber at t=0 must be smooth (constant term of a)")
     _require(gcd(delta, delta.derivative()).degree() <= 0,
              "the discriminant must be squarefree")
     if preset == "generic":
@@ -916,16 +916,15 @@ def _validate_example_3(preset: str, params, f: WeierstrassFibration):
 
 def _validate_example_4(preset: str, params, f: WeierstrassFibration):
     alpha, beta, gamma = (Fraction(v) for v in params)
+    second = f.a * f.a - f.b * 4
     _require(gamma != 0, "fiber at t=0 must be smooth (gamma != 0)")
     if preset == "generic":
-        _require(beta != 0 and alpha * alpha - 4 * beta != 0,
+        _require(beta != 0 and second.coefficient(8) != 0,
                  "generic case needs beta and alpha^2 - 4 beta nonzero")
-        second = RationalPolynomial(
-            {8: alpha * alpha - 4 * beta, 0: -4 * gamma})
         _require(gcd(f.b, second).degree() <= 0,
                  "generic case needs b and a^2 - 4b coprime")
     elif preset == "i8":
-        _require(alpha != 0 and alpha * alpha - 4 * beta == 0,
+        _require(alpha != 0 and second.coefficient(8) == 0,
                  "the I_8 degeneration needs alpha^2 = 4 beta != 0")
         _require(_rational_sqrt(-gamma) is not None,
                  "the I_8 translation section needs -gamma to be a "

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from k3auto.polynomial import (Place, RationalPolynomial, gcd,
-                               infinity_transform, multiplicity_profile,
-                               rational_roots, squarefree_decomposition,
-                               split_by_valuation, valuation_at,
-                               weierstrass_discriminant)
+                               multiplicity_profile, rational_roots,
+                               squarefree_decomposition, split_by_valuation,
+                               valuation_at, weierstrass_discriminant)
+from k3auto.weierstrass import WeierstrassFibration
 
 T = RationalPolynomial.variable()
 
@@ -111,25 +111,30 @@ def test_place_basics():
 
 
 def test_infinity_transform_matches_discriminant():
+    # the chart at t = infinity: a~ = s^8 a(1/s), b~ = s^12 b(1/s), and its
+    # discriminant is s^24 delta(1/s)
     rng = random.Random(80804)
     for _ in range(40):
         a = random_poly(rng, max_degree=8)
         b = random_poly(rng, max_degree=12)
-        at, bt, dt = infinity_transform(a, b)
-        assert dt == weierstrass_discriminant(at, bt)
+        flipped = WeierstrassFibration(a, b).at_infinity()
+        at, bt = flipped.a, flipped.b
+        delta = weierstrass_discriminant(a, b)
+        assert weierstrass_discriminant(at, bt) == RationalPolynomial(
+            {24 - e: c for e, c in delta.coeffs.items()})
         # the reversal weights: coefficient j of a becomes 8 - j
         for e, c in a.coeffs.items():
             assert at.coefficient(8 - e) == c
         for e, c in b.coeffs.items():
             assert bt.coefficient(12 - e) == c
     with pytest.raises(ValueError):
-        infinity_transform(T ** 9, T)
+        WeierstrassFibration(T ** 9, T)
 
 
 def test_infinity_transform_valuation_pin():
     # a cubic-term discriminant of degree 23 leaves a simple zero at the
     # far pole
-    a = RationalPolynomial.zero()
-    b = T ** 11 + 1
-    at, bt, dt = infinity_transform(a, b)
-    assert valuation_at(dt, Place.finite_rational(0)) == 24 - 22
+    flipped = WeierstrassFibration(RationalPolynomial.zero(),
+                                   T ** 11 + 1).at_infinity()
+    assert valuation_at(weierstrass_discriminant(flipped.a, flipped.b),
+                        Place.finite_rational(0)) == 24 - 22

@@ -9,10 +9,10 @@ from k3auto.maps import CurvePolynomial, RationalMap, compose, maps_equal
 from k3auto.polynomial import (Place, RationalPolynomial,
                                weierstrass_discriminant)
 from k3auto.weierstrass import (DiagonalAutomorphism, InvariantError,
-                                WeierstrassFibration, analyze_action,
-                                base_fixed_fibers, chart_exponents,
-                                check_invariance, convert_two_torsion_form,
-                                fiber_inventory, fiber_reports,
+                                WeierstrassFibration, _invariant_charts,
+                                analyze_action, check_invariance,
+                                convert_two_torsion_form, fiber_inventory,
+                                fiber_reports,
                                 fixed_points_on_fiber, invariance_failures,
                                 kodaira_symbol, kodaira_type_at,
                                 torsion_translation, two_form_multiplier,
@@ -113,6 +113,61 @@ def test_fiber_reports_example_families():
     assert report.kodaira == "IV*"
 
 
+def _reversed(p, weight):
+    # s^weight p(1/s), written out by hand
+    return RationalPolynomial({weight - e: c for e, c in p.coeffs.items()})
+
+
+_WEIGHTS = {"short": (8, 12), "two-torsion": (4, 8)}
+
+
+def _flipped(f):
+    # the surface in the chart (x/t^4, y/t^6, s = 1/t)
+    da, db = _WEIGHTS[f.form]
+    return WeierstrassFibration(_reversed(f.a, da), _reversed(f.b, db),
+                                f.form)
+
+
+def _random_sparse(rng, degree):
+    return RationalPolynomial({e: Fraction(rng.randint(-3, 3))
+                               for e in range(degree + 1)
+                               if rng.random() < 0.3})
+
+
+def test_kodaira_at_infinity_is_kodaira_at_zero_of_the_reversal():
+    # the fiber over t = infinity is the fiber over s = 0 of the surface
+    # with a(t), b(t) replaced by s^8 a(1/s), s^12 b(1/s) (short form) or
+    # s^4 a(1/s), s^8 b(1/s) (2-torsion form)
+    rng = random.Random(80804)
+    zero = Place.finite_rational(0)
+    pin = WeierstrassFibration(RationalPolynomial.zero(), T ** 11 + 1)
+    samples = [pin] + [
+        WeierstrassFibration(_random_sparse(rng, da), _random_sparse(rng, db),
+                             form)
+        for form, (da, db) in _WEIGHTS.items() for _ in range(60)]
+    seen = set()
+    for f in samples:
+        flipped = _flipped(f)
+        try:
+            report = kodaira_type_at(f, Place.infinity())
+        except InvariantError:
+            with pytest.raises(InvariantError):
+                kodaira_type_at(flipped, zero)
+            seen.add("error")
+            continue
+        expected = kodaira_type_at(flipped, zero)
+        assert report.place == Place.infinity()
+        assert (report.v_a, report.v_b, report.v_delta, report.kodaira) \
+            == (expected.v_a, expected.v_b, expected.v_delta,
+                expected.kodaira)
+        seen.add(report.kodaira)
+    # a b of degree 11 leaves a simple zero of b at the far pole: type II
+    report = kodaira_type_at(pin, Place.infinity())
+    assert (report.v_a, report.v_b, report.v_delta, report.kodaira) \
+        == (INF, 1, 2, "II")
+    assert {"I_0", "IV*", "error"} < seen and len(seen) >= 10, seen
+
+
 def test_mixed_irrational_layer_is_split_by_valuation():
     # t^2 - 2 and t^2 - 3 both divide delta twice, but only t^2 - 2
     # divides a and b: (v(a), v(b), v(delta)) = (2, 1, 2) there, type II,
@@ -194,18 +249,23 @@ def test_two_form_multiplier():
 
 
 def test_base_fixed_fibers():
-    zero, infinity = base_fixed_fibers(DiagonalAutomorphism(0, 0, 1))
-    assert str(zero[0]) == "t=0" and zero[1] == 1
-    assert str(infinity[0]) == "t=infinity" and infinity[1] == 7
+    f = WeierstrassFibration(poly((1, 8), (1, 0)), poly((2, 4), (1, 12)))
+    zero, infinity = _invariant_charts(f, DiagonalAutomorphism(0, 0, 1))
+    assert str(zero[0]) == "t=0" and zero[2].et == 1
+    assert str(infinity[0]) == "t=infinity" and infinity[2].et == 7
     with pytest.raises(ValueError, match="order"):
-        base_fixed_fibers(DiagonalAutomorphism(0, 4, 2))
+        _invariant_charts(f, DiagonalAutomorphism(0, 4, 2))
 
 
 def test_chart_exponents():
-    g = DiagonalAutomorphism(4, 2, 7)
-    assert chart_exponents(g, Place.finite_rational(0)) == (4, 2, 7)
+    f = WeierstrassFibration(poly((1, 8), (1, 0)), poly((2, 4), (1, 12)))
+    zero, infinity = _invariant_charts(f, DiagonalAutomorphism(4, 2, 7))
+    assert str(zero[0]) == "t=0" and zero[2].exponents() == (4, 2, 7)
     # at infinity: (ex - 4 et, ey - 6 et, -et) mod 8
-    assert chart_exponents(g, Place.infinity()) == (0, 0, 1)
+    assert str(infinity[0]) == "t=infinity"
+    assert infinity[2].exponents() == (0, 0, 1)
+    with pytest.raises(ValueError, match="order 4 on the base"):
+        _invariant_charts(f, DiagonalAutomorphism(0, 4, 2))
 
 
 # -- fixed points -------------------------------------------------------------
@@ -229,6 +289,19 @@ def test_fixed_point_types_on_central_fiber():
     points = fixed_points_on_fiber(f, g, Place.finite_rational(0))
     assert [p.pair for p in points] == [(3, 6), (3, 6)]
     assert all(p.point_type() == 3 for p in points)
+
+
+def test_fixed_points_on_the_fiber_at_infinity():
+    # example 1 generic: in the chart at infinity the scaling is (4, 2, 7)
+    # and the fiber is y^2 = x^3 + x
+    f = WeierstrassFibration(poly((1, 8), (1, 0)), poly((1, 8), (3, 0)))
+    points = fixed_points_on_fiber(f, DiagonalAutomorphism(0, 0, 1),
+                                   Place.infinity())
+    assert [p.pair for p in points] == [(7, 2), (7, 2)]
+    assert [p.description for p in points] == ["point at infinity", "(0, 0)"]
+    with pytest.raises(ValueError, match="fixes only"):
+        fixed_points_on_fiber(f, DiagonalAutomorphism(0, 0, 1),
+                              Place.finite_rational(1))
 
 
 def test_fixed_points_need_smooth_fiber():
@@ -342,6 +415,32 @@ def test_worked_example_regression(example_id, preset, use_tau, row, counts):
     assert analysis.euler_sum == 24
     assert analysis.two_form_exponent == 1
     assert all(analysis.checks.values()), analysis.checks
+
+
+def _flip_pair(f, g):
+    # the same surface and generator in the chart (x/t^4, y/t^6, 1/t)
+    x0 = g.torsion_x0
+    return (_flipped(f),
+            DiagonalAutomorphism(g.ex - 4 * g.et, g.ey - 6 * g.et, -g.et,
+                                 g.translate,
+                                 None if x0 is None else _reversed(x0, 4)))
+
+
+@pytest.mark.parametrize("example_id,preset,use_tau",
+                         [entry[:3] for entry in REGRESSION])
+def test_analysis_is_symmetric_under_t_to_one_over_t(example_id, preset,
+                                                     use_tau):
+    analysis = worked_example(example_id, preset=preset, use_tau=use_tau)
+    flipped = analyze_action(*_flip_pair(analysis.fibration,
+                                         analysis.automorphism))
+    assert flipped.matched_row == analysis.matched_row
+    assert flipped.action == analysis.action
+    assert flipped.inventory == analysis.inventory
+    assert flipped.checks == analysis.checks
+    swap = {"t=0": "t=infinity", "t=infinity": "t=0"}
+    assert [dict(r.to_dict(), place=swap[str(r.place)])
+            for r in flipped.invariant_fibers] \
+        == [r.to_dict() for r in analysis.invariant_fibers]
 
 
 def test_worked_example_custom_params():
