@@ -7,6 +7,12 @@ rational roots, and the place/valuation utilities at finite places.  Full
 irreducible factorization is deliberately avoided; squarefree grouping plus
 rational-root extraction is enough everywhere.
 
+The two hot paths work on primitive integer coefficient lists, with cost
+polynomial in the bit size of the input: gcd runs a primitive
+pseudo-remainder sequence, and rational_roots Hensel-lifts the roots of a
+monic transform modulo a small prime instead of testing divisor pairs of
+the end coefficients.
+
 A Place is where a fiber lives: a rational point t0, a monic squarefree
 factor with no rational roots (a Galois orbit class of irrational points),
 or the point at infinity.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -246,13 +253,18 @@ class RationalPolynomial:
 
 
 def gcd(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
-    """Monic gcd over Q (a nonzero constant gcd normalizes to 1)."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    """Monic gcd over Q (a nonzero constant gcd normalizes to 1).
+
+    Runs a primitive pseudo-remainder sequence on the integer primitive
+    parts of p and q, so no Fraction arithmetic happens in the loop.
+    """
+    if q.is_zero():
+        return p.monic()
+    if p.is_zero():
+        return q.monic()
+    g = _int_gcd(_primitive_ints(p), _primitive_ints(q))
+    return RationalPolynomial({e: Fraction(c, g[-1])
+                               for e, c in enumerate(g) if c})
 
 
 def squarefree_decomposition(
@@ -282,44 +294,167 @@ def squarefree_decomposition(
     return out
 
 
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def rational_roots(p: RationalPolynomial) -> List[Fraction]:
-    """All rational roots of p (each listed once), via the rational root test."""
+    """All rational roots of p (each listed once), sorted.
+
+    Modular method: with a the leading coefficient of the squarefree part
+    f of p and d its degree, every rational root r makes s = a*r an integer
+    root of the monic Q(s) = a^(d-1) f(s/a).  Q's roots modulo a small prime
+    that keeps Q squarefree are found by evaluation, Hensel-lifted past
+    twice a root bound, read as symmetric residues and kept only when they
+    are exact roots of p.  The cost is polynomial in the bit size of p: no
+    integer is factored.
+    """
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
     roots: List[Fraction] = []
     # strip powers of t
-    v0 = min(p.coeffs) if p.coeffs else 0
+    v0 = min(p.coeffs)
     if v0 > 0:
         roots.append(Fraction(0))
         p = RationalPolynomial({e - v0: c for e, c in p.coeffs.items()})
     if p.degree() < 1:
         return roots
-    # clear denominators to a primitive integer polynomial
-    denom = math.lcm(*(c.denominator for c in p.coeffs.values()))
-    ints = {e: int(c * denom) for e, c in p.coeffs.items()}
-    a0 = ints.get(0)
-    an = ints[max(ints)]
-    assert a0 is not None and a0 != 0
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if cand not in roots and p.evaluate(cand) == 0:
-                    roots.append(cand)
+    f = _primitive_ints(p)
+    f = _exact_quotient(f, _int_gcd(f, _derivative(f)))
+    d, lead = len(f) - 1, f[-1]
+    # Q(s) = sum f_i a^(d-1-i) s^i for i < d, plus s^d
+    monic = [c * lead ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    # |a*r| <= |a| * (1 + max |f_i / a|), Cauchy's bound for the roots of f
+    bound = abs(lead) + max(abs(c) for c in f[:-1])
+    prime = _squarefree_prime(monic)
+    modulus = prime
+    lifted = [s for s in range(prime) if _eval_mod(monic, s, prime) == 0]
+    diff = _derivative(monic)
+    while lifted and modulus <= 2 * bound:
+        modulus *= modulus
+        lifted = [(s - _eval_mod(monic, s, modulus)
+                   * pow(_eval_mod(diff, s, modulus), -1, modulus)) % modulus
+                  for s in lifted]
+    for s in lifted:
+        if s > modulus // 2:
+            s -= modulus
+        root = Fraction(s, lead)
+        if p.evaluate(root) == 0:
+            roots.append(root)
     return sorted(roots)
+
+
+# -- integer coefficient lists ------------------------------------------------
+#
+# Dense lists of ints, constant term first.  The reductions go through
+# functools.reduce rather than math.gcd(*coeffs): the star-argument tuples
+# measurably raise peak memory in these loops.
+
+
+def _primitive_ints(p: RationalPolynomial) -> List[int]:
+    """p scaled to a primitive integer list with a positive leading term."""
+    denom = reduce(math.lcm, (c.denominator for c in p.coeffs.values()), 1)
+    out = [0] * (int(p.degree()) + 1)
+    for e, c in p.coeffs.items():
+        out[e] = c.numerator * (denom // c.denominator)
+    return _primitive_part(out)
+
+
+def _primitive_part(f: List[int]) -> List[int]:
+    """f over its content, leading term positive; [] for zero.
+
+    Trailing zeros (a leading term that cancelled) are dropped first.
+    """
+    f = _strip(f)
+    if not f:
+        return f
+    content = reduce(math.gcd, f)
+    if f[-1] < 0:
+        content = -content
+    return [c // content for c in f]
+
+
+def _derivative(f: List[int]) -> List[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _pseudo_remainder(a: List[int], b: List[int]) -> List[int]:
+    """A nonzero integer multiple of the remainder of a by b.
+
+    Each step scales a by lc(b)/g rather than lc(b), g the gcd of the two
+    leading terms; zeros left at the top are not stripped.
+    """
+    a = list(a)
+    n, lead_b = len(b) - 1, b[-1]
+    while len(a) > n:
+        lead_a = a.pop()
+        if not lead_a:
+            continue
+        g = math.gcd(lead_a, lead_b)
+        scale, factor = lead_b // g, lead_a // g
+        shift = len(a) - n
+        a = [c * scale for c in a]
+        for i, c in enumerate(b[:-1]):
+            a[shift + i] -= factor * c
+    return a
+
+
+def _int_gcd(a: List[int], b: List[int]) -> List[int]:
+    """Primitive gcd of two nonzero integer lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive_part(_pseudo_remainder(a, b))
+    return _primitive_part(a)
+
+
+def _exact_quotient(f: List[int], g: List[int]) -> List[int]:
+    """f / g for integer lists with g | f over Z."""
+    f = list(f)
+    n, lead = len(g) - 1, g[-1]
+    quotient = [0] * (len(f) - n)
+    for k in range(len(quotient) - 1, -1, -1):
+        c = f[k + n] // lead
+        quotient[k] = c
+        for i, gc in enumerate(g):
+            f[k + i] -= c * gc
+    return quotient
+
+
+def _eval_mod(f: List[int], s: int, m: int) -> int:
+    out = 0
+    for c in reversed(f):
+        out = (out * s + c) % m
+    return out
+
+
+def _squarefree_prime(monic: List[int]) -> int:
+    """The least prime above the degree modulo which monic is squarefree.
+
+    One exists because monic is squarefree over Q: only the finitely many
+    primes dividing its discriminant fail.  Over F_prime the remainder
+    sequence of monic and its derivative may use pseudo-remainders, since
+    every leading term it divides by is a unit there.
+    """
+    prime = len(monic) - 1
+    while True:
+        prime += 1
+        if any(prime % k == 0 for k in range(2, math.isqrt(prime) + 1)):
+            continue
+        a = _reduce_mod(monic, prime)
+        b = _reduce_mod(_derivative(monic), prime)
+        while b:
+            a, b = b, _reduce_mod(_pseudo_remainder(a, b), prime)
+        if len(a) == 1:
+            return prime
+
+
+def _reduce_mod(f: List[int], prime: int) -> List[int]:
+    return _strip([c % prime for c in f])
+
+
+def _strip(f: List[int]) -> List[int]:
+    """f without trailing zeros (a copy only when there are some)."""
+    end = len(f)
+    while end and not f[end - 1]:
+        end -= 1
+    return f if end == len(f) else f[:end]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,189 @@
+"""Differential checks of the polynomial layer against sympy.
+
+Rational roots must equal sympy's roots over Q, and fiber inventories must
+equal sympy's factorization of the discriminant read through Tate's table.
+sympy and hypothesis are test-only dependencies: without them this module
+is skipped.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from k3auto.polynomial import RationalPolynomial, rational_roots  # noqa: E402
+from k3auto.weierstrass import (InvariantError,  # noqa: E402
+                                WeierstrassFibration, fiber_inventory)
+
+T = sympy.Symbol("t")
+EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
+DEGREE_CAPS = {"short": (8, 12), "two-torsion": (4, 8)}
+
+
+def to_k3auto(expr) -> RationalPolynomial:
+    poly = sympy.Poly(expr, T, domain="QQ")
+    return RationalPolynomial({int(m[0]): Fraction(int(c.p), int(c.q))
+                               for m, c in zip(poly.monoms(), poly.coeffs())})
+
+
+# -- rational roots -------------------------------------------------------------
+
+rationals = st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20),
+                      st.integers(1, 10 ** 6))
+signed_20_digits = st.integers(-10 ** 20, 10 ** 20).filter(bool)
+
+
+@st.composite
+def polynomials(draw):
+    """Non-monic products of rational linear factors with multiplicities,
+    a power of t and a cofactor that may have no rational root."""
+    expr = draw(signed_20_digits) * T ** draw(st.integers(0, 2))
+    for root in draw(st.lists(rationals, max_size=4)):
+        expr *= (root.denominator * T - root.numerator) \
+            ** draw(st.integers(1, 3))
+    cofactor = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=4))
+    expr *= T ** len(cofactor) + sum(c * T ** i for i, c in enumerate(cofactor))
+    return sympy.expand(expr)
+
+
+@EXAMPLES
+@given(polynomials())
+def test_rational_roots_match_sympy(expr):
+    roots = sympy.Poly(expr, T, domain="QQ").ground_roots()
+    want = sorted(Fraction(int(r.p), int(r.q)) for r in roots)
+    assert rational_roots(to_k3auto(expr)) == want
+
+
+# -- fiber inventories ------------------------------------------------------------
+
+# Tate's table in characteristic 0, minimal model: the additive types are
+# fixed by v(delta) alone, except (v(a), v(b)) = (2, 3) with v(delta) > 6
+ADDITIVE = {2: "II", 3: "III", 4: "IV", 6: "I_0*", 8: "IV*", 9: "III*",
+            10: "II*"}
+
+
+class NonMinimal(Exception):
+    pass
+
+
+def tate_type(va, vb, vd):
+    if va >= 4 and vb >= 6:
+        raise NonMinimal
+    if va == 0:
+        return "I_%d" % vd
+    if va == 2 and vb == 3 and vd > 6:
+        return "I_%d*" % (vd - 6)
+    return ADDITIVE[vd]
+
+
+def valuation(poly, factor):
+    if poly.is_zero:
+        return float("inf")
+    v = 0
+    while True:
+        quotient, remainder = sympy.div(poly, factor)
+        if not remainder.is_zero:
+            return v
+        poly, v = quotient, v + 1
+
+
+def oracle_inventory(a_expr, b_expr, form):
+    """Kodaira types weighted by residue degree, from sympy's factor_list."""
+    if form == "two-torsion":
+        # y^2 = x(x^2 + a x + b) in short form, up to a constant rescaling
+        a_expr, b_expr = 9 * b_expr - 3 * a_expr ** 2, \
+            2 * a_expr ** 3 - 9 * a_expr * b_expr
+    a = sympy.Poly(a_expr, T, domain="QQ")
+    b = sympy.Poly(b_expr, T, domain="QQ")
+    delta = 4 * a ** 3 + 27 * b ** 2
+    counts = Counter()
+    for factor, mult in delta.factor_list()[1]:
+        kind = tate_type(valuation(a, factor), valuation(b, factor), mult)
+        counts[kind] += factor.degree()
+    vd = 24 - delta.degree()
+    if vd:
+        va = float("inf") if a.is_zero else 8 - a.degree()
+        vb = float("inf") if b.is_zero else 12 - b.degree()
+        counts[tate_type(va, vb, vd)] += 1
+    return dict(counts)
+
+
+places = st.sampled_from([T, T - 1, T + 2, 3 * T - 1, T ** 2 - 2, T ** 2 + 1,
+                          T ** 2 - 3, T ** 2 - 3 * T + 1])
+small = st.integers(-6, 6)
+
+
+@st.composite
+def filler(draw, degree):
+    return sum(draw(small) * T ** i for i in range(degree + 1))
+
+
+@st.composite
+def with_places(draw, cap, max_exponent):
+    """A polynomial of degree <= cap with chosen places to chosen powers."""
+    expr = sympy.Integer(draw(small.filter(bool)))
+    degree = 0
+    for place in draw(st.lists(places, max_size=3, unique=True)):
+        exponent = draw(st.integers(1, max_exponent))
+        grown = degree + exponent * sympy.degree(place, T)
+        if grown <= cap:
+            expr, degree = expr * place ** exponent, grown
+    return sympy.expand(expr * draw(filler(draw(st.integers(0, cap - degree)))))
+
+
+@st.composite
+def additive(draw, cap_a, cap_b):
+    """(a, b) with each chosen place in a to a power alpha and in b to a
+    power beta, (alpha, beta) drawn together, filled up to the caps."""
+    a, b = sympy.Integer(draw(small.filter(bool))), sympy.Integer(1)
+    deg_a = deg_b = 0
+    for place in draw(st.lists(places, max_size=3, unique=True)):
+        k = sympy.degree(place, T)
+        alpha, beta = draw(st.integers(0, 5)), draw(st.integers(0, 7))
+        if deg_a + alpha * k <= cap_a and deg_b + beta * k <= cap_b:
+            a, b = a * place ** alpha, b * place ** beta
+            deg_a, deg_b = deg_a + alpha * k, deg_b + beta * k
+    return (sympy.expand(a * draw(filler(cap_a - deg_a))),
+            sympy.expand(b * draw(filler(cap_b - deg_b))))
+
+
+@st.composite
+def k3_data(draw):
+    """(a, b, form): additive designs put places into a and b to chosen
+    powers; multiplicative ones take a = -3 h^2 u^2, b = (2 h^3 + g) u^3,
+    which makes delta a multiple of g (I_n), u a twist (I_n*) and a place
+    of both h and g additive, often beside an I_n of the same v(delta)."""
+    form = draw(st.sampled_from(sorted(DEGREE_CAPS)))
+    if form == "two-torsion" or draw(st.booleans()):
+        return draw(additive(*DEGREE_CAPS[form])) + (form,)
+    u = draw(st.sampled_from([sympy.Integer(1), T, T - 1, T ** 2 - 2]))
+    room = 4 - sympy.degree(u, T)
+    h = draw(with_places(room, 2))
+    g = draw(with_places(12 - 3 * sympy.degree(u, T), 8))
+    return (sympy.expand(-3 * h ** 2 * u ** 2),
+            sympy.expand((2 * h ** 3 + g) * u ** 3), form)
+
+
+@EXAMPLES
+@given(k3_data())
+# IV at t = 0 and at the roots of t^2 - 2, which the draws above can miss
+@example((sympy.expand(T ** 2 * (T ** 2 - 2) ** 2),
+          sympy.expand(T ** 2 * (T ** 2 - 2) ** 2 * (T + 1)), "short"))
+def test_fiber_inventory_matches_factorization_and_tate(data):
+    a, b, form = data
+    f = WeierstrassFibration(to_k3auto(a), to_k3auto(b), form)
+    assume(not f.discriminant().is_zero())
+    try:
+        want = oracle_inventory(a, b, form)
+    except NonMinimal:
+        with pytest.raises(InvariantError, match="non-minimal"):
+            fiber_inventory(f)
+        return
+    assert fiber_inventory(f) == want

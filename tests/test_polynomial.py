@@ -1,6 +1,7 @@
 """Univariate rational polynomials, places, valuations."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,46 @@ def test_rational_roots_and_squarefree():
     for factor, mult in squarefree_decomposition(p):
         recon = recon * factor ** mult
     assert recon == p.monic()
+
+
+# wall-time bound for the inputs that trial division could not finish;
+# the modular root search takes well under a tenth of it
+ROOT_SEARCH_SECONDS = 2.0
+PRIME_20_DIGITS = (10000000000000000051, 30000000000000000041)
+
+
+def test_rational_roots_of_twenty_digit_prime_ends():
+    lead, tail = PRIME_20_DIGITS
+    p = (lead * T + tail) * (T + 1) * (T ** 2 + T + 1)
+    assert p.leading_coefficient() == lead and p.coefficient(0) == tail
+    start = time.perf_counter()
+    roots = rational_roots(p)
+    elapsed = time.perf_counter() - start
+    assert roots == [Fraction(-tail, lead), Fraction(-1)]
+    assert elapsed < ROOT_SEARCH_SECONDS, elapsed
+
+
+def test_rational_roots_of_repeated_and_fractional_factors():
+    p = T ** 3 * (3 * T - 7) ** 3 * (T + Fraction(5, 2)) ** 2 * (T ** 2 - 2)
+    assert rational_roots(p) == [Fraction(-5, 2), Fraction(0), Fraction(7, 3)]
+    assert rational_roots(Fraction(1, 3) * T ** 2 - 3) == [-3, 3]
+    assert rational_roots(T ** 2 + 1) == []
+    assert rational_roots(T ** 4) == [0]
+    assert rational_roots(RationalPolynomial.constant(5)) == []
+    with pytest.raises(ValueError):
+        rational_roots(RationalPolynomial.zero())
+
+
+def test_gcd_normalization():
+    p = (2 * T - 1) ** 2 * (T + 3)
+    q = Fraction(3, 4) * (2 * T - 1) * (T ** 2 + 1)
+    assert gcd(p, q) == T - Fraction(1, 2)
+    assert gcd(p, T ** 2 + 1) == RationalPolynomial.constant(1)
+    assert gcd(RationalPolynomial.zero(), q) == q.monic()
+    assert gcd(q, RationalPolynomial.zero()) == q.monic()
+    assert gcd(RationalPolynomial.zero(),
+               RationalPolynomial.zero()).is_zero()
+    assert gcd(p, p.derivative()) == T - Fraction(1, 2)
 
 
 def test_multiplicity_profile_pinned():

@@ -1,6 +1,7 @@
 """Weierstrass models: fiber types, invariance, fixed points, examples."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -456,6 +457,16 @@ def test_worked_example_custom_params():
         worked_example(1, use_tau=True)
     with pytest.raises(ValueError, match="presets"):
         worked_example(1, preset="i8")
+
+
+def test_worked_example_with_a_six_digit_prime_runs_fast():
+    # the discriminant's end coefficients carry p = 100003; a search over
+    # their divisor pairs took tens of seconds here
+    start = time.perf_counter()
+    analysis = worked_example(1, "generic", (100003, 1, 1, 3))
+    elapsed = time.perf_counter() - start
+    assert analysis.inventory == {"I_1": 24}
+    assert elapsed < 2.0, elapsed
 
 
 def test_analyze_action_error_taxonomy():
