@@ -9,9 +9,22 @@ built from them.  The t-component is always a root-of-unity scaling: that
 covers diagonal automorphisms and fiberwise group-law translations, which
 is everything the analysis needs.
 
-Composition is purely formal.  Equality is decided componentwise after
-cross-multiplying and, when a curve equation y^2 = cubic(x, t) is supplied,
-reducing even powers of y modulo it.
+Every map the package builds is in y-odd normal form
+
+    (x, y, t)  ->  (R(x, t), y * S(x, t), zeta^e * t):
+
+x_num, x_den and y_den are free of y and every term of y_num has y to the
+first power.  Diagonal scalings are of this form, and so are 2-torsion
+translations, which are built already reduced on the curve.  Composition
+is purely formal and keeps the form: substituting y -> y * S into a
+polynomial of y-degree at most 1 gives y-degree at most 1 again.
+
+Equality is decided componentwise after cross-multiplying.  For maps in
+normal form it is exact without the curve equation y^2 = cubic(x, t):
+{1, y} is a basis of the surface's function field over Q(zeta_8)(x, t), so
+two such maps agree on the surface exactly when their R and S agree as
+rational functions in (x, t).  Maps built outside normal form can carry
+even powers of y, which maps_equal reduces modulo the cubic if given one.
 """
 
 from __future__ import annotations
@@ -84,14 +97,8 @@ class CurvePolynomial:
         return CurvePolynomial.constant(other)
 
     def __add__(self, other) -> "CurvePolynomial":
-        other = self._coerce(other)
         acc = dict(self.terms)
-        for key, value in other.terms.items():
-            total = acc.get(key, Cyc8Element.zero()) + value
-            if total.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = total
+        _add_into(acc, self._coerce(other))
         return CurvePolynomial(acc)
 
     __radd__ = __add__
@@ -140,18 +147,25 @@ class CurvePolynomial:
         t -> zeta^t_exponent * t) over the denominator x_den^dx * y_den^dy.
 
         dx and dy must bound the x- and y-degrees of self so that the
-        homogenization clears every denominator.
+        homogenization clears every denominator.  The terms are grouped by
+        their (x, y) exponents, so each group is multiplied out once, and
+        each power of the four components is computed once per call.
         """
         if dx < self.x_degree() or dy < self.y_degree():
             raise ValueError("homogenization degrees too small")
-        out = CurvePolynomial()
+        groups: Dict[Tuple[int, int], Dict[Triple, Cyc8Element]] = {}
         for (i, j, k), c in self.terms.items():
-            piece = CurvePolynomial(
-                {(0, 0, k): c * zeta_pow((t_exponent * k) % 8)})
-            piece = piece * x_num ** i * x_den ** (dx - i)
-            piece = piece * y_num ** j * y_den ** (dy - j)
-            out = out + piece
-        return out
+            groups.setdefault((i, j), {})[(0, 0, k)] = \
+                c * zeta_pow((t_exponent * k) % 8)
+        xs = {i for i, _ in groups}
+        ys = {j for _, j in groups}
+        x_parts = _products(x_num, x_den, dx, xs)
+        y_parts = _products(y_num, y_den, dy, ys)
+        acc: Dict[Triple, Cyc8Element] = {}
+        for (i, j), coeffs in groups.items():
+            piece = CurvePolynomial(coeffs) * x_parts[i] * y_parts[j]
+            _add_into(acc, piece)
+        return CurvePolynomial(acc)
 
     def reduce_y(self, cubic: "CurvePolynomial") -> "CurvePolynomial":
         """Eliminate y^2 via y^2 = cubic(x, t) until the y-degree is < 2."""
@@ -180,6 +194,32 @@ class CurvePolynomial:
 
 
 _ONE = CurvePolynomial.constant(1)
+
+
+def _powers(p: CurvePolynomial, n: int):
+    """[p^0, p^1, ..., p^n]."""
+    out = [_ONE]
+    for _ in range(n):
+        out.append(out[-1] * p)
+    return out
+
+
+def _products(num: CurvePolynomial, den: CurvePolynomial, d: int, exps):
+    """{e: num^e * den^(d - e)} for each e in exps."""
+    if not exps:
+        return {}
+    nums = _powers(num, max(exps))
+    dens = _powers(den, d - min(exps))
+    return {e: nums[e] * dens[d - e] for e in exps}
+
+
+def _add_into(acc: Dict[Triple, Cyc8Element], p: CurvePolynomial) -> None:
+    for key, value in p.terms.items():
+        total = acc[key] + value if key in acc else value
+        if total.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = total
 
 
 @dataclass(frozen=True)
@@ -222,9 +262,11 @@ def maps_equal(first: RationalMap, second: RationalMap,
                curve_cubic: Optional[CurvePolynomial] = None) -> bool:
     """Componentwise equality of rational maps.
 
-    Cross-multiplied differences are reduced modulo y^2 = curve_cubic when
-    a cubic is supplied; without one the comparison is equality of formal
-    fractions.
+    Without a cubic the comparison is equality of formal fractions, which
+    is equality on the surface for maps in y-odd normal form (see the
+    module docstring).  curve_cubic matters only for maps built outside
+    that form: the cross-multiplied differences are then reduced modulo
+    y^2 = curve_cubic before they are tested for zero.
     """
     if (first.t_exponent - second.t_exponent) % 8:
         return False

@@ -579,28 +579,36 @@ def fixed_points_on_fiber(f: WeierstrassFibration, g: DiagonalAutomorphism,
 
 def torsion_translation(f: WeierstrassFibration,
                         x0: Optional[RationalPolynomial] = None) -> RationalMap:
-    """Fiberwise translation by the 2-torsion section (x0, 0).
+    """Fiberwise translation by the 2-torsion section (x0, 0), in y-odd
+    normal form.
 
-    With P = (x, y) and T = (x0, 0) on y^2 = x(x^2 + a x + b), the chord
-    through P and T meets the cubic again over x = m^2 - a - x - x0 with
-    m = y/(x - x0); negating y gives P + T.  For the section (0, 0) this is
-    (x, y) -> (b/x, -b y/x^2).
+    On y^2 = c(x) = x(x^2 + a x + b) with c(x0) = 0, the translation by
+    T = (x0, 0) is
+
+        (x, y) -> (x0 + c'(x0)/(x - x0), -c'(x0) y/(x - x0)^2),
+
+    c'(x0) = 3 x0^2 + 2 a x0 + b (Velu 1971; Silverman, AEC III.2.3): in
+    X = x - x0 the cubic is X(X^2 + (a + 3 x0) X + c'(x0)), on which the
+    translation by (0, 0) is (X, y) -> (c'(x0)/X, -c'(x0) y/X^2).  This is
+    the chord construction x' = y^2/(x - x0)^2 - a - x - x0 reduced once by
+    the curve relation, with the factor x - x0 cancelled.  When c'(x0) is
+    the zero polynomial the generic fiber is singular at T, which is
+    refused.
     """
     _check_section(f, x0)
     if x0 is None:
         x0 = RationalPolynomial.zero()
-    if x0.is_zero() and f.b.is_zero():
-        raise ValueError("(0, 0) is not a section when b = 0")
+    derivative = x0 * x0 * 3 + f.a * x0 * 2 + f.b  # c'(x0)
+    if derivative.is_zero():
+        raise ValueError(
+            "c'(x0) = 3 x0^2 + 2 a x0 + b is 0: the generic fiber is "
+            "singular at the section (x0, 0)")
     x = CurvePolynomial.coordinate("x")
     y = CurvePolynomial.coordinate("y")
-    a = CurvePolynomial.from_base_polynomial(f.a)
     x0c = CurvePolynomial.from_base_polynomial(x0)
+    c = CurvePolynomial.from_base_polynomial(derivative)
     shift = x - x0c
-    x_num = y * y - (a + x + x0c) * shift * shift
-    x_den = shift * shift
-    y_num = y * (x0c * shift * shift - x_num)
-    y_den = shift * shift * shift
-    return RationalMap(x_num, x_den, y_num, y_den, 0)
+    return RationalMap(x0c * shift + c, shift, -(c * y), shift * shift, 0)
 
 
 def automorphism_map(f: WeierstrassFibration,

@@ -1,7 +1,8 @@
-"""Differential checks of the polynomial layer against sympy.
+"""Differential checks of the polynomial and maps layers against sympy.
 
-Rational roots must equal sympy's roots over Q, and fiber inventories must
-equal sympy's factorization of the discriminant read through Tate's table.
+Rational roots must equal sympy's roots over Q, fiber inventories must
+equal sympy's factorization of the discriminant read through Tate's table,
+and 2-torsion translations must equal sympy's chord construction.
 sympy and hypothesis are test-only dependencies: without them this module
 is skipped.
 """
@@ -19,9 +20,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from k3auto.polynomial import RationalPolynomial, rational_roots  # noqa: E402
 from k3auto.weierstrass import (InvariantError,  # noqa: E402
-                                WeierstrassFibration, fiber_inventory)
+                                WeierstrassFibration, fiber_inventory,
+                                torsion_translation)
 
 T = sympy.Symbol("t")
+X = sympy.Symbol("x")
 EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
 DEGREE_CAPS = {"short": (8, 12), "two-torsion": (4, 8)}
@@ -187,3 +190,59 @@ def test_fiber_inventory_matches_factorization_and_tate(data):
             fiber_inventory(f)
         return
     assert fiber_inventory(f) == want
+
+
+# -- 2-torsion translations ---------------------------------------------------
+
+
+@st.composite
+def two_torsion_data(draw):
+    """(a, b, x0) with (x0, 0) on y^2 = x(x^2 + a x + b): x0 and a drawn
+    and b = -x0^2 - a x0, or x0 = 0 and b != 0."""
+    a = draw(filler(4))
+    if draw(st.booleans()):
+        x0 = draw(filler(4))
+        return a, sympy.expand(-x0 ** 2 - a * x0), x0
+    return a, draw(filler(8).filter(lambda b: b != 0)), sympy.Integer(0)
+
+
+def curve_to_sympy(p, y_power=0):
+    """A CurvePolynomial with rational coefficients whose terms all have
+    y-exponent y_power, divided by y^y_power, as a sympy Poly in (x, t)."""
+    terms = {}
+    for (i, j, k), c in p.terms.items():
+        assert j == y_power
+        terms[(i, k)] = sympy.Rational(c.rational_part().numerator,
+                                       c.rational_part().denominator)
+    return sympy.Poly.from_dict(terms, X, T, domain="QQ")
+
+
+@EXAMPLES
+@given(two_torsion_data())
+# y^2 = x (x + t^4)^2: (-t^4, 0) is a section and a node of every fiber
+@example((2 * T ** 4, T ** 8, -T ** 4))
+def test_torsion_translation_matches_the_chord_construction(data):
+    a, b, x0 = (sympy.Poly(e, X, T, domain="QQ") for e in data)
+    f = WeierstrassFibration(to_k3auto(data[0]), to_k3auto(data[1]),
+                             "two-torsion")
+    x = sympy.Poly(X, X, T, domain="QQ")
+    cubic = x ** 3 + a * x ** 2 + b * x
+    shift = x - x0
+    if cubic.rem(shift ** 2).is_zero:
+        # (x0, 0) is a double root: the generic fiber is singular there
+        with pytest.raises(ValueError, match=r"c'\(x0\)"):
+            torsion_translation(f, to_k3auto(data[2]))
+        return
+    tau = torsion_translation(f, to_k3auto(data[2]))
+    r_num, r_den = curve_to_sympy(tau.x_num), curve_to_sympy(tau.x_den)
+    s_num, s_den = curve_to_sympy(tau.y_num, 1), curve_to_sympy(tau.y_den)
+    # P + T by the chord through P and T = (x0, 0), with y^2 = cubic:
+    # x' = cubic/(x - x0)^2 - a - x - x0 and y' = -y (x' - x0)/(x - x0)
+    x_new = cubic - (a + x + x0) * shift ** 2  # over shift^2
+    y_new = -(x_new - x0 * shift ** 2)  # times y, over shift^3
+    assert (r_num * shift ** 2 - x_new * r_den).is_zero
+    assert (s_num * shift ** 3 - y_new * s_den).is_zero
+    # the image lies on the curve: S^2 cubic(x) = cubic(R)
+    on_curve = s_num ** 2 * cubic * r_den ** 3 - s_den ** 2 * (
+        r_num ** 3 + a * r_num ** 2 * r_den + b * r_num * r_den ** 2)
+    assert on_curve.is_zero

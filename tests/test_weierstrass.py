@@ -389,6 +389,42 @@ def test_torsion_translation_needs_a_section():
         torsion_translation(f, bad_x0)
 
 
+def test_torsion_translation_refuses_a_singular_section():
+    # c'(x0) = 0: with b = 0 at (0, 0), and at x0 = -t^4 on
+    # y^2 = x (x + t^4)^2, where (x0, 0) is a section but a node
+    cases = [(_example4(beta=0, gamma=0), None),
+             (WeierstrassFibration(poly((2, 4)), poly((1, 8)), "two-torsion"),
+              poly((-1, 4)))]
+    for f, x0 in cases:
+        with pytest.raises(ValueError, match=r"c'\(x0\) = 3 x0\^2"):
+            torsion_translation(f, x0)
+
+
+def _assert_y_odd_normal_form(m):
+    for part in (m.x_num, m.x_den, m.y_den):
+        assert part.y_degree() == 0 and part.terms
+    assert m.y_num.terms
+    assert all(j == 1 for _, j, _ in m.y_num.terms)
+
+
+def test_maps_are_in_y_odd_normal_form():
+    from k3auto.weierstrass import automorphism_map
+    f = _example4(alpha=2, beta=1, gamma=-1)
+    x0 = poly((-1, 4), (1, 0))  # the conjugate section of example 4
+    taus = [torsion_translation(f), torsion_translation(f, x0)]
+    for tau in taus:
+        assert max(tau.x_num.x_degree(), tau.x_den.x_degree()) == 1
+    sigmas = [automorphism_map(f, DiagonalAutomorphism(
+        4, 2, 7, translate=True, torsion_x0=section))
+        for section in (None, x0)]
+    square = compose(sigmas[1], sigmas[1])
+    for m in taus + sigmas + [compose(s, s) for s in sigmas]:
+        _assert_y_odd_normal_form(m)
+    size = sum(len(part.terms) for part in (
+        square.x_num, square.x_den, square.y_num, square.y_den))
+    assert size <= 40
+
+
 # -- full analyses ------------------------------------------------------------
 
 REGRESSION = [
