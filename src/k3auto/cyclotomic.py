@@ -24,7 +24,7 @@ _BASIS_NAMES = ("", "z", "z^2", "z^3")
 def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError("expected an int or Fraction, got %r" % (value,))
 

@@ -7,8 +7,12 @@ rational roots, and the place/valuation utilities at finite places.  Full
 irreducible factorization is deliberately avoided; squarefree grouping plus
 rational-root extraction is enough everywhere.
 
-The two hot paths work on primitive integer coefficient lists, with cost
-polynomial in the bit size of the input: gcd runs a primitive
+Products, divisions, valuations, evaluation, gcd and rational roots all
+work on dense integer coefficient lists: p is read once as f/d with f a
+list of ints and d > 0, the work is done in int arithmetic, and one
+Fraction is built per output coefficient.  The cost is polynomial in the
+bit size of the input: division by a primitive divisor stays in the
+integers whenever it is exact (Gauss's lemma), gcd runs a primitive
 pseudo-remainder sequence, and rational_roots Hensel-lifts the roots of a
 monic transform modulo a small prime instead of testing divisor pairs of
 the end coefficients.
@@ -40,7 +44,7 @@ class RationalPolynomial:
         clean: Dict[int, Fraction] = {}
         if coeffs:
             for exp, c in coeffs.items():
-                if not isinstance(exp, int) or exp < 0:
+                if not _is_int(exp) or exp < 0:
                     raise ValueError("exponents must be non-negative integers")
                 f = _as_fraction(c)
                 if f != 0:
@@ -68,7 +72,7 @@ class RationalPolynomial:
             except (TypeError, ValueError, ZeroDivisionError):
                 raise ValueError("coefficient %r is not a rational number"
                                  % (coeff,)) from None
-            if not isinstance(exp, int) or exp < 0:
+            if not _is_int(exp) or exp < 0:
                 raise ValueError("exponent %r is not a non-negative integer"
                                  % (exp,))
             acc[exp] = acc.get(exp, Fraction(0)) + c
@@ -89,6 +93,13 @@ class RationalPolynomial:
     @classmethod
     def zero(cls) -> "RationalPolynomial":
         return cls()
+
+    @classmethod
+    def _from_ints(cls, f: Sequence, d: int = 1) -> "RationalPolynomial":
+        """f/d for a dense list f of ints or Fractions, constant term first."""
+        out = cls.__new__(cls)
+        out.coeffs = {e: Fraction(c, d) for e, c in enumerate(f) if c}
+        return out
 
     # -- serialization ----------------------------------------------------
 
@@ -114,11 +125,21 @@ class RationalPolynomial:
         return self.coeffs[max(self.coeffs)]
 
     def evaluate(self, t: Scalar) -> Fraction:
+        """p(t) by Horner's rule in integers.
+
+        With p = f/d of degree n and t = u/v, p(t) is the sum of
+        f_i u^i v^(n-i) over d v^n: one Fraction is built, at the end.
+        """
         t = _as_fraction(t)
-        out = Fraction(0)
-        for exp, c in self.coeffs.items():
-            out += c * t ** exp
-        return out
+        d, f = _int_list(self)
+        if not f:
+            return Fraction(0)
+        u, v = t.numerator, t.denominator
+        acc, scale = f[-1], 1
+        for c in reversed(f[:-1]):
+            scale *= v
+            acc = acc * u + c * scale
+        return Fraction(acc, d * scale)
 
     # -- ring arithmetic ----------------------------------------------------
 
@@ -159,12 +180,13 @@ class RationalPolynomial:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        acc: Dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in o.coeffs.items():
-                e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return RationalPolynomial(acc)
+        (d1, f), (d2, g) = _int_list(self), _int_list(o)
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    out[i + j] += a * b
+        return RationalPolynomial._from_ints(out, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -186,15 +208,28 @@ class RationalPolynomial:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q: Dict[int, Fraction] = {}
-        r = self
-        do, lo = o.degree(), o.leading_coefficient()
-        while not r.is_zero() and r.degree() >= do:
-            shift = r.degree() - do
-            factor = r.leading_coefficient() / lo
-            q[shift] = q.get(shift, Fraction(0)) + factor
-            r = r - RationalPolynomial.monomial(factor, shift) * o
-        return RationalPolynomial(q), r
+        # self = r/df and o = content*g/dg with g primitive; dividing r by
+        # g leaves self = (q*g + r)/df, so the quotient is q*dg/(df*content)
+        (df, r), (dg, g) = _int_list(self), _int_list(o)
+        content = reduce(math.gcd, g)
+        n, lead = len(g) - 1, g[-1] // content
+        g = [c // content for c in g[:-1]]
+        q = [0] * max(len(r) - n, 0)
+        for k in range(len(q) - 1, -1, -1):
+            top = r.pop()
+            if not top:
+                continue
+            # an int while lead divides the top term: always, for an exact
+            # division by a primitive g (Gauss's lemma)
+            if type(top) is int and not top % lead:
+                c = top // lead
+            else:
+                c = Fraction(top, lead)
+            q[k] = c * dg
+            for i, gc in enumerate(g):
+                r[k + i] -= c * gc
+        return (RationalPolynomial._from_ints(q, df * content),
+                RationalPolynomial._from_ints(r, df))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -263,8 +298,7 @@ def gcd(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
     if p.is_zero():
         return q.monic()
     g = _int_gcd(_primitive_ints(p), _primitive_ints(q))
-    return RationalPolynomial({e: Fraction(c, g[-1])
-                               for e, c in enumerate(g) if c})
+    return RationalPolynomial._from_ints(g, g[-1])
 
 
 def squarefree_decomposition(
@@ -316,7 +350,7 @@ def rational_roots(p: RationalPolynomial) -> List[Fraction]:
     if p.degree() < 1:
         return roots
     f = _primitive_ints(p)
-    f = _exact_quotient(f, _int_gcd(f, _derivative(f)))
+    f = _int_quotient(f, _int_gcd(f, _derivative(f)))
     d, lead = len(f) - 1, f[-1]
     # Q(s) = sum f_i a^(d-1-i) s^i for i < d, plus s^d
     monic = [c * lead ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
@@ -347,13 +381,25 @@ def rational_roots(p: RationalPolynomial) -> List[Fraction]:
 # measurably raise peak memory in these loops.
 
 
-def _primitive_ints(p: RationalPolynomial) -> List[int]:
-    """p scaled to a primitive integer list with a positive leading term."""
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON true/false are not exponents)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(p: RationalPolynomial) -> Tuple[int, List[int]]:
+    """(d, f) with p = f/d, f a dense int list and d > 0; (1, []) for zero."""
+    if not p.coeffs:
+        return 1, []
     denom = reduce(math.lcm, (c.denominator for c in p.coeffs.values()), 1)
-    out = [0] * (int(p.degree()) + 1)
+    out = [0] * (max(p.coeffs) + 1)
     for e, c in p.coeffs.items():
         out[e] = c.numerator * (denom // c.denominator)
-    return _primitive_part(out)
+    return denom, out
+
+
+def _primitive_ints(p: RationalPolynomial) -> List[int]:
+    """p scaled to a primitive integer list with a positive leading term."""
+    return _primitive_part(_int_list(p)[1])
 
 
 def _primitive_part(f: List[int]) -> List[int]:
@@ -404,17 +450,24 @@ def _int_gcd(a: List[int], b: List[int]) -> List[int]:
     return _primitive_part(a)
 
 
-def _exact_quotient(f: List[int], g: List[int]) -> List[int]:
-    """f / g for integer lists with g | f over Z."""
-    f = list(f)
+def _int_quotient(f: List[int], g: List[int]) -> Optional[List[int]]:
+    """f / g over Z for a primitive g, or None when g does not divide f.
+
+    By Gauss's lemma g divides f over Q exactly when it does over Z, so
+    the first quotient term that lc(g) does not divide ends the search.
+    """
+    f = f[:]
     n, lead = len(g) - 1, g[-1]
-    quotient = [0] * (len(f) - n)
+    body = g[:-1]
+    quotient = [0] * max(len(f) - n, 0)
     for k in range(len(quotient) - 1, -1, -1):
-        c = f[k + n] // lead
+        c, rest = divmod(f[k + n], lead)
+        if rest:
+            return None
         quotient[k] = c
-        for i, gc in enumerate(g):
+        for i, gc in enumerate(body):
             f[k + i] -= c * gc
-    return quotient
+    return None if any(f[:n]) else quotient
 
 
 def _eval_mod(f: List[int], s: int, m: int) -> int:
@@ -520,21 +573,20 @@ def valuation_at(p: RationalPolynomial, place: Place):
         raise ValueError("valuation_at takes finite places only")
     if p.is_zero():
         return float("inf")
-    count = 0
     if place.kind == "finite-rational":
+        # synthetic division by the primitive linear factor v t - u
         t0 = place.t0
         assert t0 is not None
-        linear = RationalPolynomial({1: Fraction(1), 0: -t0})
-        while p.evaluate(t0) == 0:
-            p = p.exact_div(linear)
-            count += 1
-        return count
-    assert place.poly is not None
+        divisor = [-t0.numerator, t0.denominator]
+    else:
+        assert place.poly is not None
+        divisor = _primitive_ints(place.poly)
+    f = _int_list(p)[1]
+    count = 0
     while True:
-        q, r = divmod(p, place.poly)
-        if not r.is_zero():
+        f = _int_quotient(f, divisor)
+        if f is None:
             return count
-        p = q
         count += 1
 
 

@@ -154,10 +154,23 @@ CHECK_CONFIG = {"curves": [{"genus": 1, "normal_exp": 1}],
     ("lefschetz", dict(CHECK_CONFIG, curves=[{"genus": 1, "normal_exp": "1"}]),
      None, "'normal_exp'"),
     ("lefschetz", dict(CHECK_CONFIG, curves=5), None, "'curves'"),
+    # JSON true/false are not read as 1 and 0, although bool is an int
+    ("analyze", dict(EX1_FIBRATION, a=[["1", 8], [1, True]]),
+     EX1_AUTOMORPHISM, "'a': exponent True is not a non-negative integer"),
+    ("analyze", dict(EX1_FIBRATION, b=[["1", 8], ["3", False]]),
+     EX1_AUTOMORPHISM, "'b': exponent False is not a non-negative integer"),
+    ("analyze", dict(EX1_FIBRATION, b=[["1", 8], [True, 0]]),
+     EX1_AUTOMORPHISM, "'b': coefficient True is not a rational number"),
+    ("analyze", {"form": "two-torsion", "a": [["1", 0]],
+                 "b": [["1", 8], ["-1", 0]]},
+     dict(EX1_AUTOMORPHISM, translate=True, torsion_x0=[[True, 0]]),
+     "'torsion_x0': coefficient True is not a rational number"),
 ], ids=["coefficient-1/0", "string-exponent", "float-coefficient",
         "fibration-not-object", "automorphism-not-object", "string-ex",
         "float-ex", "string-translate", "string-n2", "string-n3",
-        "string-n4", "float-n2", "string-normal-exp", "curves-not-list"])
+        "string-n4", "float-n2", "string-normal-exp", "curves-not-list",
+        "true-exponent", "false-exponent", "true-coefficient",
+        "true-torsion-coefficient"])
 def test_malformed_input_gives_one_error_line(capsys, tmp_path, verb, first,
                                               second, field):
     if verb == "analyze":

@@ -1,6 +1,7 @@
 """Differential checks of the polynomial and maps layers against sympy.
 
-Rational roots must equal sympy's roots over Q, fiber inventories must
+Rational roots must equal sympy's roots over Q, products and quotients
+with remainder must equal sympy's over QQ, fiber inventories must
 equal sympy's factorization of the discriminant read through Tate's table,
 and 2-torsion translations must equal sympy's chord construction.
 sympy and hypothesis are test-only dependencies: without them this module
@@ -62,6 +63,33 @@ def test_rational_roots_match_sympy(expr):
     roots = sympy.Poly(expr, T, domain="QQ").ground_roots()
     want = sorted(Fraction(int(r.p), int(r.q)) for r in roots)
     assert rational_roots(to_k3auto(expr)) == want
+
+
+# -- products and division ---------------------------------------------------------
+
+fraction_polys = st.lists(rationals, max_size=7).map(
+    lambda cs: sum((sympy.Rational(c.numerator, c.denominator) * T ** i
+                    for i, c in enumerate(cs)), sympy.Integer(0)))
+
+
+@EXAMPLES
+@given(fraction_polys, fraction_polys.filter(lambda e: e != 0),
+       fraction_polys, st.booleans())
+def test_products_and_division_match_sympy(p, d, r, exact):
+    """p*d, and divmod of p*d (+ r) by a non-monic divisor d, over QQ."""
+    p, d, r = (sympy.Poly(e, T, domain="QQ") for e in (p, d, r))
+    dividend = p.mul(d) if exact else p.mul(d).add(r)
+    mine_p, mine_d = to_k3auto(p.as_expr()), to_k3auto(d.as_expr())
+    assert mine_p * mine_d == to_k3auto(p.mul(d).as_expr())
+    quotient, remainder = dividend.div(d)
+    mine_q, mine_r = divmod(to_k3auto(dividend.as_expr()), mine_d)
+    assert mine_q == to_k3auto(quotient.as_expr())
+    assert mine_r == to_k3auto(remainder.as_expr())
+    if remainder.is_zero:
+        assert to_k3auto(dividend.as_expr()).exact_div(mine_d) == mine_q
+    else:
+        with pytest.raises(ValueError, match="division is not exact"):
+            to_k3auto(dividend.as_expr()).exact_div(mine_d)
 
 
 # -- fiber inventories ------------------------------------------------------------

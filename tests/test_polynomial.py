@@ -45,6 +45,90 @@ def test_degree_of_zero_is_minus_infinity():
     assert zero.degree() == float("-inf")
 
 
+def check_division(p, d):
+    q, r = divmod(p, d)
+    assert q * d + r == p
+    assert r.is_zero() or r.degree() < d.degree()
+    return q, r
+
+
+def test_zero_operands_of_product_and_division():
+    zero = RationalPolynomial.zero()
+    p = Fraction(3, 4) * T ** 2 - 5
+    for product in (zero * p, p * zero, zero * zero, p * 0, 0 * p):
+        assert product.is_zero()
+    q, r = check_division(zero, p)
+    assert q.is_zero() and r.is_zero()
+    assert zero.exact_div(p).is_zero()
+    assert zero.evaluate(Fraction(2, 3)) == 0
+    for divisor in (zero, 0):
+        with pytest.raises(ZeroDivisionError):
+            divmod(p, divisor)
+        with pytest.raises(ZeroDivisionError):
+            p.exact_div(divisor)
+    with pytest.raises(ZeroDivisionError):
+        divmod(zero, zero)
+
+
+def test_division_by_non_monic_fractional_divisors():
+    d = Fraction(-2, 3) * T ** 2 + Fraction(5, 7) * T - Fraction(1, 9)
+    # a numerator of lower degree than the divisor is its own remainder
+    low = Fraction(7, 2) * T - 1
+    assert check_division(low, d) == (RationalPolynomial.zero(), low)
+    # exact: the quotient comes back, also with a large fractional cofactor
+    cofactor = Fraction(10 ** 20 + 1, 3) * T ** 3 - Fraction(1, 10 ** 20 + 7)
+    assert (d * cofactor).exact_div(d) == cofactor
+    assert check_division(d * cofactor, d) == (cofactor,
+                                               RationalPolynomial.zero())
+    # not exact: the pinned quotient and remainder
+    q, r = check_division(T ** 3 + 1, 2 * T ** 2 - Fraction(1, 2))
+    assert q == Fraction(1, 2) * T
+    assert r == Fraction(1, 4) * T + 1
+    with pytest.raises(ValueError, match="division is not exact"):
+        (T ** 3 + 1).exact_div(2 * T ** 2 - Fraction(1, 2))
+    with pytest.raises(ValueError, match="division is not exact"):
+        (d * cofactor + 1).exact_div(d)
+    # a content that does not divide the numerator over Z
+    assert (T - 1).exact_div(2 * T - 2) == RationalPolynomial.constant(
+        Fraction(1, 2))
+
+
+def test_division_by_constants():
+    p = Fraction(3, 5) * T ** 4 - 7 * T + Fraction(1, 3)
+    for c in (Fraction(-6, 11), 4):
+        q, r = check_division(p, RationalPolynomial.constant(c))
+        assert r.is_zero()
+        assert q == RationalPolynomial({e: v / c
+                                        for e, v in p.coeffs.items()})
+        assert p.exact_div(RationalPolynomial.constant(c)) == q
+        assert p // c == q and (p % c).is_zero()
+
+
+def test_products_and_evaluation_with_fractions():
+    p = Fraction(2, 3) * T ** 2 - Fraction(1, 6)
+    q = Fraction(-9, 4) * T ** 5 + T + 3
+    product = p * q
+    assert product == q * p
+    for t in (Fraction(0), Fraction(-5, 7), Fraction(10 ** 20 + 1, 3), 2):
+        assert product.evaluate(t) == p.evaluate(t) * q.evaluate(t)
+    assert p.evaluate(Fraction(1, 2)) == 0
+    assert product.coefficient(7) == Fraction(-3, 2)
+    assert product.coefficient(0) == Fraction(-1, 2)
+    assert RationalPolynomial.constant(Fraction(5, 3)).evaluate(7) \
+        == Fraction(5, 3)
+
+
+def test_booleans_are_refused():
+    with pytest.raises(ValueError):
+        RationalPolynomial({True: 2})
+    with pytest.raises(TypeError):
+        RationalPolynomial({1: True})
+    with pytest.raises(ValueError, match="exponent True"):
+        RationalPolynomial.from_pairs([[1, True]])
+    with pytest.raises(ValueError, match="coefficient False"):
+        RationalPolynomial.from_pairs([[False, 2]])
+
+
 def test_rational_roots_and_squarefree():
     p = (2 * T - 1) ** 2 * (T + 3) * (T ** 2 + 1)
     roots = rational_roots(p)
@@ -128,6 +212,16 @@ def test_valuations():
     assert valuation_at(p, Place.finite_rational(1)) == 0
     assert valuation_at(RationalPolynomial.zero(),
                         Place.finite_rational(0)) == float("inf")
+    fractional = Fraction(5, 3) * (3 * T + 2) ** 4 * (T ** 2 - 3) ** 2 \
+        * (T - 1)
+    assert valuation_at(fractional,
+                        Place.finite_rational(Fraction(-2, 3))) == 4
+    assert valuation_at(fractional, Place.finite_rational(1)) == 1
+    assert valuation_at(fractional, Place.finite_rational(-1)) == 0
+    assert valuation_at(fractional,
+                        Place.finite_irreducible(T ** 2 - 3)) == 2
+    assert valuation_at(fractional,
+                        Place.finite_irreducible(T ** 2 + 3)) == 0
     with pytest.raises(ValueError):
         valuation_at(p, Place.infinity())
 
