@@ -1,21 +1,21 @@
 """Exact univariate polynomials over Q and valuation bookkeeping.
 
-Polynomials are sparse maps {exponent: Fraction} with no zero coefficients
-stored.  Only the operations the surface analysis actually needs live here:
+A polynomial is stored as f/d: f a dense list of ints, constant term
+first, with no trailing zero, and d > 0 coprime to the content of f; zero
+is ([], 1).  The form is canonical, so equality and hashing compare the
+pair.  Only the operations the surface analysis actually needs live here:
 ring arithmetic, exact division, gcd, Yun squarefree decomposition,
 rational roots, and the place/valuation utilities at finite places.  Full
 irreducible factorization is deliberately avoided; squarefree grouping plus
 rational-root extraction is enough everywhere.
 
-Products, divisions, valuations, evaluation, gcd and rational roots all
-work on dense integer coefficient lists: p is read once as f/d with f a
-list of ints and d > 0, the work is done in int arithmetic, and one
-Fraction is built per output coefficient.  The cost is polynomial in the
-bit size of the input: division by a primitive divisor stays in the
-integers whenever it is exact (Gauss's lemma), gcd runs a primitive
-pseudo-remainder sequence, and rational_roots Hensel-lifts the roots of a
-monic transform modulo a small prime instead of testing divisor pairs of
-the end coefficients.
+Every algorithm runs in int arithmetic on the stored list, in time
+polynomial in the bit size of the input: division by a primitive divisor
+stays in the integers whenever it is exact (Gauss's lemma), gcd runs a
+primitive pseudo-remainder sequence, and rational_roots Hensel-lifts the
+roots of a monic transform modulo a small prime.  Fractions appear only at
+the boundary: the dict and pair constructors, the `coeffs` view, and
+single values such as evaluate's result and the rational roots.
 
 A Place is where a fiber lives: a rational point t0, a monic squarefree
 factor with no rational roots (a Galois orbit class of irrational points),
@@ -36,9 +36,9 @@ NEG_INF = float("-inf")
 
 
 class RationalPolynomial:
-    """Sparse polynomial in one variable with Fraction coefficients."""
+    """f/d in one variable: f a dense int list, d a positive denominator."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Optional[Dict[int, Scalar]] = None):
         clean: Dict[int, Fraction] = {}
@@ -49,7 +49,13 @@ class RationalPolynomial:
                 f = _as_fraction(c)
                 if f != 0:
                     clean[exp] = f
-        self.coeffs: Dict[int, Fraction] = clean
+        # canonical: d is the lcm of the reduced denominators
+        den = reduce(math.lcm, (c.denominator for c in clean.values()), 1)
+        num = [0] * (max(clean, default=-1) + 1)
+        for exp, c in clean.items():
+            num[exp] = c.numerator * (den // c.denominator)
+        self._num: List[int] = num
+        self._den: int = den
 
     # -- constructors ----------------------------------------------------
 
@@ -80,49 +86,61 @@ class RationalPolynomial:
 
     @classmethod
     def constant(cls, value: Scalar) -> "RationalPolynomial":
-        return cls({0: _as_fraction(value)})
-
-    @classmethod
-    def monomial(cls, coeff: Scalar, exp: int) -> "RationalPolynomial":
-        return cls({exp: _as_fraction(coeff)})
+        value = _as_fraction(value)
+        return cls._from_ints([value.numerator], value.denominator)
 
     @classmethod
     def variable(cls) -> "RationalPolynomial":
-        return cls({1: Fraction(1)})
+        return cls._from_ints([0, 1])
 
     @classmethod
     def zero(cls) -> "RationalPolynomial":
         return cls()
 
     @classmethod
-    def _from_ints(cls, f: Sequence, d: int = 1) -> "RationalPolynomial":
-        """f/d for a dense list f of ints or Fractions, constant term first."""
+    def _from_ints(cls, f: List[int], d: int = 1) -> "RationalPolynomial":
+        """f/d in canonical form; the result may keep the list f."""
+        f = _strip(f)
+        if d < 0:
+            f, d = [-c for c in f], -d
+        if d != 1:
+            common = reduce(math.gcd, f, d)
+            if common != 1:
+                f, d = [c // common for c in f], d // common
         out = cls.__new__(cls)
-        out.coeffs = {e: Fraction(c, d) for e, c in enumerate(f) if c}
+        out._num, out._den = f, d
         return out
 
     # -- serialization ----------------------------------------------------
 
+    @property
+    def coeffs(self) -> Dict[int, Fraction]:
+        """A new {exponent: coefficient} dict, exponents ascending."""
+        d = self._den
+        return {e: Fraction(c, d) for e, c in enumerate(self._num) if c}
+
     def to_pairs(self) -> List[List[object]]:
         """[[coefficient-string, exponent], ...] with "p/q" or "p" coefficients."""
-        return [[str(self.coeffs[e]), e] for e in sorted(self.coeffs)]
+        return [[str(c), e] for e, c in self.coeffs.items()]
 
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def degree(self):
         """Max stored exponent; -inf for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else NEG_INF
+        return len(self._num) - 1 if self._num else NEG_INF
 
     def coefficient(self, exp: int) -> Fraction:
-        return self.coeffs.get(exp, Fraction(0))
+        if 0 <= exp < len(self._num):
+            return Fraction(self._num[exp], self._den)
+        return Fraction(0)
 
     def leading_coefficient(self) -> Fraction:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[max(self.coeffs)]
+        return Fraction(self._num[-1], self._den)
 
     def evaluate(self, t: Scalar) -> Fraction:
         """p(t) by Horner's rule in integers.
@@ -131,15 +149,14 @@ class RationalPolynomial:
         f_i u^i v^(n-i) over d v^n: one Fraction is built, at the end.
         """
         t = _as_fraction(t)
-        d, f = _int_list(self)
-        if not f:
+        if not self._num:
             return Fraction(0)
-        u, v = t.numerator, t.denominator
+        f, u, v = self._num, t.numerator, t.denominator
         acc, scale = f[-1], 1
         for c in reversed(f[:-1]):
             scale *= v
             acc = acc * u + c * scale
-        return Fraction(acc, d * scale)
+        return Fraction(acc, self._den * scale)
 
     # -- ring arithmetic ----------------------------------------------------
 
@@ -154,15 +171,20 @@ class RationalPolynomial:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        acc = dict(self.coeffs)
-        for exp, c in o.coeffs.items():
-            acc[exp] = acc.get(exp, Fraction(0)) + c
-        return RationalPolynomial(acc)
+        den = math.lcm(self._den, o._den)
+        f = [c * (den // self._den) for c in self._num]
+        g = [c * (den // o._den) for c in o._num]
+        if len(f) < len(g):
+            f, g = g, f
+        for i, c in enumerate(g):
+            f[i] += c
+        return RationalPolynomial._from_ints(f, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalPolynomial({e: -c for e, c in self.coeffs.items()})
+        return RationalPolynomial._from_ints([-c for c in self._num],
+                                             self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -180,13 +202,13 @@ class RationalPolynomial:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        (d1, f), (d2, g) = _int_list(self), _int_list(o)
+        f, g = self._num, o._num
         out = [0] * (len(f) + len(g) - 1)
         for i, a in enumerate(f):
             if a:
                 for j, b in enumerate(g):
                     out[i + j] += a * b
-        return RationalPolynomial._from_ints(out, d1 * d2)
+        return RationalPolynomial._from_ints(out, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -208,28 +230,33 @@ class RationalPolynomial:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        # self = r/df and o = content*g/dg with g primitive; dividing r by
-        # g leaves self = (q*g + r)/df, so the quotient is q*dg/(df*content)
-        (df, r), (dg, g) = _int_list(self), _int_list(o)
+        # self = r/df, o = content*g/dg with g primitive: the loop keeps
+        # scale*r_in = q*g + r, scale growing only when lc(g) does not
+        # divide a top term (never in an exact division: Gauss's lemma)
+        r, g = self._num[:], o._num
         content = reduce(math.gcd, g)
         n, lead = len(g) - 1, g[-1] // content
         g = [c // content for c in g[:-1]]
         q = [0] * max(len(r) - n, 0)
+        scale = 1
         for k in range(len(q) - 1, -1, -1):
             top = r.pop()
             if not top:
                 continue
-            # an int while lead divides the top term: always, for an exact
-            # division by a primitive g (Gauss's lemma)
-            if type(top) is int and not top % lead:
-                c = top // lead
-            else:
-                c = Fraction(top, lead)
-            q[k] = c * dg
+            c, rest = divmod(top, lead)
+            if rest:
+                grow = lead // math.gcd(top, lead)
+                r = [x * grow for x in r]
+                q = [x * grow for x in q]
+                scale *= grow
+                c = top * grow // lead
+            q[k] = c
             for i, gc in enumerate(g):
                 r[k + i] -= c * gc
-        return (RationalPolynomial._from_ints(q, df * content),
-                RationalPolynomial._from_ints(r, df))
+        den = scale * self._den
+        return (RationalPolynomial._from_ints([c * o._den for c in q],
+                                              den * content),
+                RationalPolynomial._from_ints(r, den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -247,28 +274,23 @@ class RationalPolynomial:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self._den == o._den and self._num == o._num
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((tuple(self._num), self._den))
 
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
         terms = []
-        for exp in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[exp]
+        for exp, c in reversed(self.coeffs.items()):
+            var = "t" if exp == 1 else "t^%d" % exp
             if exp == 0:
-                body = str(c)
+                terms.append(str(c))
+            elif abs(c) == 1:
+                terms.append(("-" if c < 0 else "") + var)
             else:
-                var = "t" if exp == 1 else "t^%d" % exp
-                if c == 1:
-                    body = var
-                elif c == -1:
-                    body = "-" + var
-                else:
-                    body = "%s*%s" % (c, var)
-            terms.append(body)
+                terms.append("%s*%s" % (c, var))
         out = terms[0]
         for t in terms[1:]:
             out += " - " + t[1:] if t.startswith("-") else " + " + t
@@ -277,14 +299,16 @@ class RationalPolynomial:
     # -- calculus and normal forms ----------------------------------------
 
     def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            {e - 1: e * c for e, c in self.coeffs.items() if e >= 1})
+        return RationalPolynomial._from_ints(_derivative(self._num),
+                                             self._den)
 
     def monic(self) -> "RationalPolynomial":
-        if self.is_zero():
-            return self
-        lead = self.leading_coefficient()
-        return RationalPolynomial({e: c / lead for e, c in self.coeffs.items()})
+        return _monic(self._num) if self._num else self
+
+
+def _monic(f: List[int]) -> RationalPolynomial:
+    """The monic polynomial of a nonzero int list."""
+    return RationalPolynomial._from_ints(f, f[-1])
 
 
 def gcd(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
@@ -297,8 +321,7 @@ def gcd(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
         return p.monic()
     if p.is_zero():
         return q.monic()
-    g = _int_gcd(_primitive_ints(p), _primitive_ints(q))
-    return RationalPolynomial._from_ints(g, g[-1])
+    return _monic(_int_gcd(_primitive_part(p._num), _primitive_part(q._num)))
 
 
 def squarefree_decomposition(
@@ -306,72 +329,76 @@ def squarefree_decomposition(
     """Yun's algorithm: monic squarefree factors with their multiplicities.
 
     Returns [(f_i, i)] with p = lc * prod f_i^i, the f_i monic, squarefree,
-    pairwise coprime, and only degree >= 1 factors reported.
+    pairwise coprime, and only degree >= 1 factors reported.  The whole
+    run stays on primitive int lists, with a positive leading term each.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no squarefree decomposition")
-    p = p.monic()
-    if p.degree() == 0:
-        return []
+    f = _primitive_part(p._num)
     out: List[Tuple[RationalPolynomial, int]] = []
-    g = gcd(p, p.derivative())
-    w = p.exact_div(g)
+    g = _int_gcd(f, _derivative(f))
+    w = _int_quotient(f, g)
     i = 1
-    while w.degree() > 0:
-        y = gcd(w, g)
-        factor = w.exact_div(y)
-        if factor.degree() > 0:
-            out.append((factor, i))
+    while len(w) > 1:
+        y = _int_gcd(w, g)
+        factor = _int_quotient(w, y)
+        if len(factor) > 1:
+            out.append((_monic(factor), i))
         w = y
-        g = g.exact_div(y)
+        g = _int_quotient(g, y)
         i += 1
     return out
 
 
 def rational_roots(p: RationalPolynomial) -> List[Fraction]:
-    """All rational roots of p (each listed once), sorted.
-
-    Modular method: with a the leading coefficient of the squarefree part
-    f of p and d its degree, every rational root r makes s = a*r an integer
-    root of the monic Q(s) = a^(d-1) f(s/a).  Q's roots modulo a small prime
-    that keeps Q squarefree are found by evaluation, Hensel-lifted past
-    twice a root bound, read as symmetric residues and kept only when they
-    are exact roots of p.  The cost is polynomial in the bit size of p: no
-    integer is factored.
-    """
+    """All rational roots of p (each listed once), sorted."""
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
+    f = _primitive_part(p._num)
+    squarefree = _int_quotient(f, _int_gcd(f, _derivative(f)))
+    return _split_rational_roots(RationalPolynomial._from_ints(squarefree))[0]
+
+
+def _split_rational_roots(
+        p: RationalPolynomial) -> Tuple[List[Fraction], RationalPolynomial]:
+    """(roots, residual) for a squarefree nonzero p: its rational roots,
+    sorted, and the monic cofactor of their linear factors.
+
+    Modular method: with a the leading coefficient of f, the primitive p
+    without a factor t, and d its degree, every rational root r makes
+    s = a*r an integer root of the monic Q(s) = a^(d-1) f(s/a).  Q's roots
+    modulo a small prime that keeps Q squarefree are found by evaluation,
+    Hensel-lifted past twice a root bound, read as symmetric residues and
+    kept only when their linear factor divides f.  The cost is polynomial
+    in the bit size of p: no integer is factored.
+    """
+    f = _primitive_part(p._num)
     roots: List[Fraction] = []
-    # strip powers of t
-    v0 = min(p.coeffs)
-    if v0 > 0:
+    if not f[0]:
         roots.append(Fraction(0))
-        p = RationalPolynomial({e - v0: c for e, c in p.coeffs.items()})
-    if p.degree() < 1:
-        return roots
-    f = _primitive_ints(p)
-    f = _int_quotient(f, _int_gcd(f, _derivative(f)))
-    d, lead = len(f) - 1, f[-1]
-    # Q(s) = sum f_i a^(d-1-i) s^i for i < d, plus s^d
-    monic = [c * lead ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
-    # |a*r| <= |a| * (1 + max |f_i / a|), Cauchy's bound for the roots of f
-    bound = abs(lead) + max(abs(c) for c in f[:-1])
-    prime = _squarefree_prime(monic)
-    modulus = prime
-    lifted = [s for s in range(prime) if _eval_mod(monic, s, prime) == 0]
-    diff = _derivative(monic)
-    while lifted and modulus <= 2 * bound:
-        modulus *= modulus
-        lifted = [(s - _eval_mod(monic, s, modulus)
-                   * pow(_eval_mod(diff, s, modulus), -1, modulus)) % modulus
-                  for s in lifted]
-    for s in lifted:
-        if s > modulus // 2:
-            s -= modulus
-        root = Fraction(s, lead)
-        if p.evaluate(root) == 0:
-            roots.append(root)
-    return sorted(roots)
+        f = f[1:]
+    if len(f) > 1:
+        d, lead = len(f) - 1, f[-1]
+        # Q(s) = sum f_i a^(d-1-i) s^i for i < d, plus s^d
+        monic = [c * lead ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+        # |a*r| <= |a| * (1 + max |f_i / a|), Cauchy's bound for f's roots
+        bound = abs(lead) + max(abs(c) for c in f[:-1])
+        prime = _squarefree_prime(monic)
+        modulus = prime
+        lifted = [s for s in range(prime) if _eval_mod(monic, s, prime) == 0]
+        diff = _derivative(monic)
+        while lifted and modulus <= 2 * bound:
+            modulus *= modulus
+            lifted = [(s - _eval_mod(monic, s, modulus)
+                       * pow(_eval_mod(diff, s, modulus), -1, modulus))
+                      % modulus for s in lifted]
+        for s in lifted:
+            root = Fraction(s - modulus if s > modulus // 2 else s, lead)
+            rest = _int_quotient(f, [-root.numerator, root.denominator])
+            if rest is not None:
+                roots.append(root)
+                f = rest
+    return sorted(roots), _monic(f)
 
 
 # -- integer coefficient lists ------------------------------------------------
@@ -384,22 +411,6 @@ def rational_roots(p: RationalPolynomial) -> List[Fraction]:
 def _is_int(value) -> bool:
     """An int that is not a bool (JSON true/false are not exponents)."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_list(p: RationalPolynomial) -> Tuple[int, List[int]]:
-    """(d, f) with p = f/d, f a dense int list and d > 0; (1, []) for zero."""
-    if not p.coeffs:
-        return 1, []
-    denom = reduce(math.lcm, (c.denominator for c in p.coeffs.values()), 1)
-    out = [0] * (max(p.coeffs) + 1)
-    for e, c in p.coeffs.items():
-        out[e] = c.numerator * (denom // c.denominator)
-    return denom, out
-
-
-def _primitive_ints(p: RationalPolynomial) -> List[int]:
-    """p scaled to a primitive integer list with a positive leading term."""
-    return _primitive_part(_int_list(p)[1])
 
 
 def _primitive_part(f: List[int]) -> List[int]:
@@ -442,7 +453,7 @@ def _pseudo_remainder(a: List[int], b: List[int]) -> List[int]:
 
 
 def _int_gcd(a: List[int], b: List[int]) -> List[int]:
-    """Primitive gcd of two nonzero integer lists."""
+    """Primitive gcd of two integer lists, not both zero."""
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -548,8 +559,6 @@ class Place:
         return cls(kind="infinity")
 
     def degree(self) -> int:
-        if self.kind == "finite-rational":
-            return 1
         if self.kind == "finite-irreducible":
             assert self.poly is not None
             return int(self.poly.degree())
@@ -580,8 +589,8 @@ def valuation_at(p: RationalPolynomial, place: Place):
         divisor = [-t0.numerator, t0.denominator]
     else:
         assert place.poly is not None
-        divisor = _primitive_ints(place.poly)
-    f = _int_list(p)[1]
+        divisor = _primitive_part(place.poly._num)
+    f = p._num
     count = 0
     while True:
         f = _int_quotient(f, divisor)
@@ -603,15 +612,11 @@ def multiplicity_profile(
         raise ValueError("zero polynomial rejected")
     out: List[Tuple[Place, int]] = []
     for factor, mult in squarefree_decomposition(p):
-        residual = factor
-        for root in rational_roots(factor):
-            out.append((Place.finite_rational(root), mult))
-            residual = residual.exact_div(
-                RationalPolynomial({1: Fraction(1), 0: -root}))
+        roots, residual = _split_rational_roots(factor)
+        out.extend((Place.finite_rational(root), mult) for root in roots)
         if residual.degree() > 0:
             # no rational root is left: the place needs no re-check
-            out.append((Place("finite-irreducible", poly=residual.monic()),
-                        mult))
+            out.append((Place("finite-irreducible", poly=residual), mult))
     out.sort(key=_profile_sort_key)
     return out
 
@@ -620,7 +625,8 @@ def _profile_sort_key(entry: Tuple[Place, int]):
     place, mult = entry
     if place.kind == "finite-rational":
         return (0, place.t0, mult)
-    return (1, sorted(place.poly.coeffs.items()), mult)
+    # the coefficient view fixes the order of the irrational places
+    return (1, list(place.poly.coeffs.items()), mult)
 
 
 def split_by_valuation(
@@ -634,19 +640,15 @@ def split_by_valuation(
     """
     if p.is_zero():
         raise ValueError("cannot split against the zero polynomial")
-    f = f.monic()
+    f, g = _primitive_part(f._num), _primitive_part(p._num)
     out: List[Tuple[RationalPolynomial, int]] = []
     level = 0
-    while f.degree() > 0:
-        common = gcd(f, p)
-        v0_part = f.exact_div(common) if common.degree() > 0 else f
-        if v0_part.degree() > 0:
-            out.append((v0_part, level))
-        if common.degree() <= 0:
-            break
-        f = common
-        p = p.exact_div(common)
-        level += 1
+    while len(f) > 1:
+        common = _int_gcd(f, g)
+        part = _int_quotient(f, common)
+        if len(part) > 1:
+            out.append((_monic(part), level))
+        f, g, level = common, _int_quotient(g, common), level + 1
     return out
 
 

@@ -30,9 +30,9 @@ from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, ORDER_4, PRESERVE,
                      FiberShape, action_label, fiber_fixed_data, point_type,
                      type_counts)
 from .maps import CurvePolynomial, RationalMap, compose
-from .polynomial import (Place, RationalPolynomial, gcd, multiplicity_profile,
-                         rational_roots, split_by_valuation, valuation_at,
-                         weierstrass_discriminant)
+from .polynomial import (Place, RationalPolynomial, _split_rational_roots, gcd,
+                         multiplicity_profile, split_by_valuation,
+                         valuation_at, weierstrass_discriminant)
 
 
 class InvariantError(RuntimeError):
@@ -117,7 +117,8 @@ def _reverse(p: RationalPolynomial, weight: int) -> RationalPolynomial:
     """s^weight p(1/s): the coefficient in the chart at t = infinity."""
     _require(p.degree() <= weight, "degree %s exceeds the chart weight %d"
              % (p.degree(), weight))
-    return RationalPolynomial({weight - e: c for e, c in p.coeffs.items()})
+    padded = p._num + [0] * (weight + 1 - len(p._num))
+    return RationalPolynomial._from_ints(padded[::-1], p._den)
 
 
 def _pairs_field(data: Dict, key: str) -> RationalPolynomial:
@@ -195,17 +196,23 @@ def _fiber_report(place: Place, v_a, v_b, v_delta: int) -> FiberReport:
     return FiberReport(place, v_a, v_b, v_delta, symbol)
 
 
+def _short_and_discriminant(f: WeierstrassFibration):
+    """(a, b, delta) of the short form; a zero delta is refused."""
+    a, b = f.short_coefficients()
+    delta = weierstrass_discriminant(a, b)
+    if delta.is_zero():
+        raise InvariantError(
+            "discriminant vanishes identically; not an elliptic surface")
+    return a, b, delta
+
+
 def kodaira_type_at(f: WeierstrassFibration, place: Place) -> FiberReport:
     """Fiber report over one place; t = infinity is read as the fiber over
     t = 0 of f.at_infinity()."""
     at = place
     if place.kind == "infinity":
         f, at = f.at_infinity(), Place.finite_rational(0)
-    a, b = f.short_coefficients()
-    delta = weierstrass_discriminant(a, b)
-    if delta.is_zero():
-        raise InvariantError(
-            "discriminant vanishes identically; not an elliptic surface")
+    a, b, delta = _short_and_discriminant(f)
     return _fiber_report(place, valuation_at(a, at), valuation_at(b, at),
                          valuation_at(delta, at))
 
@@ -225,11 +232,7 @@ def fiber_reports(f: WeierstrassFibration) -> List[FiberReport]:
     surfaces as a non-minimal place instead, so the explicit check is a
     backstop.
     """
-    a, b = f.short_coefficients()
-    delta = weierstrass_discriminant(a, b)
-    if delta.is_zero():
-        raise InvariantError(
-            "discriminant vanishes identically; not an elliptic surface")
+    a, b, delta = _short_and_discriminant(f)
     reports = []
     for place, mult in multiplicity_profile(delta):
         if place.kind == "finite-rational":
@@ -440,8 +443,7 @@ class FixedPoint:
 
 def _poly_in_x(p: RationalPolynomial) -> str:
     bits = []
-    for e in sorted(p.coeffs, reverse=True):
-        c = p.coeffs[e]
+    for e, c in reversed(p.coeffs.items()):
         mono = "x^%d" % e if e > 1 else ("x" if e == 1 else "")
         if mono and abs(c) == 1:
             coeff = "-" if c < 0 else ""
@@ -475,8 +477,7 @@ def _fixed_points_at_zero(f: WeierstrassFibration,
     # at infinity of the cubic, x/y is a local coordinate scaling by
     # zeta^(ex - ey)
     points = [FixedPoint("point at infinity", base, uniform)]
-    fiber = RationalPolynomial(
-        {3: Fraction(1), 2: c2, 1: c1, 0: c0})
+    fiber = RationalPolynomial({3: Fraction(1), 2: c2, 1: c1, 0: c0})
     if c0 == 0:
         # (0,0) on the curve; F_x = -c1 != 0 there, y is a coordinate
         tangent = _check_tangent(ey, uniform, "(0, 0)")
@@ -490,17 +491,12 @@ def _fixed_points_at_zero(f: WeierstrassFibration,
     if ex % 8 == 0:
         # every 2-torsion point (x0, 0); x is frozen so y is a coordinate
         tangent = _check_tangent(ey, uniform, "(x0, 0)")
-        residual = fiber
-        for root in rational_roots(fiber):
-            if root == 0:
-                residual = residual.exact_div(
-                    RationalPolynomial({1: Fraction(1)}))
-                continue  # (0, 0) already counted
-            points.append(FixedPoint("(%s, 0)" % root, base, tangent))
-            residual = residual.exact_div(
-                RationalPolynomial({1: Fraction(1), 0: -root}))
+        # the fiber is smooth, so its cubic is squarefree
+        roots, residual = _split_rational_roots(fiber)
+        points.extend(FixedPoint("(%s, 0)" % root, base, tangent)
+                      for root in roots if root != 0)  # (0, 0) is counted
         if residual.degree() > 0:
-            label = "(x0, 0), x0 a root of %s" % _poly_in_x(residual.monic())
+            label = "(x0, 0), x0 a root of %s" % _poly_in_x(residual)
             points.extend(FixedPoint(label, base, tangent)
                           for _ in range(residual.degree()))
     return points

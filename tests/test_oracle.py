@@ -1,6 +1,8 @@
 """Differential checks of the polynomial and maps layers against sympy.
 
-Rational roots must equal sympy's roots over Q, products and quotients
+Rational roots must equal sympy's roots over Q, squarefree
+decompositions and multiplicity profiles must agree with sympy's sqf_list
+and ground_roots, equal polynomials must hash equal, products and quotients
 with remainder must equal sympy's over QQ, fiber inventories must
 equal sympy's factorization of the discriminant read through Tate's table,
 and 2-torsion translations must equal sympy's chord construction.
@@ -19,7 +21,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from k3auto.polynomial import RationalPolynomial, rational_roots  # noqa: E402
+from k3auto.polynomial import (RationalPolynomial,  # noqa: E402
+                               multiplicity_profile, rational_roots,
+                               squarefree_decomposition)
 from k3auto.weierstrass import (InvariantError,  # noqa: E402
                                 WeierstrassFibration, fiber_inventory,
                                 torsion_translation)
@@ -63,6 +67,55 @@ def test_rational_roots_match_sympy(expr):
     roots = sympy.Poly(expr, T, domain="QQ").ground_roots()
     want = sorted(Fraction(int(r.p), int(r.q)) for r in roots)
     assert rational_roots(to_k3auto(expr)) == want
+
+
+@EXAMPLES
+@given(polynomials())
+def test_squarefree_decomposition_and_profile_match_sympy(expr):
+    """Yun's factors against sqf_list; the profile's rational places against
+    ground_roots, and each irrational place against the sqf factor of its
+    multiplicity with those roots divided out."""
+    poly = sympy.Poly(expr, T, domain="QQ")
+    layers = {mult: factor.monic()
+              for factor, mult in poly.sqf_list()[1] if factor.degree() > 0}
+    mine = to_k3auto(expr)
+    assert dict((mult, factor) for factor, mult
+                in squarefree_decomposition(mine)) == {
+        mult: to_k3auto(factor.as_expr()) for mult, factor in layers.items()}
+    roots = {Fraction(int(r.p), int(r.q)): mult
+             for r, mult in poly.ground_roots().items()}
+    profile = multiplicity_profile(mine)
+    rational = [(place.t0, mult) for place, mult in profile
+                if place.kind == "finite-rational"]
+    assert rational == sorted(roots.items())
+    irrational = {}
+    for place, mult in profile:
+        if place.kind == "finite-irreducible":
+            assert mult not in irrational
+            irrational[mult] = place.poly
+    want = {}
+    for mult, factor in layers.items():
+        for root, m in roots.items():
+            if m == mult:
+                factor = factor.exquo(sympy.Poly(
+                    root.denominator * T - root.numerator, T, domain="QQ"))
+        if factor.degree() > 0:
+            want[mult] = to_k3auto(factor.monic().as_expr())
+    assert irrational == want
+    assert sum(place.degree() * mult for place, mult in profile) \
+        == poly.degree()
+
+
+@EXAMPLES
+@given(polynomials(), polynomials())
+def test_equal_polynomials_have_equal_hashes(p_expr, q_expr):
+    """One polynomial reached by different routes: the same value and the
+    same hash, also with fractional coefficients (q is made monic)."""
+    p, q = to_k3auto(p_expr), to_k3auto(q_expr).monic()
+    for left, right in ((p * q, q * p), ((p * q).exact_div(q), p),
+                        ((p + q) - q, p)):
+        assert left == right
+        assert hash(left) == hash(right)
 
 
 # -- products and division ---------------------------------------------------------
