@@ -9,6 +9,15 @@ built from them.  The t-component is always a root-of-unity scaling: that
 covers diagonal automorphisms and fiberwise group-law translations, which
 is everything the analysis needs.
 
+A polynomial is stored as f/d: f a dict {(i, j, k, l): int} holding the
+terms c x^i y^j t^k zeta^l with l in 0..3, and d > 0.  No entry of f is
+zero and d is coprime to the gcd of the entries, so the form is canonical
+and equality and hashing compare the pair.  Sums, products and
+substitution run on ints only: a product folds zeta^4 = -1 back by an
+index shift and a sign, and the twist t -> zeta^e t does the same.  The
+`terms` property is the derived {(i, j, k): Cyc8Element} view, one entry
+per monomial in (x, y, t).
+
 Every map the package builds is in y-odd normal form
 
     (x, y, t)  ->  (R(x, t), y * S(x, t), zeta^e * t):
@@ -29,30 +38,42 @@ even powers of y, which maps_equal reduces modulo the cubic if given one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from functools import reduce
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .cyclotomic import Cyc8Element, zeta_pow
+from .cyclotomic import Cyc8Element, _as_fraction, zeta_pow
 
 Triple = Tuple[int, int, int]
+Key = Tuple[int, int, int, int]  # (i, j, k, l): x^i y^j t^k zeta^l
 
 
 class CurvePolynomial:
-    """Polynomial in (x, y, t) over Q(zeta_8), keyed by exponent triples."""
+    """f/d in (x, y, t) over Q(zeta_8): f an {(i, j, k, l): int} dict."""
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Optional[Dict[Triple, object]] = None):
-        clean: Dict[Triple, Cyc8Element] = {}
+        clean: Dict[Key, Fraction] = {}
         if terms:
             for key, value in terms.items():
                 i, j, k = key
                 if min(i, j, k) < 0:
                     raise ValueError("exponents must be non-negative")
-                if not isinstance(value, Cyc8Element):
-                    value = Cyc8Element.from_rational(value)
-                if not value.is_zero():
-                    clean[(i, j, k)] = value
-        self.terms = clean
+                coords = value.coords if isinstance(value, Cyc8Element) \
+                    else (_as_fraction(value),)
+                for l, c in enumerate(coords):
+                    if c:
+                        clean[(i, j, k, l)] = c
+        # canonical: d is the lcm of the reduced denominators
+        den = reduce(math.lcm, (c.denominator for c in clean.values()), 1)
+        self._num: Dict[Key, int] = {
+            key: c.numerator * (den // c.denominator)
+            for key, c in clean.items()}
+        self._den: int = den
 
     # -- constructors ------------------------------------------------------
 
@@ -62,32 +83,57 @@ class CurvePolynomial:
 
     @classmethod
     def coordinate(cls, name: str) -> "CurvePolynomial":
-        key = {"x": (1, 0, 0), "y": (0, 1, 0), "t": (0, 0, 1)}[name]
-        return cls({key: Fraction(1)})
+        key = {"x": (1, 0, 0, 0), "y": (0, 1, 0, 0), "t": (0, 0, 1, 0)}[name]
+        return cls._from_ints({key: 1})
 
     @classmethod
     def from_base_polynomial(cls, p) -> "CurvePolynomial":
         """Embed a RationalPolynomial in t."""
-        return cls({(0, 0, e): c for e, c in p.coeffs.items()})
+        return cls._from_ints(
+            {(0, 0, e, 0): c for e, c in enumerate(p._num)}, p._den)
+
+    @classmethod
+    def _from_ints(cls, f: Dict[Key, int], d: int = 1) -> "CurvePolynomial":
+        """f/d in canonical form, for d > 0."""
+        f = {key: c for key, c in f.items() if c}
+        if d != 1:
+            common = reduce(math.gcd, f.values(), d)
+            if common != 1:
+                f = {key: c // common for key, c in f.items()}
+                d //= common
+        out = cls.__new__(cls)
+        out._num, out._den = f, d
+        return out
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Triple, Cyc8Element]:
+        """A read-only {(i, j, k): coefficient} view, one entry per
+        monomial x^i y^j t^k."""
+        coords: Dict[Triple, List[Fraction]] = {}
+        for (i, j, k, l), c in self._num.items():
+            coords.setdefault((i, j, k), [Fraction(0)] * 4)[l] = \
+                Fraction(c, self._den)
+        return MappingProxyType(
+            {key: Cyc8Element(cs) for key, cs in coords.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def x_degree(self) -> int:
-        return max((key[0] for key in self.terms), default=0)
+        return max((key[0] for key in self._num), default=0)
 
     def y_degree(self) -> int:
-        return max((key[1] for key in self.terms), default=0)
+        return max((key[1] for key in self._num), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, CurvePolynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self._num.items()), self._den))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -97,14 +143,13 @@ class CurvePolynomial:
         return CurvePolynomial.constant(other)
 
     def __add__(self, other) -> "CurvePolynomial":
-        acc = dict(self.terms)
-        _add_into(acc, self._coerce(other))
-        return CurvePolynomial(acc)
+        return _sum((self, self._coerce(other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "CurvePolynomial":
-        return CurvePolynomial({key: -value for key, value in self.terms.items()})
+        return CurvePolynomial._from_ints(
+            {key: -c for key, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "CurvePolynomial":
         return self + (-self._coerce(other))
@@ -114,16 +159,19 @@ class CurvePolynomial:
 
     def __mul__(self, other) -> "CurvePolynomial":
         other = self._coerce(other)
-        acc: Dict[Triple, Cyc8Element] = {}
-        for (i1, j1, k1), c1 in self.terms.items():
-            for (i2, j2, k2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                total = acc.get(key, Cyc8Element.zero()) + c1 * c2
-                if total.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = total
-        return CurvePolynomial(acc)
+        acc: Dict[Key, int] = {}
+        get = acc.get
+        right = list(other._num.items())
+        for (i1, j1, k1, l1), c1 in self._num.items():
+            for (i2, j2, k2, l2), c2 in right:
+                l = l1 + l2
+                if l < 4:
+                    key = (i1 + i2, j1 + j2, k1 + k2, l)
+                    acc[key] = get(key, 0) + c1 * c2
+                else:  # zeta^4 = -1
+                    key = (i1 + i2, j1 + j2, k1 + k2, l - 4)
+                    acc[key] = get(key, 0) - c1 * c2
+        return CurvePolynomial._from_ints(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -134,10 +182,6 @@ class CurvePolynomial:
         for _ in range(n):
             out = out * self
         return out
-
-    def scale_coefficients(self, factor: Cyc8Element) -> "CurvePolynomial":
-        return CurvePolynomial(
-            {key: factor * value for key, value in self.terms.items()})
 
     # -- substitution and reduction -----------------------------------------
 
@@ -153,47 +197,60 @@ class CurvePolynomial:
         """
         if dx < self.x_degree() or dy < self.y_degree():
             raise ValueError("homogenization degrees too small")
-        groups: Dict[Tuple[int, int], Dict[Triple, Cyc8Element]] = {}
-        for (i, j, k), c in self.terms.items():
-            groups.setdefault((i, j), {})[(0, 0, k)] = \
-                c * zeta_pow((t_exponent * k) % 8)
+        groups: Dict[Tuple[int, int], Dict[Key, int]] = {}
+        for (i, j, k, l), c in self._num.items():
+            # the twist zeta^(t_exponent * k), folded by zeta^4 = -1
+            l = (l + t_exponent * k) % 8
+            if l >= 4:
+                l, c = l - 4, -c
+            groups.setdefault((i, j), {})[(0, 0, k, l)] = c
         xs = {i for i, _ in groups}
         ys = {j for _, j in groups}
         x_parts = _products(x_num, x_den, dx, xs)
         y_parts = _products(y_num, y_den, dy, ys)
-        acc: Dict[Triple, Cyc8Element] = {}
-        for (i, j), coeffs in groups.items():
-            piece = CurvePolynomial(coeffs) * x_parts[i] * y_parts[j]
-            _add_into(acc, piece)
-        return CurvePolynomial(acc)
+        return _sum([
+            CurvePolynomial._from_ints(coeffs, self._den)
+            * x_parts[i] * y_parts[j]
+            for (i, j), coeffs in groups.items()])
 
     def reduce_y(self, cubic: "CurvePolynomial") -> "CurvePolynomial":
         """Eliminate y^2 via y^2 = cubic(x, t) until the y-degree is < 2."""
         p = self
         while p.y_degree() >= 2:
-            low = CurvePolynomial(
-                {key: c for key, c in p.terms.items() if key[1] < 2})
-            high = CurvePolynomial()
-            for (i, j, k), c in p.terms.items():
-                if j >= 2:
-                    high = high + CurvePolynomial({(i, j - 2, k): c}) * cubic
-            p = low + high
+            low = {key: c for key, c in p._num.items() if key[1] < 2}
+            high = {(i, j - 2, k, l): c
+                    for (i, j, k, l), c in p._num.items() if j >= 2}
+            p = CurvePolynomial._from_ints(low, p._den) \
+                + CurvePolynomial._from_ints(high, p._den) * cubic
         return p
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "CurvePolynomial(0)"
         bits = []
-        for key in sorted(self.terms):
+        for key in sorted(terms):
             i, j, k = key
             mono = " ".join(filter(None, [
                 "x^%d" % i if i else "", "y^%d" % j if j else "",
                 "t^%d" % k if k else ""]))
-            bits.append("(%r)%s" % (self.terms[key], " " + mono if mono else ""))
+            bits.append("(%r)%s" % (terms[key], " " + mono if mono else ""))
         return "CurvePolynomial[%s]" % " + ".join(bits)
 
 
 _ONE = CurvePolynomial.constant(1)
+
+
+def _sum(polys) -> CurvePolynomial:
+    """The sum of the polynomials, over the lcm of their denominators."""
+    den = reduce(math.lcm, (p._den for p in polys), 1)
+    acc: Dict[Key, int] = {}
+    get = acc.get
+    for p in polys:
+        scale = den // p._den
+        for key, c in p._num.items():
+            acc[key] = get(key, 0) + c * scale
+    return CurvePolynomial._from_ints(acc, den)
 
 
 def _powers(p: CurvePolynomial, n: int):
@@ -211,15 +268,6 @@ def _products(num: CurvePolynomial, den: CurvePolynomial, d: int, exps):
     nums = _powers(num, max(exps))
     dens = _powers(den, d - min(exps))
     return {e: nums[e] * dens[d - e] for e in exps}
-
-
-def _add_into(acc: Dict[Triple, Cyc8Element], p: CurvePolynomial) -> None:
-    for key, value in p.terms.items():
-        total = acc[key] + value if key in acc else value
-        if total.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = total
 
 
 @dataclass(frozen=True)

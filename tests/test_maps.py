@@ -26,7 +26,7 @@ def test_polynomial_ring_basics():
 
 def test_scale_and_zeta_coefficients():
     p = X * 3
-    assert p.scale_coefficients(zeta_pow(2)) \
+    assert p * zeta_pow(2) \
         == X * CurvePolynomial.constant(Cyc8Element([0, 0, 3, 0]))
 
 
@@ -69,3 +69,23 @@ def test_maps_equal_uses_curve_relation():
     second = RationalMap(cubic, ONE, Y, ONE, 0)
     assert not maps_equal(first, second)
     assert maps_equal(first, second, curve_cubic=cubic)
+
+
+def test_canonical_form_of_fractional_coefficients():
+    half = X * Fraction(1, 2)
+    assert half + half == X
+    assert hash(half + half) == hash(X)
+    assert X * Fraction(2, 4) == half
+    assert X - X == CurvePolynomial()
+    assert (X - X).is_zero() and not (X - X).terms
+
+
+def test_terms_view_round_trips_through_the_constructor():
+    zeta = CurvePolynomial.constant(zeta_pow(1))
+    p = (X * Fraction(1, 3) + zeta * Y * T) * (zeta * zeta * zeta + X) - T
+    assert CurvePolynomial(p.terms) == p
+    # one entry per monomial, whatever its zeta coordinates
+    assert dict((X + zeta * X).terms) == {(1, 0, 0): Cyc8Element([1, 1, 0, 0])}
+    assert p.terms[(1, 0, 0)] == Cyc8Element([0, 0, 0, Fraction(1, 3)])
+    with pytest.raises(TypeError):
+        p.terms[(0, 0, 0)] = Cyc8Element.one()

@@ -5,7 +5,9 @@ decompositions and multiplicity profiles must agree with sympy's sqf_list
 and ground_roots, equal polynomials must hash equal, products and quotients
 with remainder must equal sympy's over QQ, fiber inventories must
 equal sympy's factorization of the discriminant read through Tate's table,
-and 2-torsion translations must equal sympy's chord construction.
+2-torsion translations must equal sympy's chord construction, and sums,
+products and substitutions of polynomials in (x, y, t) over Q(zeta_8) must
+equal sympy's in (x, y, t, z) modulo z^4 + 1.
 sympy and hypothesis are test-only dependencies: without them this module
 is skipped.
 """
@@ -21,6 +23,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from k3auto.cyclotomic import Cyc8Element, zeta_pow  # noqa: E402
+from k3auto.maps import CurvePolynomial  # noqa: E402
 from k3auto.polynomial import (RationalPolynomial,  # noqa: E402
                                multiplicity_profile, rational_roots,
                                squarefree_decomposition)
@@ -327,3 +331,91 @@ def test_torsion_translation_matches_the_chord_construction(data):
     on_curve = s_num ** 2 * cubic * r_den ** 3 - s_den ** 2 * (
         r_num ** 3 + a * r_num ** 2 * r_den + b * r_num * r_den ** 2)
     assert on_curve.is_zero
+
+
+# -- polynomials in (x, y, t) over Q(zeta_8) ----------------------------------
+
+Y = sympy.Symbol("y")
+Z = sympy.Symbol("z")  # zeta_8, a root of z^4 + 1
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def curve_polynomials(draw, max_terms=4):
+    """Up to max_terms monomials x^i y^j t^k (i, j <= 2, k <= 3), each with
+    all four zeta coordinates drawn over denominators up to 6."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                   st.integers(0, 3)),
+                         max_size=max_terms, unique=True))
+    return CurvePolynomial({key: Cyc8Element(draw(st.lists(
+        small_fractions, min_size=4, max_size=4))) for key in keys})
+
+
+def zeta_coefficients(p):
+    """{(i, j, k, l): coefficient of x^i y^j t^k z^l}, read through the
+    terms view."""
+    return {(i, j, k, l): coord for (i, j, k), c in p.terms.items()
+            for l, coord in enumerate(c.coords) if coord}
+
+
+def curve_to_zeta_sympy(p):
+    return sympy.Poly.from_dict(
+        {key: sympy.Rational(c.numerator, c.denominator)
+         for key, c in zeta_coefficients(p).items()}, X, Y, T, Z, domain="QQ")
+
+
+def fold_zeta(poly):
+    """The coefficients of poly modulo z^4 + 1: z^m = (-1)^(m // 4) z^(m % 4)."""
+    out = {}
+    for (i, j, k, m), c in poly.terms():
+        key = (i, j, k, m % 4)
+        out[key] = out.get(key, 0) \
+            + (-1) ** (m // 4) * Fraction(int(c.p), int(c.q))
+    return {key: c for key, c in out.items() if c}
+
+
+def from_zeta_coefficients(coeffs):
+    grouped = {}
+    for (i, j, k, l), c in coeffs.items():
+        grouped.setdefault((i, j, k), [0] * 4)[l] = c
+    return CurvePolynomial({key: Cyc8Element(cs)
+                            for key, cs in grouped.items()})
+
+
+def assert_matches(mine, poly):
+    """mine equals poly reduced modulo z^4 + 1, and equals (with the same
+    hash) the CurvePolynomial built from sympy's coefficients."""
+    want = fold_zeta(poly)
+    assert zeta_coefficients(mine) == want
+    rebuilt = from_zeta_coefficients(want)
+    assert mine == rebuilt and hash(mine) == hash(rebuilt)
+
+
+@EXAMPLES
+@given(curve_polynomials(), curve_polynomials())
+# zeta^3 * zeta^3 = -zeta^2: the product folds past zeta^4
+@example(CurvePolynomial({(1, 0, 0): zeta_pow(3)}),
+         CurvePolynomial({(0, 1, 0): zeta_pow(3) * Fraction(1, 2)}))
+def test_curve_polynomial_ring_matches_sympy(p, q):
+    ps, qs = curve_to_zeta_sympy(p), curve_to_zeta_sympy(q)
+    assert_matches(p + q, ps + qs)
+    assert_matches(p - q, ps - qs)
+    assert_matches(p * q, ps * qs)
+
+
+@EXAMPLES
+@given(curve_polynomials(),
+       st.lists(curve_polynomials(max_terms=2), min_size=4, max_size=4),
+       st.integers(0, 7), st.integers(0, 1))
+def test_substitute_matches_sympy(p, parts, e, extra):
+    """self(x -> xn/xd, y -> yn/yd, t -> zeta^e t) times xd^dx yd^dy,
+    summed term by term in sympy."""
+    dx, dy = p.x_degree() + extra, p.y_degree() + extra
+    xn, xd, yn, yd = (curve_to_zeta_sympy(part) for part in parts)
+    want = sympy.Poly(0, X, Y, T, Z, domain="QQ")
+    for (i, j, k, l), c in zeta_coefficients(p).items():
+        twisted = sympy.Poly(Z ** (l + e * k) * T ** k, X, Y, T, Z,
+                             domain="QQ")
+        want += twisted * sympy.Rational(c.numerator, c.denominator) \
+            * xn ** i * xd ** (dx - i) * yn ** j * yd ** (dy - j)
+    assert_matches(p.substitute(*parts, t_exponent=e, dx=dx, dy=dy), want)
