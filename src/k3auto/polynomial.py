@@ -11,11 +11,13 @@ rational-root extraction is enough everywhere.
 
 Every algorithm runs in int arithmetic on the stored list, in time
 polynomial in the bit size of the input: division by a primitive divisor
-stays in the integers whenever it is exact (Gauss's lemma), gcd runs a
-primitive pseudo-remainder sequence, and rational_roots Hensel-lifts the
-roots of a monic transform modulo a small prime.  Fractions appear only at
-the boundary: the dict and pair constructors, the `coeffs` view, and
-single values such as evaluate's result and the rational roots.
+stays in the integers whenever it is exact (Gauss's lemma), gcd is the
+heuristic GCDHEU (one big-integer gcd of two values, certified by exact
+division) with a primitive pseudo-remainder sequence as its fallback, and
+rational_roots Hensel-lifts the roots of a monic transform modulo a small
+prime.  Fractions appear only at the boundary: the dict and pair
+constructors, the `coeffs` view, and single values such as evaluate's
+result and the rational roots.
 
 A Place is where a fiber lives: a rational point t0, a monic squarefree
 factor with no rational roots (a Galois orbit class of irrational points),
@@ -314,14 +316,18 @@ def _monic(f: List[int]) -> RationalPolynomial:
 def gcd(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
     """Monic gcd over Q (a nonzero constant gcd normalizes to 1).
 
-    Runs a primitive pseudo-remainder sequence on the integer primitive
-    parts of p and q, so no Fraction arithmetic happens in the loop.
+    Works on the integer primitive parts of p and q: the heuristic GCDHEU
+    reads the gcd off one integer gcd of their values at a large integer
+    xi, and keeps it only when it divides both exactly, which together
+    with the bound on xi proves it is the gcd; after _HEU_TRIES failed
+    values a primitive pseudo-remainder sequence computes it instead.
     """
     if q.is_zero():
         return p.monic()
     if p.is_zero():
         return q.monic()
-    return _monic(_int_gcd(_primitive_part(p._num), _primitive_part(q._num)))
+    return _monic(_gcd_cofactors(_primitive_part(p._num),
+                                 _primitive_part(q._num))[0])
 
 
 def squarefree_decomposition(
@@ -336,16 +342,13 @@ def squarefree_decomposition(
         raise ValueError("zero polynomial has no squarefree decomposition")
     f = _primitive_part(p._num)
     out: List[Tuple[RationalPolynomial, int]] = []
-    g = _int_gcd(f, _derivative(f))
-    w = _int_quotient(f, g)
+    g, w, _ = _gcd_cofactors(f, _primitive_part(_derivative(f)))
     i = 1
     while len(w) > 1:
-        y = _int_gcd(w, g)
-        factor = _int_quotient(w, y)
+        y, factor, g = _gcd_cofactors(w, g)
         if len(factor) > 1:
             out.append((_monic(factor), i))
         w = y
-        g = _int_quotient(g, y)
         i += 1
     return out
 
@@ -355,7 +358,7 @@ def rational_roots(p: RationalPolynomial) -> List[Fraction]:
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
     f = _primitive_part(p._num)
-    squarefree = _int_quotient(f, _int_gcd(f, _derivative(f)))
+    squarefree = _gcd_cofactors(f, _primitive_part(_derivative(f)))[1]
     return _split_rational_roots(RationalPolynomial._from_ints(squarefree))[0]
 
 
@@ -452,8 +455,61 @@ def _pseudo_remainder(a: List[int], b: List[int]) -> List[int]:
     return a
 
 
+# evaluation points GCDHEU tries before the pseudo-remainder sequence
+_HEU_TRIES = 6
+
+
+def _gcd_cofactors(a: List[int], b: List[int]
+                   ) -> Tuple[List[int], List[int], List[int]]:
+    """(h, a/h, b/h) for primitive int lists a, b, not both zero, with h
+    their gcd, primitive with a positive leading term.
+
+    GCDHEU (Char, Geddes and Gonnet 1989): at an integer
+    xi >= 2 min(|a|, |b|) + 2 (max norms), read gcd(a(xi), b(xi)) as
+    balanced base-xi digits and take the primitive part h.  If h divides
+    both a and b, it is their gcd (the GCDHEU theorem), and the exact
+    quotients are the cofactors; otherwise xi grows, and after _HEU_TRIES
+    values _int_gcd decides.  No h is returned without both divisions.
+    """
+    if len(a) > 1 and len(b) > 1:
+        xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+        for _ in range(_HEU_TRIES):
+            # xi exceeds the min-norm input's root bound, so the gcd is > 0
+            h = _primitive_part(_balanced_digits(
+                math.gcd(_eval_at(a, xi), _eval_at(b, xi)), xi))
+            cofactor_a = _int_quotient(a, h)
+            if cofactor_a is not None:
+                cofactor_b = _int_quotient(b, h)
+                if cofactor_b is not None:
+                    return h, cofactor_a, cofactor_b
+            # sympy's growth rule, about 2.7 xi^(5/4)
+            xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    h = _int_gcd(a, b)
+    return h, _int_quotient(a, h), _int_quotient(b, h)
+
+
+def _eval_at(f: List[int], x: int) -> int:
+    out = 0
+    for c in reversed(f):
+        out = out * x + c
+    return out
+
+
+def _balanced_digits(n: int, xi: int) -> List[int]:
+    """The digits of n in base xi, each in (-xi/2, xi/2], lowest first."""
+    digits = []
+    while n:
+        n, digit = divmod(n, xi)
+        if digit > xi // 2:
+            digit -= xi
+            n += 1
+        digits.append(digit)
+    return digits
+
+
 def _int_gcd(a: List[int], b: List[int]) -> List[int]:
-    """Primitive gcd of two integer lists, not both zero."""
+    """Primitive gcd of two integer lists, not both zero, by a primitive
+    pseudo-remainder sequence (the fallback of _gcd_cofactors)."""
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -644,11 +700,10 @@ def split_by_valuation(
     out: List[Tuple[RationalPolynomial, int]] = []
     level = 0
     while len(f) > 1:
-        common = _int_gcd(f, g)
-        part = _int_quotient(f, common)
+        f, part, g = _gcd_cofactors(f, g)
         if len(part) > 1:
             out.append((_monic(part), level))
-        f, g, level = common, _int_quotient(g, common), level + 1
+        level += 1
     return out
 
 

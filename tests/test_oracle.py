@@ -1,6 +1,7 @@
 """Differential checks of the polynomial and maps layers against sympy.
 
-Rational roots must equal sympy's roots over Q, squarefree
+Rational roots must equal sympy's roots over Q, gcds must equal sympy's
+gcd over QQ (on the heuristic and on its fallback), squarefree
 decompositions and multiplicity profiles must agree with sympy's sqf_list
 and ground_roots, equal polynomials must hash equal, products and quotients
 with remainder must equal sympy's over QQ, fiber inventories must
@@ -23,9 +24,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from k3auto import polynomial  # noqa: E402
 from k3auto.cyclotomic import Cyc8Element, zeta_pow  # noqa: E402
 from k3auto.maps import CurvePolynomial  # noqa: E402
-from k3auto.polynomial import (RationalPolynomial,  # noqa: E402
+from k3auto.polynomial import (RationalPolynomial, gcd,  # noqa: E402
                                multiplicity_profile, rational_roots,
                                squarefree_decomposition)
 from k3auto.weierstrass import (InvariantError,  # noqa: E402
@@ -120,6 +122,65 @@ def test_equal_polynomials_have_equal_hashes(p_expr, q_expr):
                         ((p + q) - q, p)):
         assert left == right
         assert hash(left) == hash(right)
+
+
+# -- gcd ---------------------------------------------------------------------------
+
+signed_30_digits = st.integers(-10 ** 30, 10 ** 30)
+contents = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                     st.integers(1, 10 ** 6))
+small_cofactors = st.lists(st.integers(-9, 9), min_size=1,
+                           max_size=5).filter(any)
+
+
+def from_list(coeffs):
+    return sum((c * T ** i for i, c in enumerate(coeffs)), sympy.Integer(0))
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(c1 g u, c2 g v): a planted factor g with 30-digit coefficients and
+    a leading term of either sign, or g = ((t+1)(t^2+t+1))^n with
+    u = (t^2-t+1)^n, v = (t-1)^n, whose coefficients outgrow both products
+    (the first xi misreads it); rational contents c1, c2."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 8))
+        g = ((T + 1) * (T ** 2 + T + 1)) ** n
+        u, v = (T ** 2 - T + 1) ** n, (T - 1) ** n
+    else:
+        g = from_list(draw(st.lists(signed_30_digits, max_size=5))
+                      + [draw(signed_30_digits.filter(bool))])
+        u, v = (from_list(draw(small_cofactors)) for _ in range(2))
+    c1, c2 = (sympy.Rational(c.numerator, c.denominator)
+              for c in (draw(contents), draw(contents)))
+    return tuple(sympy.expand(e) for e in (c1 * g * u, c2 * g * v))
+
+
+@EXAMPLES
+@given(gcd_pairs())
+@example(tuple(sympy.expand(e) for e in (
+    ((T + 1) * (T ** 2 + T + 1) * (T ** 2 - T + 1)) ** 4,
+    -3 * ((T + 1) * (T ** 2 + T + 1) * (T - 1)) ** 4)))
+def test_gcd_matches_sympy(pair):
+    """gcd against sympy's monic gcd over QQ, with the default number of
+    xi values and with none (the pseudo-remainder fallback alone); the
+    cofactor triple multiplies back to both primitive parts."""
+    p, q = (to_k3auto(e) for e in pair)
+    want = to_k3auto(sympy.Poly(pair[0], T, domain="QQ").gcd(
+        sympy.Poly(pair[1], T, domain="QQ")).monic().as_expr())
+    tries = polynomial._HEU_TRIES
+    try:
+        for n_tries in (tries, 0):
+            polynomial._HEU_TRIES = n_tries
+            assert gcd(p, q) == want
+            a, b = (polynomial._primitive_part(x._num) for x in (p, q))
+            h, cofactor_a, cofactor_b = polynomial._gcd_cofactors(a, b)
+            assert h == polynomial._primitive_part(h)
+            as_poly = RationalPolynomial._from_ints
+            assert as_poly(h) * as_poly(cofactor_a) == as_poly(a)
+            assert as_poly(h) * as_poly(cofactor_b) == as_poly(b)
+    finally:
+        polynomial._HEU_TRIES = tries
 
 
 # -- products and division ---------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3auto import polynomial
 from k3auto.polynomial import (Place, RationalPolynomial, gcd,
                                multiplicity_profile, rational_roots,
                                squarefree_decomposition, split_by_valuation,
@@ -234,6 +235,46 @@ def test_split_by_valuation():
     assert parts[1] == (T - 4).monic()
     assert parts[2] == (T - 1).monic()
     assert parts[3] == (T + 1).monic()
+
+
+# g has larger coefficients than both of its multiples, so the first value
+# of xi, 2 min(|p|, |q|) + 2, cannot carry it and GCDHEU needs a second xi
+MISREAD_GCD = ((T + 1) * (T ** 2 + T + 1)) ** 4
+MISREAD_PAIR = (MISREAD_GCD * (T ** 2 - T + 1) ** 4,
+                Fraction(-5, 3) * MISREAD_GCD * (T - 1) ** 4)
+
+
+def test_gcd_heuristic_retries_before_the_fallback(monkeypatch):
+    fallbacks = []
+    prs = polynomial._int_gcd
+    monkeypatch.setattr(polynomial, "_int_gcd",
+                        lambda a, b: fallbacks.append(1) or prs(a, b))
+    assert gcd(*MISREAD_PAIR) == MISREAD_GCD.monic()
+    assert not fallbacks
+    monkeypatch.setattr(polynomial, "_HEU_TRIES", 1)
+    assert gcd(*MISREAD_PAIR) == MISREAD_GCD.monic()
+    assert fallbacks == [1]
+
+
+def test_gcd_heuristic_checks_both_divisions():
+    # at xi = 2 * 1 + 2 = 4, t - 4 vanishes and the value gcd is 17 = a(4),
+    # read back as t^2 + 1: it divides a but not b, so it is not the gcd
+    assert gcd(T ** 2 + 1, T - 4) == RationalPolynomial.constant(1)
+
+
+@pytest.mark.parametrize("tries", [0, 1])
+def test_pseudo_remainder_fallback_gives_the_same_results(monkeypatch,
+                                                          tries):
+    """The pinned gcd, squarefree, root and split cases with the heuristic
+    cut to `tries` values of xi, so the fallback does (some of) the work."""
+    monkeypatch.setattr(polynomial, "_HEU_TRIES", tries)
+    test_rational_roots_and_squarefree()
+    test_rational_roots_of_twenty_digit_prime_ends()
+    test_rational_roots_of_repeated_and_fractional_factors()
+    test_gcd_normalization()
+    test_split_by_valuation()
+    test_multiplicity_profile_pinned()
+    assert gcd(*MISREAD_PAIR) == MISREAD_GCD.monic()
 
 
 def test_place_basics():
