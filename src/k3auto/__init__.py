@@ -15,7 +15,7 @@ from .fibers import (FiberAction, FiberFixedData, FiberShape, action_label,
 from .lattice import EigenRanks, power_ranks, sigma4_skeletons, solve_ranks
 from .lefschetz import (FixedCurve, FixedLocusConfig, PointType,
                         derive_prop1_constraints, holo_target, holo_total,
-                        prop1_satisfied, topo_check)
+                        prop1_residuals, prop1_satisfied, topo_check)
 from .polynomial import (Place, RationalPolynomial, multiplicity_profile,
                          rational_roots, squarefree_decomposition,
                          valuation_at, weierstrass_discriminant)

@@ -27,7 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .classify import (CSV_HEADER, enumerate_cases, render_csv, render_table,
                        rows_to_json, validate_row)
 from .lefschetz import (FixedLocusConfig, derive_prop1_constraints,
-                        holo_target, holo_total)
+                        holo_target, holo_total, prop1_residuals,
+                        prop1_satisfied)
 from .weierstrass import (ActionAnalysis, DiagonalAutomorphism,
                           InvariantError, WeierstrassFibration,
                           analyze_action, worked_example)
@@ -222,13 +223,10 @@ def _as_count(data, key: str) -> int:
 
 def _lefschetz_check(data, fmt: str) -> int:
     config = FixedLocusConfig.from_json(data)
-    values = (config.n2, config.n3, config.n4, config.alpha)
-    entries = []
-    for row in derive_prop1_constraints():
-        coeffs, rhs = row[:4], row[4]
-        residual = sum(c * v for c, v in zip(coeffs, values)) - rhs
-        entries.append({"equation": _linear_str(coeffs, _COUNT_NAMES, rhs),
-                        "residual": residual, "ok": residual == 0})
+    residuals = prop1_residuals(config.n2, config.n3, config.n4, config.alpha)
+    entries = [{"equation": _linear_str(row[:4], _COUNT_NAMES, row[4]),
+                "residual": r, "ok": r == 0}
+               for row, r in zip(derive_prop1_constraints(), residuals)]
     total, holo_ok = holo_total(config, 1)
     holo_residual = total - holo_target(1)
     passed = holo_ok and all(e["ok"] for e in entries)
@@ -266,12 +264,10 @@ def enumerate_point_counts(alpha: int,
                            pins: Dict[str, int]) -> List[Tuple[int, int, int]]:
     """All (n2, n3, n4) >= 0 with N <= 14 satisfying the derived point
     constraints for the given curve-genus defect, honouring pinned counts."""
-    rows = derive_prop1_constraints()
     return [(n2, n3, n4)
             for n2 in range(15) for n3 in range(15 - n2)
             for n4 in range(15 - n2 - n3)
-            if all(c2 * n2 + c3 * n3 + c4 * n4 + ca * alpha == rhs
-                   for c2, c3, c4, ca, rhs in rows)
+            if prop1_satisfied(n2, n3, n4, alpha)
             and all(pins.get(k, v) == v
                     for k, v in (("n2", n2), ("n3", n3), ("n4", n4)))]
 

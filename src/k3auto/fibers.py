@@ -178,17 +178,16 @@ def type_counts(pairs: Iterable[Tuple[int, int]]) -> Tuple[int, int, int]:
 # I_n engines
 
 
-def _cycle_preserve_scan(n: int, m: int, anchor: int) -> Tuple[int, int, List[Tuple[int, int]]]:
+def _cycle_preserve_scan(n: int, m: int, anchor: int) -> Tuple[int, List[Tuple[int, int]]]:
     """Walk the I_n cycle for sigma^m preserving every component.
 
     anchor is the derivative exponent on the component right after node 0.
-    Returns (pointwise component count, even-derivative component count,
-    node pairs with both exponents nonzero).
+    Returns (pointwise component count, node pairs with both exponents
+    nonzero).
     """
     if n * m % 8:
         raise ValueError("no consistent labeling: chain does not close")
     pointwise = 0
-    even = 0
     isolated: List[Tuple[int, int]] = []
     s = anchor % 8
     for _ in range(n):
@@ -197,10 +196,27 @@ def _cycle_preserve_scan(n: int, m: int, anchor: int) -> Tuple[int, int, List[Tu
             isolated.append((t, s))
         if s == 0:
             pointwise += 1
-        if s % 2 == 0:
-            even += 1
         s = (m + s) % 8
-    return pointwise, even, isolated
+    return pointwise, isolated
+
+
+def _square_preserving_data(n: int, k_sigma: int,
+                            points: Tuple[int, int, int]) -> FiberFixedData:
+    """I_n data of an action whose square preserves every component; each
+    pointwise fixed component is a rational curve, so alpha is k_sigma."""
+    k2, iso2 = _cycle_preserve_scan(n, 2, 0)
+    return FiberFixedData(k_sigma=k_sigma, points=points, k_sigma2=k2,
+                          k_sigma4=_cycle_preserve_scan(n, 4, 0)[0],
+                          alpha_contrib=k_sigma, n_sigma2=len(iso2))
+
+
+def _involution_derivative() -> int:
+    """The derivative exponent of a curve involution at a fixed point: the
+    one nonzero mu with 2 mu = 0 mod 8."""
+    derivs = [mu for mu in range(8) if mu and 2 * mu % 8 == 0]
+    if len(derivs) != 1:
+        raise AssertionError("involution derivative not unique")
+    return derivs[0]
 
 
 def _i_n_preserve(n: int) -> FiberFixedData:
@@ -208,20 +224,13 @@ def _i_n_preserve(n: int) -> FiberFixedData:
         raise ValueError("no consistent labeling: preserve-components needs 8 | n")
     # all 8 starting exponents give the same data up to rotating the cycle
     seen = set()
-    result = None
     for start in range(8):
-        k, _, pts = _cycle_preserve_scan(n, 1, start)
-        counts = type_counts(pts)
-        seen.add((k, counts))
-        result = (k, counts)
+        k, pts = _cycle_preserve_scan(n, 1, start)
+        seen.add((k, type_counts(pts)))
     if len(seen) != 1:
         raise AssertionError("labeling ambiguity on I_%d" % n)
-    assert result is not None
-    k, counts = result
-    k2, _, iso2 = _cycle_preserve_scan(n, 2, 0)
-    k4, _, _ = _cycle_preserve_scan(n, 4, 0)
-    return FiberFixedData(k_sigma=k, points=counts, k_sigma2=k2, k_sigma4=k4,
-                          alpha_contrib=k, n_sigma2=len(iso2))
+    k, counts = seen.pop()
+    return _square_preserving_data(n, k, counts)
 
 
 def _i_n_reflection(n: int) -> FiberFixedData:
@@ -230,16 +239,10 @@ def _i_n_reflection(n: int) -> FiberFixedData:
     # a reflection axis through a node would need branch-swap eigenvalues
     # mu, -mu with mu^2 = zeta^5, impossible inside the 8th roots of unity,
     # so the axis passes through two opposite components
-    derivs = [mu for mu in range(8) if mu and 2 * mu % 8 == 0]
-    if len(derivs) != 1:
-        raise AssertionError("axis involution derivative not unique")
-    mu = derivs[0]  # 4: two interior fixed points of type (4,5) per axis curve
+    mu = _involution_derivative()  # 4: two (4,5) points per axis curve
     points = type_counts([(mu, (1 - mu) % 8)] * 4)
     # sigma^2 preserves each component, pointwise on the two axis curves
-    k2, _, iso2 = _cycle_preserve_scan(n, 2, 0)
-    k4, _, _ = _cycle_preserve_scan(n, 4, 0)
-    return FiberFixedData(k_sigma=0, points=points, k_sigma2=k2, k_sigma4=k4,
-                          alpha_contrib=0, n_sigma2=len(iso2))
+    return _square_preserving_data(n, 0, points)
 
 
 def _i_n_rotation(n: int, order: int) -> FiberFixedData:
@@ -249,13 +252,10 @@ def _i_n_rotation(n: int, order: int) -> FiberFixedData:
         raise ValueError("no consistent labeling: rotation data needs 8 | n")
     if order == 2:
         # square preserves every component (shift n/2 twice is the identity)
-        k2, _, iso2 = _cycle_preserve_scan(n, 2, 0)
-        k4, _, _ = _cycle_preserve_scan(n, 4, 0)
-        return FiberFixedData(k_sigma=0, points=(0, 0, 0), k_sigma2=k2,
-                              k_sigma4=k4, alpha_contrib=0, n_sigma2=len(iso2))
+        return _square_preserving_data(n, 0, (0, 0, 0))
     if order == 4:
         # square still rotates by n/2: nothing sigma^2-fixed on this fiber
-        k4, _, _ = _cycle_preserve_scan(n, 4, 0)
+        k4, _ = _cycle_preserve_scan(n, 4, 0)
         return FiberFixedData(k_sigma=0, points=(0, 0, 0), k_sigma2=0,
                               k_sigma4=k4, alpha_contrib=0, n_sigma2=0)
     raise ValueError("rotation order must be 2 or 4")
@@ -292,11 +292,8 @@ def _iv_star_preserve() -> FiberFixedData:
 def _iv_star_branch_swap() -> FiberFixedData:
     # two arms swapped, one preserved; the central curve keeps two fixed
     # points, and its square fixes four points, hence is an involution:
-    # enumerate the derivative exponent and keep the consistent ones
-    derivs = [mu for mu in range(8) if mu and 2 * mu % 8 == 0]
-    if len(derivs) != 1:
-        raise AssertionError("central involution derivative not unique")
-    mu = derivs[0]
+    # its derivative exponent is the involution's
+    mu = _involution_derivative()
     z_free = (mu, (1 - mu) % 8)          # free fixed point on the center
     p_junction = (mu, (1 - mu) % 8)      # junction with the preserved arm
     p_mid = chain_step(p_junction)
@@ -344,9 +341,6 @@ def elliptic_action_data(action: FiberAction) -> FiberFixedData:
 def fiber_fixed_data(shape: FiberShape, action: FiberAction) -> FiberFixedData:
     """Fixed-locus data of the action on the given fiber shape."""
     if shape.kind == SMOOTH:
-        if (SMOOTH, action.name) not in _LABELS:
-            raise ValueError("action %r incompatible with a smooth fiber"
-                             % (action.name,))
         return elliptic_action_data(action)
     if shape.kind == I_CYCLE:
         assert shape.n is not None

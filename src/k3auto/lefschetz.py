@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -247,7 +248,14 @@ def derive_prop1_constraints() -> List[Tuple[int, int, int, int, int]]:
 
         n2 + n3 - 4*alpha = 2
         n4 + n2 - n3 - 2*alpha = 2
+
+    The derivation runs once per process; each call returns a new list.
     """
+    return list(_prop1_rows())
+
+
+@lru_cache(maxsize=None)
+def _prop1_rows() -> Tuple[Tuple[int, int, int, int, int], ...]:
     columns = [point_term(PointType(2)), point_term(PointType(3)),
                point_term(PointType(4)), curve_term(FixedCurve(0, 1))]
     target = holo_target(1)
@@ -263,12 +271,15 @@ def derive_prop1_constraints() -> List[Tuple[int, int, int, int, int]]:
     if len(hnf) != 2:
         raise AssertionError("expected exactly 2 independent constraints, got %d"
                              % len(hnf))
-    return [tuple(r) for r in hnf]  # type: ignore[return-value]
+    return tuple(tuple(r) for r in hnf)  # type: ignore[return-value]
+
+
+def prop1_residuals(n2: int, n3: int, n4: int, alpha: int) -> List[int]:
+    """Left minus right side of each derived equation, in their order."""
+    return [c2 * n2 + c3 * n3 + c4 * n4 + ca * alpha - rhs
+            for c2, c3, c4, ca, rhs in _prop1_rows()]
 
 
 def prop1_satisfied(n2: int, n3: int, n4: int, alpha: int) -> bool:
     """Check a candidate count vector against the derived equations."""
-    for c2, c3, c4, ca, rhs in derive_prop1_constraints():
-        if c2 * n2 + c3 * n3 + c4 * n4 + ca * alpha != rhs:
-            return False
-    return True
+    return not any(prop1_residuals(n2, n3, n4, alpha))

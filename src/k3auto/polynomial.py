@@ -232,29 +232,15 @@ class RationalPolynomial:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        # self = r/df, o = content*g/dg with g primitive: the loop keeps
-        # scale*r_in = q*g + r, scale growing only when lc(g) does not
-        # divide a top term (never in an exact division: Gauss's lemma)
-        r, g = self._num[:], o._num
-        content = reduce(math.gcd, g)
-        n, lead = len(g) - 1, g[-1] // content
-        g = [c // content for c in g[:-1]]
-        q = [0] * max(len(r) - n, 0)
-        scale = 1
-        for k in range(len(q) - 1, -1, -1):
-            top = r.pop()
-            if not top:
-                continue
-            c, rest = divmod(top, lead)
-            if rest:
-                grow = lead // math.gcd(top, lead)
-                r = [x * grow for x in r]
-                q = [x * grow for x in q]
-                scale *= grow
-                c = top * grow // lead
-            q[k] = c
-            for i, gc in enumerate(g):
-                r[k + i] -= c * gc
+        # self = f/df, o = content*g/dg, g primitive: scale*f = q*g + r with
+        # q over Z, so q is the exact quotient of scale*f - r by g
+        f, content = self._num, reduce(math.gcd, o._num)
+        g = [c // content for c in o._num]
+        r, scale = _pseudo_remainder(f, g)
+        top = [scale * c for c in f]
+        for i, c in enumerate(r):
+            top[i] -= c
+        q = _int_quotient(top, g)
         den = scale * self._den
         return (RationalPolynomial._from_ints([c * o._den for c in q],
                                               den * content),
@@ -434,25 +420,27 @@ def _derivative(f: List[int]) -> List[int]:
     return [i * c for i, c in enumerate(f)][1:]
 
 
-def _pseudo_remainder(a: List[int], b: List[int]) -> List[int]:
-    """A nonzero integer multiple of the remainder of a by b.
+def _pseudo_remainder(a: List[int], b: List[int]) -> Tuple[List[int], int]:
+    """(r, s): r = s*a - q*b is the pseudo-remainder for some int list q.
 
     Each step scales a by lc(b)/g rather than lc(b), g the gcd of the two
     leading terms; zeros left at the top are not stripped.
     """
     a = list(a)
     n, lead_b = len(b) - 1, b[-1]
+    total = 1
     while len(a) > n:
         lead_a = a.pop()
         if not lead_a:
             continue
         g = math.gcd(lead_a, lead_b)
         scale, factor = lead_b // g, lead_a // g
+        total *= scale
         shift = len(a) - n
         a = [c * scale for c in a]
         for i, c in enumerate(b[:-1]):
             a[shift + i] -= factor * c
-    return a
+    return a, total
 
 
 # evaluation points GCDHEU tries before the pseudo-remainder sequence
@@ -513,7 +501,7 @@ def _int_gcd(a: List[int], b: List[int]) -> List[int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _primitive_part(_pseudo_remainder(a, b))
+        a, b = b, _primitive_part(_pseudo_remainder(a, b)[0])
     return _primitive_part(a)
 
 
@@ -560,7 +548,7 @@ def _squarefree_prime(monic: List[int]) -> int:
         a = _reduce_mod(monic, prime)
         b = _reduce_mod(_derivative(monic), prime)
         while b:
-            a, b = b, _reduce_mod(_pseudo_remainder(a, b), prime)
+            a, b = b, _reduce_mod(_pseudo_remainder(a, b)[0], prime)
         if len(a) == 1:
             return prime
 

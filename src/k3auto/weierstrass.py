@@ -638,14 +638,12 @@ def _smooth_action_name(ex: int, ey: int, translate: bool) -> str:
 
 
 def _cycle_node_x(f: WeierstrassFibration) -> Fraction:
-    c2, c1, c0 = cubic_at(f)
-    if f.form == TWO_TORSION_FORM:
-        if c1 == 0:
-            return Fraction(0)
-        assert c2 * c2 - 4 * c1 == 0
-        return -c2 / 2
-    assert c1 != 0
-    return Fraction(-3, 2) * c0 / c1
+    # only translations reach here, and they need the 2-torsion form
+    c2, c1, _ = cubic_at(f)
+    if c1 == 0:
+        return Fraction(0)
+    assert c2 * c2 - 4 * c1 == 0
+    return -c2 / 2
 
 
 def _cycle_action_name(f: WeierstrassFibration,
@@ -765,20 +763,13 @@ def analyze_action(f: WeierstrassFibration,
                 "invariant fiber of type %s is outside the classified "
                 "shapes" % tag)
 
-    smooth = [entry for entry in entries if entry[2] == _SMOOTH]
-    if not smooth:
-        raise InvariantError("no smooth invariant fiber; outside the table")
-    if len(smooth) == 2:
-        order4 = [entry for entry in smooth if entry[3].name == ORDER_4]
-        if len(order4) != 1:
-            raise InvariantError(
-                "two smooth invariant fibers need exactly one order-four "
-                "action, got labels %r and %r"
-                % tuple(action_label(_SMOOTH, entry[3]) for entry in smooth))
-        entries = [smooth[1] if smooth[0] is order4[0] else smooth[0],
-                  order4[0]]
-    else:
-        entries.sort(key=lambda entry: entry[2] != _SMOOTH)
+    if all(entry[2] != _SMOOTH for entry in entries):
+        raise InvariantError(
+            "no smooth invariant fiber (%s); outside the table"
+            % ", ".join("%s at %s" % (entry[1], entry[0]) for entry in entries))
+    # smooth first; of two smooth fibers (ex and ex + 4) one has order four
+    entries.sort(key=lambda entry: (entry[2] != _SMOOTH, entry[2] == _SMOOTH
+                                    and entry[3].name == ORDER_4))
     elliptic_label = action_label(_SMOOTH, entries[0][3])
     place, tag, shape, action, _, _ = entries[1]
     if action is None:

@@ -197,6 +197,17 @@ def test_analyze_invariant_failure_exits_2(capsys, tmp_path):
     assert "invariant violated" in err and "does not preserve" in err
 
 
+def test_analyze_without_a_smooth_invariant_fiber_exits_2(capsys, tmp_path):
+    fib = write_json(tmp_path, "f.json", {
+        "form": "short", "a": [["-3", 8]], "b": [["1", 4], ["2", 12]]})
+    aut = write_json(tmp_path, "g.json", {"ex": 4, "ey": 2, "et": 7})
+    code, out, err = run(capsys, "analyze", "--fibration", fib,
+                         "--automorphism", aut)
+    assert code == 2 and not out
+    assert err == ("invariant violated: no smooth invariant fiber (IV* at "
+                   "t=0, I_8 at t=infinity); outside the table\n")
+
+
 # -- examples -----------------------------------------------------------------
 
 

@@ -50,6 +50,8 @@ def test_smooth_fiber_actions():
         FiberAction(ORDER_4)  # missing split
     with pytest.raises(ValueError):
         FiberAction(IDENTITY, split=(1, 1))
+    with pytest.raises(ValueError, match="not a smooth-elliptic action"):
+        fiber_fixed_data(FiberShape.smooth_elliptic(), FiberAction(REFLECTION))
 
 
 def test_cycle_preserve_counts():

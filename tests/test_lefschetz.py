@@ -8,7 +8,7 @@ from k3auto.cyclotomic import Cyc8Element, zeta_pow
 from k3auto.lefschetz import (FixedCurve, FixedLocusConfig, PointType,
                               curve_term, derive_prop1_constraints,
                               hermite_normal_form, holo_target, holo_total,
-                              integer_kernel, point_term,
+                              integer_kernel, point_term, prop1_residuals,
                               prop1_satisfied, topo_check)
 
 from fixtures import TABLE_ROWS
@@ -73,6 +73,22 @@ def test_prop1_on_table_rows():
         assert prop1_satisfied(n2, n3, n4, k)
     assert not prop1_satisfied(1, 0, 0, 0)
     assert not prop1_satisfied(2, 1, 0, 0)
+
+
+def test_derived_constraints_are_a_new_list_on_every_call():
+    first = derive_prop1_constraints()
+    expected = list(first)
+    first[0] = (0, 0, 0, 0, 0)
+    first.append((0, 0, 0, 0, 1))  # 0 = 1: would refuse every count
+    assert derive_prop1_constraints() == expected
+    assert derive_prop1_constraints() is not derive_prop1_constraints()
+    assert prop1_satisfied(2, 0, 0, 0)
+    assert prop1_residuals(2, 0, 0, 0) == [0, 0]
+    assert not prop1_satisfied(3, 0, 0, 0)
+    # each residual is its equation's left side minus its right side
+    assert prop1_residuals(3, 1, 4, 1) == [
+        sum(c * v for c, v in zip(row[:4], (3, 1, 4, 1))) - row[4]
+        for row in expected]
 
 
 def test_holo_total_closes_for_hand_built_configs():

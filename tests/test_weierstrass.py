@@ -1,16 +1,19 @@
 """Weierstrass models: fiber types, invariance, fixed points, examples."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from k3auto.fibers import IDENTITY, INVOLUTION, ORDER_4, TRANSLATION_2
 from k3auto.maps import CurvePolynomial, RationalMap, compose, maps_equal
 from k3auto.polynomial import (Place, RationalPolynomial,
                                weierstrass_discriminant)
 from k3auto.weierstrass import (DiagonalAutomorphism, InvariantError,
                                 WeierstrassFibration, _invariant_charts,
+                                _smooth_action_name,
                                 analyze_action, check_invariance,
                                 convert_two_torsion_form, fiber_inventory,
                                 fiber_reports,
@@ -518,6 +521,34 @@ def test_analyze_action_error_taxonomy():
         # a translation twist needs the two-torsion form
         analyze_action(invariant_short,
                        DiagonalAutomorphism(4, 2, 7, translate=True))
+    # IV* at t = 0 and I_8 at infinity: no smooth fiber to match a row by
+    no_smooth = WeierstrassFibration(poly((-3, 8)), poly((1, 4), (2, 12)))
+    assert fiber_inventory(no_smooth) == {"I_1": 8, "I_8": 1, "IV*": 1}
+    with pytest.raises(InvariantError) as err:
+        analyze_action(no_smooth, DiagonalAutomorphism(4, 2, 7))
+    assert str(err.value) == ("no smooth invariant fiber (IV* at t=0, I_8 "
+                              "at t=infinity); outside the table")
+
+
+def test_two_smooth_invariant_fibers_carry_one_order_four_action():
+    # every generator that passes the checks before row matching: its two
+    # charts either leave a smooth fiber unnamed or name exactly one
+    # order-four action, so two smooth fibers always order uniquely
+    partners = set()
+    for ex, ey, et, translate in itertools.product(
+            range(8), range(8), range(8), (False, True)):
+        g = DiagonalAutomorphism(ex, ey, et, translate)
+        if (2 * ey - 3 * ex) % 8 or et % 2 == 0 \
+                or two_form_multiplier(g) != 1:
+            continue
+        try:
+            names = [_smooth_action_name(chart.ex, chart.ey, translate)
+                     for chart in (g, g.at_infinity())]
+        except ValueError:
+            continue
+        assert names.count(ORDER_4) == 1, (g, names)
+        partners.update(name for name in names if name != ORDER_4)
+    assert partners == {IDENTITY, INVOLUTION, TRANSLATION_2}
 
 
 def test_analysis_json_is_serializable():
