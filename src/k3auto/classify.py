@@ -20,7 +20,7 @@ point count satisfies N' = 2k' + 4 and its own Lefschetz identities).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, IV_STAR, ORDER_4,
@@ -32,33 +32,27 @@ from .lefschetz import (FixedCurve, FixedLocusConfig, holo_total,
                         prop1_satisfied, topo_check)
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(namedtuple("ClassificationRow", (
+        "index r l m k_sigma2 num_c rk_pic k_sigma4 n2 n3 n4 k action"))):
     """One line of the classification table.
 
     action = (label on the smooth invariant elliptic curve, label on the
-    second invariant fiber).  N is derived from the point counts.
+    second invariant fiber).  N is derived from the point counts.  The
+    field `index` shadows tuple.index: a row is not searched as a tuple.
     """
 
-    index: int
-    r: int
-    l: int
-    m: int
-    k_sigma2: int
-    num_c: int
-    rk_pic: int
-    k_sigma4: int
-    n2: int
-    n3: int
-    n4: int
-    k: int
-    action: Tuple[str, str]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rk_pic not in (10, 14, 18):
+    def __new__(cls, index: int, r: int, l: int, m: int, k_sigma2: int,
+                num_c: int, rk_pic: int, k_sigma4: int, n2: int, n3: int,
+                n4: int, k: int, action: Tuple[str, str]):
+        row = super().__new__(cls, index, r, l, m, k_sigma2, num_c, rk_pic,
+                              k_sigma4, n2, n3, n4, k, action)
+        if rk_pic not in (10, 14, 18):
             raise ValueError("Picard rank must be 10, 14 or 18")
-        if self.r + self.l + 2 * self.m + 4 * self.m1 != 22:
+        if r + l + 2 * m + 4 * row.m1 != 22:
             raise ValueError("eigenspace ranks must sum to 22")
+        return row
 
     @property
     def m1(self) -> int:

@@ -13,6 +13,10 @@ identical inputs give byte-identical output.
 
 Exit codes: 0 success (and all reported checks pass), 1 bad input or a
 failed check, 2 a geometric invariant is violated.
+
+Each verb imports the layers it runs when it runs: ``lefschetz`` loads
+only the Lefschetz and cyclotomic modules, ``classify`` not the
+polynomial, maps or Weierstrass ones.
 """
 
 from __future__ import annotations
@@ -24,14 +28,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .classify import (CSV_HEADER, enumerate_cases, render_csv, render_table,
-                       rows_to_json, validate_row)
-from .lefschetz import (FixedLocusConfig, derive_prop1_constraints,
-                        holo_target, holo_total, prop1_residuals,
-                        prop1_satisfied)
-from .weierstrass import (ActionAnalysis, DiagonalAutomorphism,
-                          InvariantError, WeierstrassFibration,
-                          analyze_action, worked_example)
+from . import InvariantError
 
 FORMATS = ("table", "json", "csv")
 
@@ -74,6 +71,8 @@ def _mark(ok: bool) -> str:
 
 
 def cmd_classify(args) -> int:
+    from .classify import (enumerate_cases, render_csv, render_table,
+                           rows_to_json)
     fmt = _resolve_format(args.format)
     if args.pic not in PIC_CHOICES:
         raise ValueError("usage: classify --pic {10|14|18|all}, not %r"
@@ -94,7 +93,8 @@ def cmd_classify(args) -> int:
 # -- analyze ----------------------------------------------------------------
 
 
-def _analysis_table(analysis: ActionAnalysis) -> str:
+def _analysis_table(analysis) -> str:
+    from .classify import render_csv
     f = analysis.fibration
     lines = ["form: %s" % f.form,
              "a(t) = %s" % _poly_str(f.a),
@@ -125,6 +125,9 @@ def _analysis_table(analysis: ActionAnalysis) -> str:
 
 
 def cmd_analyze(args) -> int:
+    from .classify import render_csv
+    from .weierstrass import (DiagonalAutomorphism, WeierstrassFibration,
+                              analyze_action)
     fmt = _resolve_format(args.format)
     fibration = WeierstrassFibration.from_json(_load_json(args.fibration))
     automorphism = DiagonalAutomorphism.from_json(
@@ -152,6 +155,8 @@ def _parse_params(text: Optional[str]) -> Optional[List[Fraction]]:
 
 
 def cmd_examples(args) -> int:
+    from .classify import render_csv, validate_row
+    from .weierstrass import worked_example
     fmt = _resolve_format(args.format)
     analysis = worked_example(args.id, preset=args.preset,
                               params=_parse_params(args.params),
@@ -222,6 +227,8 @@ def _as_count(data, key: str) -> int:
 
 
 def _lefschetz_check(data, fmt: str) -> int:
+    from .lefschetz import (FixedLocusConfig, derive_prop1_constraints,
+                            holo_target, holo_total, prop1_residuals)
     config = FixedLocusConfig.from_json(data)
     residuals = prop1_residuals(config.n2, config.n3, config.n4, config.alpha)
     entries = [{"equation": _linear_str(row[:4], _COUNT_NAMES, row[4]),
@@ -264,6 +271,7 @@ def enumerate_point_counts(alpha: int,
                            pins: Dict[str, int]) -> List[Tuple[int, int, int]]:
     """All (n2, n3, n4) >= 0 with N <= 14 satisfying the derived point
     constraints for the given curve-genus defect, honouring pinned counts."""
+    from .lefschetz import prop1_satisfied
     return [(n2, n3, n4)
             for n2 in range(15) for n3 in range(15 - n2)
             for n4 in range(15 - n2 - n3)

@@ -22,7 +22,7 @@ parse_action_label read one table in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, List, Optional, Tuple
 
 SMOOTH = "smooth-elliptic"
@@ -60,21 +60,20 @@ _LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class FiberShape:
+class FiberShape(namedtuple("FiberShape", "kind n")):
     """A Kodaira fiber shape: smooth, a cycle I_n, or the star IV*."""
 
-    kind: str
-    n: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (SMOOTH, I_CYCLE, IV_STAR):
-            raise ValueError("unknown fiber kind %r" % (self.kind,))
-        if self.kind == I_CYCLE:
-            if self.n is None or self.n < 1:
+    def __new__(cls, kind: str, n: Optional[int] = None):
+        if kind not in (SMOOTH, I_CYCLE, IV_STAR):
+            raise ValueError("unknown fiber kind %r" % (kind,))
+        if kind == I_CYCLE:
+            if n is None or n < 1:
                 raise ValueError("I_n needs n >= 1")
-        elif self.n is not None:
+        elif n is not None:
             raise ValueError("only I_n carries a component count")
+        return super().__new__(cls, kind, n)
 
     @classmethod
     def smooth_elliptic(cls) -> "FiberShape":
@@ -103,24 +102,24 @@ def euler_number(shape: FiberShape) -> int:
     return 8
 
 
-@dataclass(frozen=True)
-class FiberAction:
+class FiberAction(namedtuple("FiberAction", "name split")):
     """Combinatorial action label; order-4 elliptic actions carry the split
     of their two fixed points between types (2,7) and (3,6)."""
 
-    name: str
-    split: Optional[Tuple[int, int]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name == ORDER_4:
-            if self.split is None or min(self.split) < 0 or sum(self.split) != 2:
+    def __new__(cls, name: str, split: Optional[Tuple[int, int]] = None):
+        if name == ORDER_4:
+            if split is None or min(split) < 0 or sum(split) != 2:
                 raise ValueError("order-4 action needs a point split summing to 2")
-        elif self.split is not None:
+        elif split is not None:
             raise ValueError("only order-4 actions carry a point split")
+        return super().__new__(cls, name, split)
 
 
-@dataclass(frozen=True)
-class FiberFixedData:
+class FiberFixedData(namedtuple("FiberFixedData", (
+        "k_sigma points k_sigma2 k_sigma4 alpha_contrib n_sigma2 "
+        "elliptic_fixed_by"))):
     """Fixed-locus bookkeeping of one fiber under sigma, sigma^2, sigma^4.
 
     points = (count of (2,7), count of (3,6), count of (4,5)).
@@ -129,17 +128,15 @@ class FiberFixedData:
     (None for degenerate fibers).
     """
 
-    k_sigma: int
-    points: Tuple[int, int, int]
-    k_sigma2: int
-    k_sigma4: int
-    alpha_contrib: int
-    n_sigma2: int
-    elliptic_fixed_by: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.k_sigma <= self.k_sigma2 <= self.k_sigma4:
+    def __new__(cls, k_sigma: int, points: Tuple[int, int, int],
+                k_sigma2: int, k_sigma4: int, alpha_contrib: int,
+                n_sigma2: int, elliptic_fixed_by: Optional[int] = None):
+        if not k_sigma <= k_sigma2 <= k_sigma4:
             raise ValueError("pointwise component counts must be monotone in the power")
+        return super().__new__(cls, k_sigma, points, k_sigma2, k_sigma4,
+                               alpha_contrib, n_sigma2, elliptic_fixed_by)
 
 
 def chain_step(pair: Tuple[int, int]) -> Tuple[int, int]:

@@ -15,28 +15,25 @@ k_sigma2) alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import List, Optional, Tuple, Union
 
 
-@dataclass(frozen=True)
-class EigenRanks:
+class EigenRanks(namedtuple("EigenRanks", "r l m m1")):
     """Ranks of the 1, -1, i, zeta_8 eigenspaces on H^2."""
 
-    r: int
-    l: int
-    m: int
-    m1: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.r, self.l, self.m, self.m1) < 0:
+    def __new__(cls, r: int, l: int, m: int, m1: int):
+        if min(r, l, m, m1) < 0:
             raise ValueError("ranks must be non-negative")
-        if self.r + self.l + 2 * self.m + 4 * self.m1 != 22:
+        if r + l + 2 * m + 4 * m1 != 22:
             raise ValueError("ranks must satisfy r + l + 2m + 4*m1 = 22")
-        if not 1 <= self.m1 <= 5:
+        if not 1 <= m1 <= 5:
             raise ValueError("m1 must lie in 1..5 (transcendental part is nonzero)")
-        if self.r < 1:
+        if r < 1:
             raise ValueError("an invariant ample class forces r >= 1")
+        return super().__new__(cls, r, l, m, m1)
 
 
 def power_ranks(e: EigenRanks, j: int) -> Tuple[int, int, int]:
@@ -56,25 +53,23 @@ SPECIAL_EMPTY = "empty-lattice"
 SPECIAL_TWO_ELLIPTIC = "two-elliptic-lattice"
 
 
-@dataclass(frozen=True)
-class InvolutionFixData:
+class InvolutionFixData(namedtuple("InvolutionFixData", "rkS a special")):
     """Invariant lattice data (rank, determinant exponent) of an involution."""
 
-    rkS: int
-    a: int
-    special: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.rkS <= 20:
+    def __new__(cls, rkS: int, a: int, special: Optional[str] = None):
+        if not 0 <= rkS <= 20:
             raise ValueError("rkS must lie in [0, 20]")
-        if self.a < 0:
+        if a < 0:
             raise ValueError("determinant exponent must be non-negative")
-        if self.special == SPECIAL_EMPTY and (self.rkS, self.a) != (10, 10):
+        if special == SPECIAL_EMPTY and (rkS, a) != (10, 10):
             raise ValueError("empty-lattice tag requires (rkS, a) = (10, 10)")
-        if self.special == SPECIAL_TWO_ELLIPTIC and (self.rkS, self.a) != (10, 8):
+        if special == SPECIAL_TWO_ELLIPTIC and (rkS, a) != (10, 8):
             raise ValueError("two-elliptic tag requires (rkS, a) = (10, 8)")
-        if self.special not in (None, SPECIAL_EMPTY, SPECIAL_TWO_ELLIPTIC):
-            raise ValueError("unknown special tag %r" % (self.special,))
+        if special not in (None, SPECIAL_EMPTY, SPECIAL_TWO_ELLIPTIC):
+            raise ValueError("unknown special tag %r" % (special,))
+        return super().__new__(cls, rkS, a, special)
 
 
 NikulinShape = Union[str, Tuple[int, int]]

@@ -21,7 +21,7 @@ hardcoding them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -31,40 +31,37 @@ from .cyclotomic import Cyc8Element, zeta_pow
 _ADMISSIBLE_T = (2, 3, 4)
 
 
-@dataclass(frozen=True)
-class PointType:
+class PointType(namedtuple("PointType", "t")):
     """Isolated fixed point with tangent eigenvalue exponents (t, 9-t)."""
 
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t not in _ADMISSIBLE_T:
-            raise ValueError("point type must have t in {2,3,4}, got %r" % (self.t,))
+    def __new__(cls, t: int):
+        if t not in _ADMISSIBLE_T:
+            raise ValueError("point type must have t in {2,3,4}, got %r" % (t,))
+        return super().__new__(cls, t)
 
     @property
     def s(self) -> int:
         return 9 - self.t
 
 
-@dataclass(frozen=True)
-class FixedCurve:
+class FixedCurve(namedtuple("FixedCurve", "genus normal_exponent")):
     """A fixed curve: its genus and the normal-direction eigenvalue exponent."""
 
-    genus: int
-    normal_exponent: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for key, value in (("genus", self.genus),
-                           ("normal_exp", self.normal_exponent)):
+    def __new__(cls, genus: int, normal_exponent: int):
+        for key, value in (("genus", genus), ("normal_exp", normal_exponent)):
             if type(value) is not int:
                 raise ValueError("%r must be an integer, not %r"
                                  % (key, value))
-        if self.genus < 0:
+        if genus < 0:
             raise ValueError("genus must be non-negative")
+        return super().__new__(cls, genus, normal_exponent)
 
 
-@dataclass(frozen=True)
-class FixedLocusConfig:
+class FixedLocusConfig(namedtuple("FixedLocusConfig", "curves n2 n3 n4")):
     """Fixed locus data: curves plus counts of the three isolated point types.
 
     For power_j=2 configurations the split n2/n3/n4 carries no meaning
@@ -72,17 +69,15 @@ class FixedLocusConfig:
     Convention there: store the count in n2.
     """
 
-    curves: Tuple[FixedCurve, ...]
-    n2: int
-    n3: int
-    n4: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for key in ("n2", "n3", "n4"):
-            value = getattr(self, key)
+    def __new__(cls, curves: Tuple[FixedCurve, ...], n2: int, n3: int,
+                n4: int):
+        for key, value in (("n2", n2), ("n3", n3), ("n4", n4)):
             if type(value) is not int or value < 0:
                 raise ValueError("%r must be a non-negative integer, not %r"
                                  % (key, value))
+        return super().__new__(cls, curves, n2, n3, n4)
 
     @property
     def N(self) -> int:

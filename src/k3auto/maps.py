@@ -39,7 +39,7 @@ even powers of y, which maps_equal reduces modulo the cubic if given one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from types import MappingProxyType
@@ -270,15 +270,14 @@ def _products(num: CurvePolynomial, den: CurvePolynomial, d: int, exps):
     return {e: nums[e] * dens[d - e] for e in exps}
 
 
-@dataclass(frozen=True)
-class RationalMap:
-    """(x, y, t) -> (x_num/x_den, y_num/y_den, zeta^t_exponent * t)."""
+class RationalMap(namedtuple("RationalMap",
+                             "x_num x_den y_num y_den t_exponent")):
+    """(x, y, t) -> (x_num/x_den, y_num/y_den, zeta^t_exponent * t).
 
-    x_num: CurvePolynomial
-    x_den: CurvePolynomial
-    y_num: CurvePolynomial
-    y_den: CurvePolynomial
-    t_exponent: int
+    The first four fields are CurvePolynomials, t_exponent an int.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def identity(cls) -> "RationalMap":

@@ -27,7 +27,7 @@ or the point at infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -569,8 +569,7 @@ def _strip(f: List[int]) -> List[int]:
 # places
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(namedtuple("Place", "kind t0 poly", defaults=(None, None))):
     """A closed point of the base P^1: rational, irrational class, or infinity.
 
     kind "finite-irreducible" carries a monic squarefree polynomial of
@@ -578,12 +577,11 @@ class Place:
     share what is being measured (a multiplicity in multiplicity_profile,
     the valuation triple of (a, b, delta) in a fiber report).  It may
     factor further over Q; full factorization is intentionally not
-    performed, and no computation here needs it.
+    performed, and no computation here needs it.  t0 (a Fraction) is set
+    only for a rational place, poly only for an irrational class.
     """
 
-    kind: str
-    t0: Optional[Fraction] = None
-    poly: Optional[RationalPolynomial] = None
+    __slots__ = ()
 
     @classmethod
     def finite_rational(cls, t0: Scalar) -> "Place":

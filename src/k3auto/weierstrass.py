@@ -18,12 +18,12 @@ the answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .classify import (ClassificationRow, enumerate_cases, match_row,
-                       validate_row)
+from . import InvariantError
+from .classify import enumerate_cases, match_row, validate_row
 from .cyclotomic import Cyc8Element, zeta_pow
 from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, ORDER_4, PRESERVE,
                      REFLECTION, ROTATION_2, TRANSLATION_2, FiberAction,
@@ -33,10 +33,6 @@ from .maps import CurvePolynomial, RationalMap, compose
 from .polynomial import (Place, RationalPolynomial, _split_rational_roots, gcd,
                          multiplicity_profile, split_by_valuation,
                          valuation_at, weierstrass_discriminant)
-
-
-class InvariantError(RuntimeError):
-    """A structural invariant of the surface or of the action fails."""
 
 
 SHORT_FORM = "short"
@@ -95,15 +91,12 @@ def kodaira_symbol(v_a, v_b, v_delta: int) -> str:
         % (v_a, v_b, v_delta))
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    """Valuations and Kodaira type of the fiber over one place."""
+class FiberReport(namedtuple("FiberReport",
+                             "place v_a v_b v_delta kodaira")):
+    """Valuations and Kodaira type of the fiber over one place; v_a and v_b
+    are float('inf') for an identically zero coefficient."""
 
-    place: Place
-    v_a: Union[int, float]
-    v_b: Union[int, float]
-    v_delta: int
-    kodaira: str
+    __slots__ = ()
 
     def to_dict(self) -> Dict:
         def fin(v):
@@ -275,32 +268,29 @@ def fiber_inventory(f: WeierstrassFibration) -> Dict[str, int]:
 # the symmetry
 
 
-@dataclass(frozen=True)
-class DiagonalAutomorphism:
+class DiagonalAutomorphism(namedtuple("DiagonalAutomorphism",
+                                      "ex ey et translate torsion_x0")):
     """(x, y, t) -> (zeta^ex x, zeta^ey y, zeta^et t), optionally composed
     with the fiberwise translation by a 2-torsion section.
 
-    torsion_x0 is the x-coordinate polynomial of that section; None means
-    the section (0, 0) of the 2-torsion form.
+    The exponents are stored mod 8.  torsion_x0 is the x-coordinate
+    polynomial of that section; None means the section (0, 0) of the
+    2-torsion form.
     """
 
-    ex: int
-    ey: int
-    et: int
-    translate: bool = False
-    torsion_x0: Optional[RationalPolynomial] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("ex", "ey", "et"):
-            value = getattr(self, name)
+    def __new__(cls, ex: int, ey: int, et: int, translate: bool = False,
+                torsion_x0: Optional[RationalPolynomial] = None):
+        for name, value in (("ex", ex), ("ey", ey), ("et", et)):
             _require(type(value) is int,
                      "%r must be an integer, not %r" % (name, value))
-            object.__setattr__(self, name, value % 8)
-        _require(type(self.translate) is bool,
-                 "'translate' must be true or false, not %r"
-                 % (self.translate,))
-        if self.torsion_x0 is not None and not self.translate:
+        _require(type(translate) is bool,
+                 "'translate' must be true or false, not %r" % (translate,))
+        if torsion_x0 is not None and not translate:
             raise ValueError("a torsion section needs translate=True")
+        return super().__new__(cls, ex % 8, ey % 8, et % 8, translate,
+                               torsion_x0)
 
     def exponents(self) -> Tuple[int, int, int]:
         return (self.ex, self.ey, self.et)
@@ -415,13 +405,11 @@ def _section_x(g: DiagonalAutomorphism) -> Fraction:
 # fixed points on a smooth invariant fiber
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(namedtuple("FixedPoint",
+                            "description base_exponent tangent_exponent")):
     """An isolated fixed point with its local eigenvalue exponent pair."""
 
-    description: str
-    base_exponent: int
-    tangent_exponent: int
+    __slots__ = ()
 
     @property
     def pair(self) -> Tuple[int, int]:
@@ -624,6 +612,13 @@ _SMOOTH = FiberShape.smooth_elliptic()
 
 def _smooth_action_name(ex: int, ey: int, translate: bool) -> str:
     if translate:
+        if (ex % 8, ey % 8) == (0, 4):
+            # y -> -y after the translation: P -> -(P + T), fixing the
+            # four points with 2P = T, which no fixed-point case computes
+            raise ValueError(
+                "chart exponents (0, 4) with translation act on the smooth "
+                "fiber as the involution P -> -(P + T), T the 2-torsion "
+                "section; k3auto does not type this action yet")
         table = {(0, 0): TRANSLATION_2, (4, 2): ORDER_4, (4, 6): ORDER_4}
     else:
         table = {(0, 0): IDENTITY, (0, 4): INVOLUTION,
@@ -667,17 +662,16 @@ def _cycle_action_name(f: WeierstrassFibration,
         "classified actions" % (ex, ey))
 
 
-@dataclass
-class InvariantFiberReport:
-    """One of the two invariant fibers with its action data."""
+class InvariantFiberReport(namedtuple("InvariantFiberReport", (
+        "place kodaira label fixed_points point_counts rational_fixed_curves "
+        "points_from"))):
+    """One of the two invariant fibers with its action data.
 
-    place: Place
-    kodaira: str
-    label: str
-    fixed_points: List[FixedPoint]
-    point_counts: Tuple[int, int, int]
-    rational_fixed_curves: int
-    points_from: str  # "coordinates" or "dual-graph"
+    fixed_points is a list of FixedPoint, point_counts the (n2, n3, n4)
+    triple, and points_from "coordinates" or "dual-graph".
+    """
+
+    __slots__ = ()
 
     def to_dict(self) -> Dict:
         return {"place": str(self.place), "kodaira": self.kodaira,
@@ -688,20 +682,17 @@ class InvariantFiberReport:
                 "points_from": self.points_from}
 
 
-@dataclass
-class ActionAnalysis:
-    """Full report of an invariant fibration with its matched table row."""
+class ActionAnalysis(namedtuple("ActionAnalysis", (
+        "fibration automorphism singular_fibers inventory euler_sum "
+        "two_form_exponent invariant_fibers action matched_row checks"))):
+    """Full report of an invariant fibration with its matched table row.
 
-    fibration: WeierstrassFibration
-    automorphism: DiagonalAutomorphism
-    singular_fibers: List[FiberReport]
-    inventory: Dict[str, int]
-    euler_sum: int
-    two_form_exponent: int
-    invariant_fibers: List[InvariantFiberReport]
-    action: Tuple[str, str]
-    matched_row: ClassificationRow
-    checks: Dict[str, bool]
+    singular_fibers is a list of FiberReport, inventory the Kodaira type
+    counts, invariant_fibers the two InvariantFiberReports, checks the
+    named cross-checks.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> Dict:
         return {

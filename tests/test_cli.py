@@ -208,6 +208,21 @@ def test_analyze_without_a_smooth_invariant_fiber_exits_2(capsys, tmp_path):
                    "t=0, I_8 at t=infinity); outside the table\n")
 
 
+def test_analyze_names_the_untyped_translated_involution(capsys, tmp_path):
+    # y -> -y after the translation by T = (0, 0) is P -> -(P + T)
+    fib = write_json(tmp_path, "f.json", {
+        "form": "two-torsion", "a": [["1", 0]], "b": [["1", 0], ["1", 8]]})
+    aut = write_json(tmp_path, "g.json",
+                     {"ex": 0, "ey": 4, "et": 5, "translate": True})
+    code, out, err = run(capsys, "analyze", "--fibration", fib,
+                         "--automorphism", aut)
+    assert code == 1 and not out
+    assert err == ("error: chart exponents (0, 4) with translation act on "
+                   "the smooth fiber as the involution P -> -(P + T), T the "
+                   "2-torsion section; k3auto does not type this action "
+                   "yet\n")
+
+
 # -- examples -----------------------------------------------------------------
 
 

@@ -1,0 +1,80 @@
+"""What importing the package and running one CLI verb loads.
+
+Each case runs in a fresh interpreter and reports the modules it added to
+sys.modules, so the interpreter's own start-up modules do not count.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENUMERATE = str(Path(__file__).with_name("golden") / "inputs"
+                / "enumerate.json")
+
+_PROLOGUE = "import sys\nbefore = set(sys.modules)\n"
+_EPILOGUE = ("\nloaded = sorted(set(sys.modules) - before)\n"
+             "import json\nprint(json.dumps(loaded))\n")
+
+
+def _loaded(body):
+    """The modules a fresh interpreter loads while running body."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROLOGUE + body + _EPILOGUE],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _run_verb(*argv):
+    return ("import contextlib, io\n"
+            "from k3auto import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(%r) == 0\n" % (list(argv),))
+
+
+def test_package_import_loads_no_layer_and_no_dataclasses():
+    loaded = _loaded("import k3auto")
+    assert "k3auto" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+    assert not [m for m in loaded if m.startswith("k3auto.")]
+
+
+def test_lefschetz_verb_loads_only_its_layers():
+    loaded = _loaded(_run_verb("lefschetz", "--config", ENUMERATE))
+    assert {"k3auto.cli", "k3auto.lefschetz", "k3auto.cyclotomic"} <= loaded
+    for layer in ("classify", "fibers", "lattice", "polynomial", "maps",
+                  "weierstrass"):
+        assert "k3auto." + layer not in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_classify_verb_leaves_the_weierstrass_layers_unloaded():
+    loaded = _loaded(_run_verb("classify", "--pic", "18"))
+    assert "k3auto.classify" in loaded
+    for layer in ("polynomial", "maps", "weierstrass"):
+        assert "k3auto." + layer not in loaded
+
+
+def test_package_names_resolve_on_first_use():
+    loaded = _loaded(
+        "from k3auto import WeierstrassFibration, enumerate_cases\n"
+        "import k3auto\n"
+        "from k3auto import weierstrass\n"
+        "assert WeierstrassFibration is weierstrass.WeierstrassFibration\n"
+        "assert len(enumerate_cases()) == 16\n"
+        "assert k3auto.InvariantError is weierstrass.InvariantError\n"
+        "for name in k3auto.__all__:\n"
+        "    getattr(k3auto, name)\n"
+        "assert set(k3auto.__all__) <= set(dir(k3auto))\n"
+        "try:\n"
+        "    k3auto.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown name resolved')\n")
+    assert "k3auto.weierstrass" in loaded
