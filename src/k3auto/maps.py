@@ -26,7 +26,12 @@ x_num, x_den and y_den are free of y and every term of y_num has y to the
 first power.  Diagonal scalings are of this form, and so are 2-torsion
 translations, which are built already reduced on the curve.  Composition
 is purely formal and keeps the form: substituting y -> y * S into a
-polynomial of y-degree at most 1 gives y-degree at most 1 again.
+polynomial of y-degree at most 1 gives y-degree at most 1 again.  One
+composition builds each power of the inner map's four components, and
+each product num^e * den^(d - e) that homogenizes a substitution, at
+most once, and all four outer components read them; nothing is kept
+after the call.  A product by the polynomial 1 is free: it returns the
+other factor, which is already canonical.
 
 Equality is decided componentwise after cross-multiplying.  For maps in
 normal form it is exact without the curve equation y^2 = cubic(x, t):
@@ -49,6 +54,8 @@ from .cyclotomic import Cyc8Element, _as_fraction, zeta_pow
 
 Triple = Tuple[int, int, int]
 Key = Tuple[int, int, int, int]  # (i, j, k, l): x^i y^j t^k zeta^l
+
+_UNIT: Dict[Key, int] = {(0, 0, 0, 0): 1}  # the numerator of 1
 
 
 class CurvePolynomial:
@@ -159,6 +166,11 @@ class CurvePolynomial:
 
     def __mul__(self, other) -> "CurvePolynomial":
         other = self._coerce(other)
+        # a product by one is the other factor, already canonical
+        if other._den == 1 and other._num == _UNIT:
+            return self
+        if self._den == 1 and self._num == _UNIT:
+            return other
         acc: Dict[Key, int] = {}
         get = acc.get
         right = list(other._num.items())
@@ -191,27 +203,12 @@ class CurvePolynomial:
         t -> zeta^t_exponent * t) over the denominator x_den^dx * y_den^dy.
 
         dx and dy must bound the x- and y-degrees of self so that the
-        homogenization clears every denominator.  The terms are grouped by
-        their (x, y) exponents, so each group is multiplied out once, and
-        each power of the four components is computed once per call.
+        homogenization clears every denominator.
         """
         if dx < self.x_degree() or dy < self.y_degree():
             raise ValueError("homogenization degrees too small")
-        groups: Dict[Tuple[int, int], Dict[Key, int]] = {}
-        for (i, j, k, l), c in self._num.items():
-            # the twist zeta^(t_exponent * k), folded by zeta^4 = -1
-            l = (l + t_exponent * k) % 8
-            if l >= 4:
-                l, c = l - 4, -c
-            groups.setdefault((i, j), {})[(0, 0, k, l)] = c
-        xs = {i for i, _ in groups}
-        ys = {j for _, j in groups}
-        x_parts = _products(x_num, x_den, dx, xs)
-        y_parts = _products(y_num, y_den, dy, ys)
-        return _sum([
-            CurvePolynomial._from_ints(coeffs, self._den)
-            * x_parts[i] * y_parts[j]
-            for (i, j), coeffs in groups.items()])
+        return _Substitution(x_num, x_den, y_num, y_den,
+                             t_exponent).apply(self, dx, dy)
 
     def reduce_y(self, cubic: "CurvePolynomial") -> "CurvePolynomial":
         """Eliminate y^2 via y^2 = cubic(x, t) until the y-degree is < 2."""
@@ -253,21 +250,59 @@ def _sum(polys) -> CurvePolynomial:
     return CurvePolynomial._from_ints(acc, den)
 
 
-def _powers(p: CurvePolynomial, n: int):
-    """[p^0, p^1, ..., p^n]."""
-    out = [_ONE]
-    for _ in range(n):
-        out.append(out[-1] * p)
-    return out
+class _Substitution:
+    """x -> x_num/x_den, y -> y_num/y_den, t -> zeta^t_exponent * t, for
+    any number of polynomials.
 
+    Each power of the four components, and each product
+    num^e * den^(d - e) that homogenizes a degree-d substitution, is built
+    at most once per instance and shared by every polynomial it is
+    applied to.
+    """
 
-def _products(num: CurvePolynomial, den: CurvePolynomial, d: int, exps):
-    """{e: num^e * den^(d - e)} for each e in exps."""
-    if not exps:
-        return {}
-    nums = _powers(num, max(exps))
-    dens = _powers(den, d - min(exps))
-    return {e: nums[e] * dens[d - e] for e in exps}
+    __slots__ = ("_parts", "_powers", "_products", "_t_exponent")
+
+    def __init__(self, x_num, x_den, y_num, y_den, t_exponent: int):
+        self._parts = (x_num, x_den, y_num, y_den)
+        self._powers: Tuple[List[CurvePolynomial], ...] = (
+            [_ONE], [_ONE], [_ONE], [_ONE])
+        self._products: Dict[Tuple[int, int, int], CurvePolynomial] = {}
+        self._t_exponent = t_exponent
+
+    def _power(self, slot: int, n: int) -> CurvePolynomial:
+        powers = self._powers[slot]
+        while len(powers) <= n:
+            powers.append(powers[-1] * self._parts[slot])
+        return powers[n]
+
+    def _product(self, slot: int, e: int, d: int) -> CurvePolynomial:
+        """num^e * den^(d - e), for the x pair (slot 0) or the y pair
+        (slot 2)."""
+        key = (slot, e, d)
+        out = self._products.get(key)
+        if out is None:
+            out = self._products[key] = \
+                self._power(slot, e) * self._power(slot + 1, d - e)
+        return out
+
+    def apply(self, p: CurvePolynomial, dx: int, dy: int) -> CurvePolynomial:
+        """The numerator of p substituted, over x_den^dx * y_den^dy, for dx
+        and dy at least the x- and y-degrees of p.
+
+        The terms are grouped by their (x, y) exponents, so each group is
+        multiplied out once.
+        """
+        groups: Dict[Tuple[int, int], Dict[Key, int]] = {}
+        for (i, j, k, l), c in p._num.items():
+            # the twist zeta^(t_exponent * k), folded by zeta^4 = -1
+            l = (l + self._t_exponent * k) % 8
+            if l >= 4:
+                l, c = l - 4, -c
+            groups.setdefault((i, j), {})[(0, 0, k, l)] = c
+        return _sum([
+            CurvePolynomial._from_ints(coeffs, p._den)
+            * self._product(0, i, dx) * self._product(2, j, dy)
+            for (i, j), coeffs in groups.items()])
 
 
 class RationalMap(namedtuple("RationalMap",
@@ -291,16 +326,20 @@ class RationalMap(namedtuple("RationalMap",
 
 
 def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
-    """outer after inner, as a formal rational map."""
-    def plug(num: CurvePolynomial, den: CurvePolynomial):
+    """outer after inner, as a formal rational map.
+
+    The four components of outer share one substitution of inner, so each
+    power of inner's components is built once per call.
+    """
+    plug = _Substitution(*inner)
+
+    def pair(num: CurvePolynomial, den: CurvePolynomial):
         dx = max(num.x_degree(), den.x_degree())
         dy = max(num.y_degree(), den.y_degree())
-        args = (inner.x_num, inner.x_den, inner.y_num, inner.y_den,
-                inner.t_exponent, dx, dy)
-        return num.substitute(*args), den.substitute(*args)
+        return plug.apply(num, dx, dy), plug.apply(den, dx, dy)
 
-    xn, xd = plug(outer.x_num, outer.x_den)
-    yn, yd = plug(outer.y_num, outer.y_den)
+    xn, xd = pair(outer.x_num, outer.x_den)
+    yn, yd = pair(outer.y_num, outer.y_den)
     return RationalMap(xn, xd, yn, yd,
                        (outer.t_exponent + inner.t_exponent) % 8)
 

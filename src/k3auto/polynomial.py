@@ -63,28 +63,8 @@ class RationalPolynomial:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence]) -> "RationalPolynomial":
-        """Build from [coefficient, exponent] pairs (coefficients may repeat).
-
-        A coefficient is an int, a Fraction or a rational string such as
-        "-3/4"; any other input raises ValueError.
-        """
-        if not isinstance(pairs, (list, tuple)) or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
-            raise ValueError("expected [coefficient, exponent] pairs, not %r"
-                             % (pairs,))
-        acc: Dict[int, Fraction] = {}
-        for coeff, exp in pairs:
-            try:
-                c = Fraction(coeff) if isinstance(coeff, str) \
-                    else _as_fraction(coeff)
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise ValueError("coefficient %r is not a rational number"
-                                 % (coeff,)) from None
-            if not _is_int(exp) or exp < 0:
-                raise ValueError("exponent %r is not a non-negative integer"
-                                 % (exp,))
-            acc[exp] = acc.get(exp, Fraction(0)) + c
-        return cls(acc)
+        """Build from [coefficient, exponent] pairs (see sum_pairs)."""
+        return cls(sum_pairs(pairs))
 
     @classmethod
     def constant(cls, value: Scalar) -> "RationalPolynomial":
@@ -292,6 +272,34 @@ class RationalPolynomial:
 
     def monic(self) -> "RationalPolynomial":
         return _monic(self._num) if self._num else self
+
+
+def sum_pairs(pairs: Sequence[Sequence]) -> Dict[int, Fraction]:
+    """{exponent: coefficient} of [coefficient, exponent] pairs, summed
+    where an exponent repeats; sums that cancel stay as zero entries.
+
+    A coefficient is an int, a Fraction or a rational string such as
+    "-3/4"; any other input raises ValueError.  The dict's size is the
+    number of pairs whatever the exponents, so a caller can bound the
+    degree before it builds the dense polynomial.
+    """
+    if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+        raise ValueError("expected [coefficient, exponent] pairs, not %r"
+                         % (pairs,))
+    acc: Dict[int, Fraction] = {}
+    for coeff, exp in pairs:
+        try:
+            c = Fraction(coeff) if isinstance(coeff, str) \
+                else _as_fraction(coeff)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError("coefficient %r is not a rational number"
+                             % (coeff,)) from None
+        if not _is_int(exp) or exp < 0:
+            raise ValueError("exponent %r is not a non-negative integer"
+                             % (exp,))
+        acc[exp] = acc.get(exp, Fraction(0)) + c
+    return acc
 
 
 def _monic(f: List[int]) -> RationalPolynomial:

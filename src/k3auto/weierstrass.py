@@ -31,7 +31,7 @@ from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, ORDER_4, PRESERVE,
                      type_counts)
 from .maps import CurvePolynomial, RationalMap, compose
 from .polynomial import (Place, RationalPolynomial, _split_rational_roots, gcd,
-                         multiplicity_profile, split_by_valuation,
+                         multiplicity_profile, split_by_valuation, sum_pairs,
                          valuation_at, weierstrass_discriminant)
 
 
@@ -40,6 +40,13 @@ TWO_TORSION_FORM = "two-torsion"
 
 # degree caps (a, b) keeping the associated elliptic surface a K3
 _DEGREE_BOUNDS = {SHORT_FORM: (8, 12), TWO_TORSION_FORM: (4, 8)}
+
+# the weight of x: a section (x0, 0) has deg x0 <= 4, since for a larger
+# degree n the leading term of x0^2 (degree 2n > max(n + 4, 8)) survives
+# in x0^2 + a x0 + b
+_SECTION_DEGREE = 4
+_NOT_A_SECTION = \
+    "torsion_x0 is not a 2-torsion section: x0^2 + a x0 + b != 0"
 
 _ONE = Cyc8Element.one()
 
@@ -114,12 +121,36 @@ def _reverse(p: RationalPolynomial, weight: int) -> RationalPolynomial:
     return RationalPolynomial._from_ints(padded[::-1], p._den)
 
 
-def _pairs_field(data: Dict, key: str) -> RationalPolynomial:
-    """The polynomial of the pairs under data[key]; errors name the key."""
+def _pairs_field(data: Dict, key: str) -> Dict[int, Fraction]:
+    """The {exponent: coefficient} sum of the pairs under data[key]; errors
+    name the key."""
     try:
-        return RationalPolynomial.from_pairs(data[key])
+        return sum_pairs(data[key])
     except ValueError as err:
         raise ValueError("%r: %s" % (key, err)) from None
+
+
+def _degree(coeffs: Dict[int, Fraction]) -> int:
+    """The degree of a sparse {exponent: coefficient} sum; -1 for zero."""
+    return max((e for e, c in coeffs.items() if c), default=-1)
+
+
+def _check_datum(form: str, deg_a, deg_b) -> None:
+    if form not in (SHORT_FORM, TWO_TORSION_FORM):
+        raise ValueError("unknown Weierstrass form %r" % (form,))
+    da, db = _DEGREE_BOUNDS[form]
+    if deg_a > da or deg_b > db:
+        raise ValueError(
+            "not a K3 Weierstrass datum (need deg a <= %d, deg b <= %d)"
+            % (da, db))
+
+
+def _section_field(data: Dict) -> RationalPolynomial:
+    """data["torsion_x0"], refused before its dense list is built when its
+    degree alone shows that (x0, 0) is no section."""
+    x0 = _pairs_field(data, "torsion_x0")
+    _require(_degree(x0) <= _SECTION_DEGREE, _NOT_A_SECTION)
+    return RationalPolynomial(x0)
 
 
 class WeierstrassFibration:
@@ -127,13 +158,7 @@ class WeierstrassFibration:
 
     def __init__(self, a: RationalPolynomial, b: RationalPolynomial,
                  form: str = SHORT_FORM):
-        if form not in (SHORT_FORM, TWO_TORSION_FORM):
-            raise ValueError("unknown Weierstrass form %r" % (form,))
-        da, db = _DEGREE_BOUNDS[form]
-        if a.degree() > da or b.degree() > db:
-            raise ValueError(
-                "not a K3 Weierstrass datum (need deg a <= %d, deg b <= %d)"
-                % (da, db))
+        _check_datum(form, a.degree(), b.degree())
         self.a = a
         self.b = b
         self.form = form
@@ -173,8 +198,11 @@ class WeierstrassFibration:
     @classmethod
     def from_json(cls, data: Dict) -> "WeierstrassFibration":
         _require(isinstance(data, dict), "the fibration must be a JSON object")
-        return cls(_pairs_field(data, "a"), _pairs_field(data, "b"),
-                   data.get("form", SHORT_FORM))
+        a, b = _pairs_field(data, "a"), _pairs_field(data, "b")
+        form = data.get("form", SHORT_FORM)
+        # before the dense lists, whose length is the degree
+        _check_datum(form, _degree(a), _degree(b))
+        return cls(RationalPolynomial(a), RationalPolynomial(b), form)
 
     def __repr__(self):
         return "WeierstrassFibration(%r, %r, form=%r)" % (
@@ -302,7 +330,8 @@ class DiagonalAutomorphism(namedtuple("DiagonalAutomorphism",
         x0 = self.torsion_x0
         return DiagonalAutomorphism(
             self.ex - 4 * self.et, self.ey - 6 * self.et, -self.et,
-            self.translate, None if x0 is None else _reverse(x0, 4))
+            self.translate,
+            None if x0 is None else _reverse(x0, _SECTION_DEGREE))
 
     def to_json(self) -> Dict:
         data: Dict = {"ex": self.ex, "ey": self.ey, "et": self.et,
@@ -318,7 +347,7 @@ class DiagonalAutomorphism(namedtuple("DiagonalAutomorphism",
         return cls(ex=data["ex"], ey=data["ey"], et=data["et"],
                    translate=data.get("translate", False),
                    torsion_x0=None if data.get("torsion_x0") is None
-                   else _pairs_field(data, "torsion_x0"))
+                   else _section_field(data))
 
 
 def _coefficient_exponent_failures(p: RationalPolynomial, et: int,
@@ -369,8 +398,7 @@ def _check_section(f: WeierstrassFibration,
         raise ValueError("translation needs the 2-torsion form")
     if x0 is not None and not x0.is_zero() \
             and not (x0 * x0 + f.a * x0 + f.b).is_zero():
-        raise ValueError(
-            "torsion_x0 is not a 2-torsion section: x0^2 + a x0 + b != 0")
+        raise ValueError(_NOT_A_SECTION)
 
 
 def _invariant_charts(f: WeierstrassFibration, g: DiagonalAutomorphism

@@ -133,6 +133,34 @@ def test_analyze_parse_error_exits_1(capsys, tmp_path):
     assert code == 1 and "missing field" in err
 
 
+@pytest.mark.parametrize("exponent", [10 ** 18, 10 ** 30])
+@pytest.mark.parametrize("fibration, automorphism, message", [
+    ({"form": "short", "a": [["1", "E"]], "b": [["1", 0]]},
+     EX1_AUTOMORPHISM, "not a K3 Weierstrass datum"),
+    ({"form": "two-torsion", "a": [["1", 0]], "b": [["1", "E"], ["1", 0]]},
+     EX1_AUTOMORPHISM, "not a K3 Weierstrass datum"),
+    ({"form": "two-torsion", "a": [["2", 4]], "b": [["1", 8], ["-1", 0]]},
+     {"ex": 4, "ey": 2, "et": 7, "translate": True,
+      "torsion_x0": [["-1", "E"], ["1", 0]]},
+     "torsion_x0 is not a 2-torsion section"),
+], ids=["a", "b", "torsion_x0"])
+def test_huge_exponent_is_refused_by_its_degree(capsys, tmp_path, exponent,
+                                               fibration, automorphism,
+                                               message):
+    # the degree is read from the sparse pairs: a dense list of
+    # exponent + 1 coefficients would not fit in memory
+    def fill(data):
+        return {key: [[c, exponent if e == "E" else e] for c, e in value]
+                if key in ("a", "b", "torsion_x0") else value
+                for key, value in data.items()}
+    code, out, err = run(
+        capsys, "analyze",
+        "--fibration", write_json(tmp_path, "f.json", fill(fibration)),
+        "--automorphism", write_json(tmp_path, "g.json", fill(automorphism)))
+    assert code == 1 and out == ""
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
 CHECK_CONFIG = {"curves": [{"genus": 1, "normal_exp": 1}],
                 "n2": 2, "n3": 0, "n4": 0}
 

@@ -1,11 +1,16 @@
 """Exact self-maps of a Weierstrass surface."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from k3auto.cyclotomic import Cyc8Element, zeta_pow
 from k3auto.maps import CurvePolynomial, RationalMap, compose, maps_equal
+from k3auto.polynomial import RationalPolynomial
+from k3auto.weierstrass import (DiagonalAutomorphism, WeierstrassFibration,
+                                automorphism_map, torsion_translation)
 
 X = CurvePolynomial.coordinate("x")
 Y = CurvePolynomial.coordinate("y")
@@ -89,3 +94,60 @@ def test_terms_view_round_trips_through_the_constructor():
     assert p.terms[(1, 0, 0)] == Cyc8Element([0, 0, 0, Fraction(1, 3)])
     with pytest.raises(TypeError):
         p.terms[(0, 0, 0)] = Cyc8Element.one()
+
+
+def test_product_by_one_is_the_other_factor():
+    p = (X * Fraction(1, 3) + Y * T) * (X + CurvePolynomial.constant(
+        zeta_pow(3)))
+    for q in (p, X, ONE, CurvePolynomial()):
+        for one in (ONE, CurvePolynomial.constant(1), 1):
+            assert q * one == q and one * q == q
+            assert hash(q * one) == hash(q) == hash(one * q)
+            # an operand, not a product multiplied out
+            assert all(any(r is f for f in (q, one))
+                       for r in (q * one, one * q))
+
+
+def _example4_maps():
+    """tau, diag(4,2,7), sigma and sigma with the conjugate section
+    x0 = -t^4 + 1, all on y^2 = x (x^2 + 2 t^4 x + t^8 - 1)."""
+    f = WeierstrassFibration(RationalPolynomial({4: 2}),
+                             RationalPolynomial({8: 1, 0: -1}),
+                             form="two-torsion")
+    x0 = RationalPolynomial({4: -1, 0: 1})
+    return [torsion_translation(f), RationalMap.diagonal(4, 2, 7),
+            automorphism_map(f, DiagonalAutomorphism(4, 2, 7,
+                                                     translate=True)),
+            automorphism_map(f, DiagonalAutomorphism(4, 2, 7, translate=True,
+                                                     torsion_x0=x0))]
+
+
+def test_compose_substitutes_each_component():
+    # one substitution shared by the four components gives what each
+    # component's own substitute gives, at the degrees of its fraction
+    maps = _example4_maps()
+    for outer, inner in itertools.product(maps, repeat=2):
+        composed = compose(outer, inner)
+        for num, den, got in ((outer.x_num, outer.x_den, composed[:2]),
+                              (outer.y_num, outer.y_den, composed[2:4])):
+            dx = max(num.x_degree(), den.x_degree())
+            dy = max(num.y_degree(), den.y_degree())
+            args = (inner.x_num, inner.x_den, inner.y_num, inner.y_den,
+                    inner.t_exponent, dx, dy)
+            assert got == (num.substitute(*args), den.substitute(*args))
+        assert composed.t_exponent == \
+            (outer.t_exponent + inner.t_exponent) % 8
+
+
+def test_compose_is_associative():
+    rng = random.Random(14)
+    translations = _example4_maps()[::2]
+    for _ in range(12):
+        triple = [rng.choice(translations) if rng.random() < 0.5
+                  else RationalMap.diagonal(rng.randrange(8),
+                                            rng.randrange(8),
+                                            rng.randrange(8))
+                  for _ in range(3)]
+        f, g, h = triple
+        assert maps_equal(compose(compose(f, g), h),
+                          compose(f, compose(g, h))), triple
