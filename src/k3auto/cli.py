@@ -58,11 +58,6 @@ def _load_json(path: str):
         raise ValueError("%s is not valid JSON: %s" % (path, err))
 
 
-def _poly_str(p) -> str:
-    text = repr(p)
-    return text[5:-1] if text.startswith("Poly(") else text
-
-
 def _mark(ok: bool) -> str:
     return "pass" if ok else "FAIL"
 
@@ -97,8 +92,8 @@ def _analysis_table(analysis) -> str:
     from .classify import render_csv
     f = analysis.fibration
     lines = ["form: %s" % f.form,
-             "a(t) = %s" % _poly_str(f.a),
-             "b(t) = %s" % _poly_str(f.b)]
+             "a(t) = %s" % f.a,
+             "b(t) = %s" % f.b]
     inventory = ", ".join("%s x %d" % (tag, count)
                           for tag, count in analysis.inventory.items())
     lines.append("singular fibers: %s (Euler sum %d)"
@@ -146,11 +141,12 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_params(text: Optional[str]) -> Optional[List[Fraction]]:
+    from .polynomial import parse_rational
     if text is None:
         return None
     try:
-        return [Fraction(piece.strip()) for piece in text.split(",")]
-    except (ValueError, ZeroDivisionError) as err:
+        return [parse_rational(piece) for piece in text.split(",")]
+    except ValueError as err:
         raise ValueError("bad --params %r: %s" % (text, err))
 
 
@@ -194,27 +190,6 @@ def cmd_examples(args) -> int:
 # -- lefschetz --------------------------------------------------------------
 
 
-def _linear_str(coeffs: Sequence[int], names: Sequence[str],
-                rhs: int) -> str:
-    parts: List[str] = []
-    for c, name in zip(coeffs, names):
-        if c == 0:
-            continue
-        if c == 1:
-            term = name
-        elif c == -1:
-            term = "-" + name
-        else:
-            term = "%d*%s" % (c, name)
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append("- " + term[1:])
-        else:
-            parts.append("+ " + term)
-    return "%s = %d" % (" ".join(parts) if parts else "0", rhs)
-
-
 _COUNT_NAMES = ("n2", "n3", "n4", "alpha")
 
 
@@ -227,11 +202,13 @@ def _as_count(data, key: str) -> int:
 
 
 def _lefschetz_check(data, fmt: str) -> int:
+    from .cyclotomic import format_sum
     from .lefschetz import (FixedLocusConfig, derive_prop1_constraints,
                             holo_target, holo_total, prop1_residuals)
     config = FixedLocusConfig.from_json(data)
     residuals = prop1_residuals(config.n2, config.n3, config.n4, config.alpha)
-    entries = [{"equation": _linear_str(row[:4], _COUNT_NAMES, row[4]),
+    entries = [{"equation": "%s = %d" % (
+                    format_sum(zip(row[:4], _COUNT_NAMES)) or "0", row[4]),
                 "residual": r, "ok": r == 0}
                for row, r in zip(derive_prop1_constraints(), residuals)]
     total, holo_ok = holo_total(config, 1)

@@ -8,7 +8,9 @@ canonical).
 
 The field contains i = z^2 and sqrt(2) = z - z^3, which covers all the
 eigenvalue bookkeeping done elsewhere in the package.  Nothing here knows
-about polynomials or geometry; this module is the arithmetic floor.
+about polynomials or geometry; this module is the arithmetic floor, and it
+also holds the two ring idioms every ring of the package shares:
+`format_sum` writes a sum of terms and `power` raises to a power.
 """
 
 from __future__ import annotations
@@ -27,6 +29,35 @@ def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError("expected an int or Fraction, got %r" % (value,))
+
+
+def format_sum(pairs: Iterable[Tuple[Scalar, str]]) -> str:
+    """The nonzero (coefficient, monomial) pairs as "c*m + m - ...", an
+    empty monomial standing for 1; "" when every coefficient is 0."""
+    out = ""
+    for c, mono in pairs:
+        if c:
+            size = abs(c)
+            term = "%s*%s" % (size, mono) if mono and size != 1 \
+                else mono or str(size)
+            if out:
+                out += (" - " if c < 0 else " + ") + term
+            else:
+                out = ("-" if c < 0 else "") + term
+    return out
+
+
+def power(base, n: int, one):
+    """base ** n for an int n >= 0 by repeated squaring, one being the
+    unit of base's ring; no product by one is formed."""
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if out is None else out
 
 
 class Cyc8Element:
@@ -125,16 +156,7 @@ class Cyc8Element:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.invert() ** (-n)
-        out = Cyc8Element.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self.invert(), -n, ONE) if n < 0 else power(self, n, ONE)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -198,34 +220,15 @@ class Cyc8Element:
         return hash(self.coords)
 
     def __repr__(self):
-        terms = []
-        for c, name in zip(self.coords, _BASIS_NAMES):
-            if c == 0:
-                continue
-            if name == "":
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(name)
-            elif c == -1:
-                terms.append("-" + name)
-            else:
-                terms.append("%s*%s" % (c, name))
-        if not terms:
-            return "Cyc8(0)"
-        out = terms[0]
-        for t in terms[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return "Cyc8(%s)" % out
+        return "Cyc8(%s)" % (format_sum(zip(self.coords, _BASIS_NAMES))
+                             or "0")
 
 
 def zeta_pow(e: int) -> Cyc8Element:
     """Canonical representation of zeta_8^e (e arbitrary, reduced mod 8)."""
     e = e % 8
     coords = [Fraction(0)] * 4
-    if e < 4:
-        coords[e] = Fraction(1)
-    else:
-        coords[e - 4] = Fraction(-1)
+    coords[e % 4] = Fraction(1 if e < 4 else -1)
     return Cyc8Element(coords)
 
 

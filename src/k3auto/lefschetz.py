@@ -26,7 +26,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .cyclotomic import Cyc8Element, zeta_pow
+from .cyclotomic import ONE, ZERO, Cyc8Element, zeta_pow
 
 _ADMISSIBLE_T = (2, 3, 4)
 
@@ -114,14 +114,14 @@ def holo_target(power_j: int) -> Cyc8Element:
     """1 + zeta^(8-j): trace of sigma^j on H^0 + H^2 of the structure sheaf."""
     if power_j not in (1, 2, 4):
         raise ValueError("supported powers are 1, 2, 4")
-    return Cyc8Element.one() + zeta_pow(8 - power_j)
+    return ONE + zeta_pow(8 - power_j)
 
 
 def point_term_exponents(e1: int, e2: int) -> Cyc8Element:
     """1 / ((1 - z^e1)(1 - z^e2)); both exponents nonzero mod 8."""
     if e1 % 8 == 0 or e2 % 8 == 0:
         raise ValueError("isolated point needs nonzero tangent exponents")
-    den = (Cyc8Element.one() - zeta_pow(e1)) * (Cyc8Element.one() - zeta_pow(e2))
+    den = (ONE - zeta_pow(e1)) * (ONE - zeta_pow(e2))
     return den.invert()
 
 
@@ -134,9 +134,8 @@ def curve_term(c: FixedCurve) -> Cyc8Element:
     e = c.normal_exponent % 8
     if e == 0:
         raise ValueError("fixed curve needs a nontrivial normal eigenvalue")
-    one = Cyc8Element.one()
-    num = one + zeta_pow(e)
-    den = (one - zeta_pow(e)) * (one - zeta_pow(e))
+    num = ONE + zeta_pow(e)
+    den = (ONE - zeta_pow(e)) ** 2
     return (num * den.invert()) * Fraction(1 - c.genus)
 
 
@@ -151,7 +150,7 @@ def holo_total(config: FixedLocusConfig,
     power_j=2 treats all N isolated points as type (6,4); curves should
     carry normal exponent 2 (genus-1 curves contribute 0 regardless).
     """
-    total = Cyc8Element.zero()
+    total = ZERO
     if power_j == 1:
         for count, t in ((config.n2, 2), (config.n3, 3), (config.n4, 4)):
             if count:

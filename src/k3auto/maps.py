@@ -50,12 +50,10 @@ from functools import reduce
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .cyclotomic import Cyc8Element, _as_fraction, zeta_pow
+from .cyclotomic import Cyc8Element, _as_fraction, power, zeta_pow
 
 Triple = Tuple[int, int, int]
 Key = Tuple[int, int, int, int]  # (i, j, k, l): x^i y^j t^k zeta^l
-
-_UNIT: Dict[Key, int] = {(0, 0, 0, 0): 1}  # the numerator of 1
 
 
 class CurvePolynomial:
@@ -167,9 +165,9 @@ class CurvePolynomial:
     def __mul__(self, other) -> "CurvePolynomial":
         other = self._coerce(other)
         # a product by one is the other factor, already canonical
-        if other._den == 1 and other._num == _UNIT:
+        if other._den == 1 and other._num == _ONE._num:
             return self
-        if self._den == 1 and self._num == _UNIT:
+        if self._den == 1 and self._num == _ONE._num:
             return other
         acc: Dict[Key, int] = {}
         get = acc.get
@@ -190,10 +188,7 @@ class CurvePolynomial:
     def __pow__(self, n: int) -> "CurvePolynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = CurvePolynomial.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, _ONE)
 
     # -- substitution and reduction -----------------------------------------
 

@@ -32,7 +32,7 @@ from functools import reduce
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cyclotomic import Scalar, _as_fraction
+from .cyclotomic import Scalar, _as_fraction, format_sum, power
 
 NEG_INF = float("-inf")
 
@@ -197,14 +197,7 @@ class RationalPolynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = RationalPolynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, RationalPolynomial._from_ints([1]))
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -247,22 +240,12 @@ class RationalPolynomial:
     def __hash__(self):
         return hash((tuple(self._num), self._den))
 
+    def __str__(self):
+        return format_sum((c, "t^%d" % e if e > 1 else "t" * e)
+                          for e, c in reversed(self.coeffs.items())) or "0"
+
     def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        terms = []
-        for exp, c in reversed(self.coeffs.items()):
-            var = "t" if exp == 1 else "t^%d" % exp
-            if exp == 0:
-                terms.append(str(c))
-            elif abs(c) == 1:
-                terms.append(("-" if c < 0 else "") + var)
-            else:
-                terms.append("%s*%s" % (c, var))
-        out = terms[0]
-        for t in terms[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return "Poly(%s)" % out
+        return "Poly(%s)" % self
 
     # -- calculus and normal forms ----------------------------------------
 
@@ -278,9 +261,9 @@ def sum_pairs(pairs: Sequence[Sequence]) -> Dict[int, Fraction]:
     """{exponent: coefficient} of [coefficient, exponent] pairs, summed
     where an exponent repeats; sums that cancel stay as zero entries.
 
-    A coefficient is an int, a Fraction or a rational string such as
-    "-3/4"; any other input raises ValueError.  The dict's size is the
-    number of pairs whatever the exponents, so a caller can bound the
+    A coefficient is an int, a Fraction or a string parse_rational reads,
+    such as "-3/4"; any other input raises ValueError.  The dict's size is
+    the number of pairs whatever the exponents, so a caller can bound the
     degree before it builds the dense polynomial.
     """
     if not isinstance(pairs, (list, tuple)) or not all(
@@ -290,16 +273,31 @@ def sum_pairs(pairs: Sequence[Sequence]) -> Dict[int, Fraction]:
     acc: Dict[int, Fraction] = {}
     for coeff, exp in pairs:
         try:
-            c = Fraction(coeff) if isinstance(coeff, str) \
+            c = parse_rational(coeff) if isinstance(coeff, str) \
                 else _as_fraction(coeff)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except TypeError:
             raise ValueError("coefficient %r is not a rational number"
                              % (coeff,)) from None
+        except ValueError as err:
+            raise ValueError("coefficient %s" % err) from None
         if not _is_int(exp) or exp < 0:
             raise ValueError("exponent %r is not a non-negative integer"
                              % (exp,))
         acc[exp] = acc.get(exp, Fraction(0)) + c
     return acc
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational a string such as "-3/4", "0.5" or " 2 " denotes.  No
+    exponent notation: "1e3000000" is nine characters for 3 million digits.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError("%r is in exponent notation; write it as an "
+                         "integer, p/q or a decimal" % (text,))
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("%r is not a rational number" % (text,)) from None
 
 
 def _monic(f: List[int]) -> RationalPolynomial:
@@ -618,7 +616,7 @@ class Place(namedtuple("Place", "kind t0 poly", defaults=(None, None))):
         if self.kind == "finite-rational":
             return "t=%s" % self.t0
         if self.kind == "finite-irreducible":
-            return "roots of %s" % repr(self.poly)[5:-1]
+            return "roots of %s" % self.poly
         return "t=infinity"
 
 

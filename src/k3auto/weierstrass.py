@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .classify import enumerate_cases, match_row, validate_row
-from .cyclotomic import Cyc8Element, zeta_pow
+from .cyclotomic import ONE, Cyc8Element, zeta_pow
 from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, ORDER_4, PRESERVE,
                      REFLECTION, ROTATION_2, TRANSLATION_2, FiberAction,
                      FiberShape, action_label, fiber_fixed_data, point_type,
@@ -47,8 +47,6 @@ _DEGREE_BOUNDS = {SHORT_FORM: (8, 12), TWO_TORSION_FORM: (4, 8)}
 _SECTION_DEGREE = 4
 _NOT_A_SECTION = \
     "torsion_x0 is not a 2-torsion section: x0^2 + a x0 + b != 0"
-
-_ONE = Cyc8Element.one()
 
 
 def convert_two_torsion_form(
@@ -544,7 +542,7 @@ def _translate_fixed_points(f: WeierstrassFibration,
 
     # y != 0: the y-condition is linear in x, then the x-condition must
     # hold on the nose and the point must avoid the 2-torsion locus
-    x_sol = V * (_ONE + zeta_pow(ey)) * (_ONE + zeta_pow((ey - ex) % 8)).invert()
+    x_sol = V * (ONE + zeta_pow(ey)) * (ONE + zeta_pow((ey - ex) % 8)).invert()
     f_val = ((x_sol + C2) * x_sol + C1) * x_sol
     shifted = zeta_pow((-ex) % 8) * x_sol + C2 + x_sol + V
     rhs = shifted * (x_sol - V) * (x_sol - V)
@@ -561,7 +559,7 @@ def _translate_fixed_points(f: WeierstrassFibration,
                 points.append(FixedPoint(
                     "(%sx2, 0), x2^2 = %s" % (sign, -c1), base, uniform))
         elif ex % 8 in (2, 6) and c2 != 0:
-            r = (-C2) * (_ONE + zeta_pow((-ex) % 8)).invert()
+            r = (-C2) * (ONE + zeta_pow((-ex) % 8)).invert()
             if r * r == zeta_pow(ex) * C1:
                 points.append(FixedPoint("(%r, 0)" % r, base, uniform))
     # section_x != 0: the swap moves (0,0) to the third point and back,

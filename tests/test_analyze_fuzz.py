@@ -136,14 +136,22 @@ huge_exponents = st.one_of(
 wide_coefficients = st.integers(10 ** 29, 10 ** 30 - 1).flatmap(
     lambda n: st.sampled_from(
         [n, -n, str(n), "-%d/%d" % (n, n // 7 + 1), "1/%d" % n]))
+# exponent notation, refused whatever it denotes: "1e3000000" would be a
+# 3-million-digit integer
+exponent_coefficients = st.builds(
+    "{}{}{}{}".format, st.sampled_from(["", "-", "+"]),
+    st.sampled_from(["1", "2.5", "0.125", ".5", "7."]),
+    st.sampled_from(["e", "E"]),
+    st.sampled_from(["0", "3", "-7", "+12", "400", "3000000"]))
 
 
 def _mutate(draw, doc):
     """doc with one mutation: a wrong type, NaN, a huge exponent, a
-    30-digit coefficient, a missing field or an extra field."""
+    30-digit coefficient, a coefficient in exponent notation, a missing
+    field or an extra field."""
     kind = draw(st.sampled_from(
         ["wrong-type", "nan", "huge-exponent", "wide-coefficient",
-         "missing", "extra"]))
+         "exponent-coefficient", "missing", "extra"]))
     if kind == "missing":
         if doc:
             del doc[draw(st.sampled_from(sorted(doc)))]
@@ -155,8 +163,8 @@ def _mutate(draw, doc):
              if isinstance(doc.get(key), list)
              for i, pair in enumerate(doc[key])
              if isinstance(pair, list) and len(pair) == 2]
-    if kind in ("huge-exponent", "wide-coefficient") or (
-            pairs and draw(st.booleans())):
+    if kind in ("huge-exponent", "wide-coefficient",
+                "exponent-coefficient") or (pairs and draw(st.booleans())):
         if not pairs:
             # a section field where none was: the automorphism's own
             doc["torsion_x0"] = [["1", 0]]
@@ -166,7 +174,8 @@ def _mutate(draw, doc):
             "wrong-type", "nan") else int(kind == "huge-exponent")
         value = {"wrong-type": wrong_types, "nan": st.just(float("nan")),
                  "huge-exponent": huge_exponents,
-                 "wide-coefficient": wide_coefficients}[kind]
+                 "wide-coefficient": wide_coefficients,
+                 "exponent-coefficient": exponent_coefficients}[kind]
         doc[key][i][slot] = draw(value)
     elif doc:
         key = draw(st.sampled_from(sorted(doc)))
@@ -185,6 +194,18 @@ def malformed_inputs(draw):
     if draw(st.sampled_from([False] * 9 + [True])):
         docs[draw(st.sampled_from([0, 1]))] = draw(wrong_types)
     return tuple(docs)
+
+
+def _exponent_coefficient_read(docs):
+    """Whether a pair field analyze reads (a and b of the fibration,
+    torsion_x0 of the automorphism) has a coefficient in exponent
+    notation."""
+    return any(isinstance(doc, dict) and isinstance(doc.get(key), list)
+               and any(isinstance(pair, list) and pair
+                       and isinstance(pair[0], str) and "e" in pair[0].lower()
+                       for pair in doc[key])
+               for doc, keys in zip(docs, (("a", "b"), ("torsion_x0",)))
+               for key in keys)
 
 
 @EXAMPLES
@@ -209,3 +230,5 @@ def test_analyze_on_malformed_golden_inputs(workdir, docs):
         assert "Traceback" not in err.getvalue()
     else:
         assert not err.getvalue()
+    # such a coefficient is refused, whatever it denotes
+    assert code == 1 or not _exponent_coefficient_read(docs)

@@ -278,6 +278,34 @@ def test_examples_tau_variant(capsys):
     assert json.loads(out)["matched_row"] == 4
 
 
+@pytest.mark.parametrize("text", ["1e400", "1E400", "-2.5e-3", "1e3000000"])
+def test_both_verbs_refuse_exponent_notation(capsys, tmp_path, text):
+    fibration = dict(EX1_FIBRATION, a=[[text, 8], ["1", 0]])
+    code, out, err = run(capsys, "analyze",
+                         "--fibration", write_json(tmp_path, "f.json",
+                                                   fibration),
+                         "--automorphism", write_json(tmp_path, "g.json",
+                                                      EX1_AUTOMORPHISM))
+    assert code == 1 and out == ""
+    assert err == ("error: 'a': coefficient %r is in exponent notation; "
+                   "write it as an integer, p/q or a decimal\n" % text)
+    code, out, err = run(capsys, "examples", "--id", "1",
+                         "--params=%s,1,1,3" % text)
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad --params") and err.count("\n") == 1
+    assert "exponent notation" in err
+
+
+def test_rational_strings_keep_their_values(capsys):
+    # decimals, fractions and padded integers read as before
+    code, out, _ = run(capsys, "examples", "--id", "1", "--params",
+                       " 2 ,0.5,-3/4,3", "--format", "json")
+    assert code == 0
+    code, same, _ = run(capsys, "examples", "--id", "1", "--params",
+                        "2,1/2,-0.75,3", "--format", "json")
+    assert code == 0 and out == same
+
+
 def test_examples_bad_inputs(capsys):
     code, _, err = run(capsys, "examples", "--id", "5")
     assert code == 1 and "must be one of" in err

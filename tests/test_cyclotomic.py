@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from k3auto.cyclotomic import (Cyc8Element, I_UNIT, ONE, ZERO, ZETA,
-                               zeta_pow)
+                               format_sum, power, zeta_pow)
+from k3auto.maps import CurvePolynomial
+from k3auto.polynomial import RationalPolynomial
 
 
 def random_element(rng, bound=12):
@@ -87,3 +89,77 @@ def test_rational_embedding_and_mixed_ops():
     assert 2 * ZETA == ZETA * 2
     assert 1 - ZETA == -(ZETA - 1)
     assert Fraction(1, 2) * ONE == Cyc8Element.from_rational(Fraction(1, 2))
+
+
+# -- the shared ring idioms -------------------------------------------------
+
+
+@pytest.mark.parametrize("pairs, text", [
+    ([(0, "x"), (Fraction(0), ""), (0, "y")], ""),
+    ([], ""),
+    ([(-3, "x"), (2, "y")], "-3*x + 2*y"),
+    ([(-1, "x"), (1, "y"), (-1, "z")], "-x + y - z"),
+    ([(1, "x"), (-1, "")], "x - 1"),
+    ([(5, "")], "5"),
+    ([(-5, "")], "-5"),
+    ([(Fraction(1, 2), "t^2"), (0, "t"), (Fraction(-3, 4), "")],
+     "1/2*t^2 - 3/4"),
+    ([(2, "n2"), (Fraction(-1, 3), "n3")], "2*n2 - 1/3*n3"),
+], ids=["all-zero", "empty", "negative-leading", "unit-coefficients",
+        "lone-constant-one", "lone-constant", "negative-lone-constant",
+        "negative-constant-after-terms", "fraction-coefficients"])
+def test_format_sum(pairs, text):
+    assert format_sum(pairs) == text
+
+
+def test_reprs_share_the_signed_sum():
+    assert repr(ZERO) == "Cyc8(0)"
+    assert repr(Cyc8Element((Fraction(-1, 2), 1, 0, -3))) \
+        == "Cyc8(-1/2 + z - 3*z^3)"
+    t = RationalPolynomial.variable()
+    p = 2 * t ** 3 - t + Fraction(-7, 2)
+    assert repr(p) == "Poly(2*t^3 - t - 7/2)"
+    assert str(p) == "2*t^3 - t - 7/2"
+    assert str(RationalPolynomial.zero()) == "0"
+    assert repr(RationalPolynomial.zero()) == "Poly(0)"
+
+
+def _repeated_product(base, n, one):
+    out = one
+    for _ in range(n):
+        out = out * base
+    return out
+
+
+def _ring_samples():
+    rng = random.Random(80803)
+    t = RationalPolynomial.variable()
+    x, y = CurvePolynomial.coordinate("x"), CurvePolynomial.coordinate("y")
+    zeta_t = CurvePolynomial({(0, 0, 1): ZETA})
+    return [
+        (random_element(rng), ONE),
+        (ONE + ZETA, ONE),
+        (ZERO, ONE),
+        (Fraction(1, 3) * t ** 2 - 2 * t + Fraction(5, 7),
+         RationalPolynomial.constant(1)),
+        (RationalPolynomial.constant(-2), RationalPolynomial.constant(1)),
+        (x * y + zeta_t * Fraction(1, 2) - 3, CurvePolynomial.constant(1)),
+        (CurvePolynomial.constant(ZETA), CurvePolynomial.constant(1)),
+    ]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_power_is_the_repeated_product_in_all_three_rings(n):
+    for base, one in _ring_samples():
+        expected = _repeated_product(base, n, one)
+        assert power(base, n, one) == expected
+        assert base ** n == expected
+
+
+def test_each_ring_keeps_its_rule_for_negative_powers():
+    x = ONE + ZETA
+    assert x ** -3 == _repeated_product(x.invert(), 3, ONE)
+    with pytest.raises(TypeError):
+        RationalPolynomial.variable() ** -1
+    with pytest.raises(ValueError):
+        CurvePolynomial.coordinate("x") ** -1

@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-ENUMERATE = str(Path(__file__).with_name("golden") / "inputs"
-                / "enumerate.json")
+INPUTS = Path(__file__).with_name("golden") / "inputs"
+ENUMERATE = str(INPUTS / "enumerate.json")
 
 _PROLOGUE = "import sys\nbefore = set(sys.modules)\n"
 _EPILOGUE = ("\nloaded = sorted(set(sys.modules) - before)\n"
@@ -78,3 +78,17 @@ def test_package_names_resolve_on_first_use():
         "else:\n"
         "    raise AssertionError('unknown name resolved')\n")
     assert "k3auto.weierstrass" in loaded
+
+
+def test_no_verb_loads_a_test_only_dependency():
+    # sympy and hypothesis serve the oracle tests; the package runs without
+    verbs = [("classify", "--pic", "all"),
+             ("lefschetz", "--config", ENUMERATE),
+             ("examples", "--id", "4", "--preset", "i8"),
+             ("analyze", "--fibration", str(INPUTS / "readme.json"),
+              "--automorphism", str(INPUTS / "scaling-001.json"))]
+    for argv in verbs:
+        loaded = _loaded(_run_verb(*argv))
+        assert "k3auto.cli" in loaded
+        assert not [m for m in loaded
+                    if m.split(".")[0] in ("sympy", "hypothesis")], argv
