@@ -37,7 +37,7 @@ _EXPORTS = {
                    "valuation_at", "weierstrass_discriminant"),
     "weierstrass": ("ActionAnalysis", "DiagonalAutomorphism", "FiberReport",
                     "FixedPoint", "WeierstrassFibration", "analyze_action",
-                    "check_invariance", "convert_two_torsion_form",
+                    "convert_two_torsion_form",
                     "fiber_inventory", "fiber_reports",
                     "fixed_points_on_fiber", "kodaira_symbol",
                     "kodaira_type_at", "two_form_multiplier",

@@ -11,8 +11,9 @@ Every verb honours ``--format {table,json,csv}``; the ``K3AUTO_FORMAT``
 environment variable supplies the default.  Output is deterministic:
 identical inputs give byte-identical output.
 
-Exit codes: 0 success (and all reported checks pass), 1 bad input or a
-failed check, 2 a geometric invariant is violated.
+Exit codes: 0 success (and all reported checks pass), 1 bad input (a
+usage error included) or a failed check, 2 a geometric invariant is
+violated.
 
 Each verb imports the layers it runs when it runs: ``lefschetz`` loads
 only the Lefschetz and cyclotomic modules, ``classify`` not the
@@ -302,8 +303,26 @@ def cmd_lefschetz(args) -> int:
 # -- driver -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error is bad input like any other: one line and exit 1;
+    # the verbs' parsers are of this class too
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _join_params(argv: Sequence[str]) -> List[str]:
+    # "--params V" as "--params=V": argparse reads a V such as -2,1,1,3
+    # as an option
+    args = list(argv)
+    if "--params" in args[:-1]:
+        i = args.index("--params")
+        if not args[i + 1].startswith("--"):
+            args[i:i + 2] = ["--params=" + args[i + 1]]
+    return args
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="k3auto",
         description="order-8 purely non-symplectic K3 automorphisms: "
                     "classification table, fibration analysis, fixed-point "
@@ -344,9 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
     try:
+        args = build_parser().parse_args(_join_params(argv))
         return args.func(args)
     except InvariantError as err:
         sys.stderr.write("invariant violated: %s\n" % err)

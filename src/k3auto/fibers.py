@@ -93,15 +93,6 @@ class FiberShape(namedtuple("FiberShape", "kind n")):
         return "IV*" if self.kind == IV_STAR else "smooth"
 
 
-def euler_number(shape: FiberShape) -> int:
-    if shape.kind == SMOOTH:
-        return 0
-    if shape.kind == I_CYCLE:
-        assert shape.n is not None
-        return shape.n
-    return 8
-
-
 class FiberAction(namedtuple("FiberAction", "name split")):
     """Combinatorial action label; order-4 elliptic actions carry the split
     of their two fixed points between types (2,7) and (3,6)."""

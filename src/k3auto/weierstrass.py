@@ -374,11 +374,6 @@ def invariance_failures(f: WeierstrassFibration,
     return failures
 
 
-def check_invariance(f: WeierstrassFibration, g: DiagonalAutomorphism) -> bool:
-    """True iff the scaling maps the surface to itself."""
-    return not invariance_failures(f, g)
-
-
 def two_form_multiplier(g: DiagonalAutomorphism) -> int:
     """Exponent e with pullback of (dt dx)/y = zeta^e (dt dx)/y.
 
@@ -397,6 +392,24 @@ def _check_section(f: WeierstrassFibration,
     if x0 is not None and not x0.is_zero() \
             and not (x0 * x0 + f.a * x0 + f.b).is_zero():
         raise ValueError(_NOT_A_SECTION)
+
+
+def _check_generator(f: WeierstrassFibration,
+                     g: DiagonalAutomorphism) -> None:
+    """The checks every analysis of g on f starts with: invariance, the
+    translation section, and the 2-form multiplier zeta."""
+    failures = invariance_failures(f, g)
+    if failures:
+        raise InvariantError(
+            "the scaling does not preserve the fibration: "
+            + "; ".join(failures))
+    if g.translate:
+        _check_section(f, g.torsion_x0)
+    exponent = two_form_multiplier(g)
+    if exponent != 1:
+        raise InvariantError(
+            "the 2-form multiplier is zeta^%d; table matching needs the "
+            "generator with multiplier zeta" % exponent)
 
 
 def _invariant_charts(f: WeierstrassFibration, g: DiagonalAutomorphism
@@ -441,14 +454,6 @@ class FixedPoint(namedtuple("FixedPoint",
     def pair(self) -> Tuple[int, int]:
         return (self.base_exponent, self.tangent_exponent)
 
-    def point_type(self) -> int:
-        """The type slot min(t, s) for pairs with t + s = 1 mod 8."""
-        low = point_type(*self.pair)
-        if low is None:
-            raise ValueError("pair %r is not an order-8 isolated point type"
-                             % (self.pair,))
-        return low
-
     def to_dict(self) -> Dict:
         return {"description": self.description,
                 "pair": [self.base_exponent, self.tangent_exponent],
@@ -478,35 +483,24 @@ def _check_tangent(case_exponent: int, uniform: int, where: str) -> int:
 
 def _fixed_points_at_zero(f: WeierstrassFibration,
                           g: DiagonalAutomorphism) -> List[FixedPoint]:
-    """Isolated fixed points on the smooth fiber over t = 0; the
-    translation data is already checked."""
-    if g.translate:
-        return _translate_fixed_points(f, g)
+    """Isolated fixed points of the scaling with chart exponents (0, 4),
+    (4, 2) or (4, 6) on the smooth fiber over t = 0."""
     ex, ey, base = g.exponents()
     c2, c1, c0 = cubic_at(f)
-    if (ex, ey) == (0, 0):
-        raise ValueError("the action is the identity on this fiber; its "
-                         "fixed locus is not a finite set of points")
     uniform = (ex - ey) % 8
     # at infinity of the cubic, x/y is a local coordinate scaling by
     # zeta^(ex - ey)
     points = [FixedPoint("point at infinity", base, uniform)]
-    fiber = RationalPolynomial({3: Fraction(1), 2: c2, 1: c1, 0: c0})
     if c0 == 0:
         # (0,0) on the curve; F_x = -c1 != 0 there, y is a coordinate
         tangent = _check_tangent(ey, uniform, "(0, 0)")
         points.append(FixedPoint("(0, 0)", base, tangent))
-    if ey % 8 == 0 and c0 != 0:
-        # x = 0 off the branch locus: (0, y0) and (0, -y0) fixed separately
-        tangent = _check_tangent(ex, uniform, "(0, y0)")
-        for sign in ("", "-"):
-            points.append(FixedPoint(
-                "(0, %sy0), y0^2 = %s" % (sign, c0), base, tangent))
-    if ex % 8 == 0:
+    if ex == 0:
         # every 2-torsion point (x0, 0); x is frozen so y is a coordinate
         tangent = _check_tangent(ey, uniform, "(x0, 0)")
         # the fiber is smooth, so its cubic is squarefree
-        roots, residual = _split_rational_roots(fiber)
+        roots, residual = _split_rational_roots(
+            RationalPolynomial({3: Fraction(1), 2: c2, 1: c1, 0: c0}))
         points.extend(FixedPoint("(%s, 0)" % root, base, tangent)
                       for root in roots if root != 0)  # (0, 0) is counted
         if residual.degree() > 0:
@@ -518,7 +512,8 @@ def _fixed_points_at_zero(f: WeierstrassFibration,
 
 def _translate_fixed_points(f: WeierstrassFibration,
                             g: DiagonalAutomorphism) -> List[FixedPoint]:
-    """Fixed points over t = 0 of (scale) o (translate by (section_x, 0)).
+    """Fixed points over t = 0 of (scale) o (translate by (section_x, 0)),
+    the scaling with chart exponents (4, 2) or (4, 6).
 
     A point P is fixed iff P + T equals the inverse scaling of P; the group
     law makes this a pair of polynomial conditions over Q(zeta_8).  The
@@ -529,12 +524,6 @@ def _translate_fixed_points(f: WeierstrassFibration,
     c2, c1, c0 = cubic_at(f)
     section_x = _section_x(g)
     assert c0 == 0  # 2-torsion chart
-    if (ex, ey) == (0, 0):
-        return []  # a translation of order two acts freely
-    if (ey - ex) % 8 == 4:
-        raise ValueError(
-            "scaling with ey - ex = 4 mod 8 composed with a translation "
-            "needs 2-division points; outside the exact analysis")
     uniform = (ex - ey) % 8
     C1, C2 = Cyc8Element.from_rational(c1), Cyc8Element.from_rational(c2)
     V = Cyc8Element.from_rational(section_x)
@@ -552,16 +541,12 @@ def _translate_fixed_points(f: WeierstrassFibration,
                 "(x1, %sy1), x1 = %r, y1^2 = f(x1)" % (sign, x_sol),
                 base, uniform))
 
-    # y = 0: the translation swaps the other two 2-torsion points
-    if section_x == 0:
-        if ex % 8 == 4 and c2 == 0:
-            for sign in ("", "-"):
-                points.append(FixedPoint(
-                    "(%sx2, 0), x2^2 = %s" % (sign, -c1), base, uniform))
-        elif ex % 8 in (2, 6) and c2 != 0:
-            r = (-C2) * (ONE + zeta_pow((-ex) % 8)).invert()
-            if r * r == zeta_pow(ex) * C1:
-                points.append(FixedPoint("(%r, 0)" % r, base, uniform))
+    # y = 0: the translation swaps the other two 2-torsion points, and
+    # x -> -x fixes them when they are (x2, 0) and (-x2, 0)
+    if section_x == 0 and c2 == 0:
+        for sign in ("", "-"):
+            points.append(FixedPoint(
+                "(%sx2, 0), x2^2 = %s" % (sign, -c1), base, uniform))
     # section_x != 0: the swap moves (0,0) to the third point and back,
     # and the scaling fixes neither, so no fixed 2-torsion points
     return points
@@ -569,17 +554,22 @@ def _translate_fixed_points(f: WeierstrassFibration,
 
 def fixed_points_on_fiber(f: WeierstrassFibration, g: DiagonalAutomorphism,
                           place: Place) -> List[FixedPoint]:
-    """Isolated fixed points on the smooth invariant fiber over the place."""
+    """Isolated fixed points on the smooth invariant fiber over the place,
+    after the checks analyze_action starts with."""
     report = kodaira_type_at(f, place)
     if report.kodaira != "I_0":
         raise ValueError(
             "fiber at %s has type %s; fixed points are enumerated on "
             "smooth fibers only" % (place, report.kodaira))
-    if g.translate:
-        _check_section(f, g.torsion_x0)
+    _check_generator(f, g)
     for at, f_chart, g_chart in _invariant_charts(f, g):
         if at == place:
-            return _fixed_points_at_zero(f_chart, g_chart)
+            name, points = _smooth_fiber(f_chart, g_chart)
+            if name == IDENTITY:
+                raise ValueError("the action is the identity on this fiber; "
+                                 "its fixed locus is not a finite set of "
+                                 "points")
+            return points
     raise ValueError("the base action fixes only t=0 and t=infinity")
 
 
@@ -636,26 +626,35 @@ def automorphism_map(f: WeierstrassFibration,
 _SMOOTH = FiberShape.smooth_elliptic()
 
 
+# (without, with translation) by chart exponents (ex, ey): a generator that
+# passes _check_generator has one of these four at t = 0 and t = infinity
+_SMOOTH_ACTIONS = {(0, 0): (IDENTITY, TRANSLATION_2),
+                   (0, 4): (INVOLUTION, None),
+                   (4, 2): (ORDER_4, ORDER_4), (4, 6): (ORDER_4, ORDER_4)}
+
+
 def _smooth_action_name(ex: int, ey: int, translate: bool) -> str:
-    if translate:
-        if (ex % 8, ey % 8) == (0, 4):
-            # y -> -y after the translation: P -> -(P + T), fixing the
-            # four points with 2P = T, which no fixed-point case computes
-            raise ValueError(
-                "chart exponents (0, 4) with translation act on the smooth "
-                "fiber as the involution P -> -(P + T), T the 2-torsion "
-                "section; k3auto does not type this action yet")
-        table = {(0, 0): TRANSLATION_2, (4, 2): ORDER_4, (4, 6): ORDER_4}
-    else:
-        table = {(0, 0): IDENTITY, (0, 4): INVOLUTION,
-                 (4, 2): ORDER_4, (4, 6): ORDER_4}
-    name = table.get((ex % 8, ey % 8))
+    name = _SMOOTH_ACTIONS[ex, ey][translate]
     if name is None:
+        # y -> -y after the translation: P -> -(P + T), fixing the four
+        # points with 2P = T, which no fixed-point case computes
         raise ValueError(
-            "chart exponents (%d, %d)%s do not act on a smooth fiber with "
-            "order dividing 8" % (ex % 8, ey % 8,
-                                  " with translation" if translate else ""))
+            "chart exponents (0, 4) with translation act on the smooth "
+            "fiber as the involution P -> -(P + T), T the 2-torsion "
+            "section; k3auto does not type this action yet")
     return name
+
+
+def _smooth_fiber(f: WeierstrassFibration, g: DiagonalAutomorphism
+                  ) -> Tuple[str, List[FixedPoint]]:
+    """(action name, isolated fixed points) on the smooth fiber over t = 0
+    of a checked chart; identity and translation-2 get no points."""
+    name = _smooth_action_name(g.ex, g.ey, g.translate)
+    if name in (IDENTITY, TRANSLATION_2):
+        return name, []
+    fixed_points = _translate_fixed_points if g.translate \
+        else _fixed_points_at_zero
+    return name, fixed_points(f, g)
 
 
 def _cycle_node_x(f: WeierstrassFibration) -> Fraction:
@@ -740,18 +739,7 @@ def analyze_action(f: WeierstrassFibration,
                    g: DiagonalAutomorphism) -> ActionAnalysis:
     """Verify invariance, locate the invariant fibers, compute the fixed
     points and action labels, and match the unique classification row."""
-    failures = invariance_failures(f, g)
-    if failures:
-        raise InvariantError(
-            "the scaling does not preserve the fibration: "
-            + "; ".join(failures))
-    if g.translate:
-        _check_section(f, g.torsion_x0)
-    exponent = two_form_multiplier(g)
-    if exponent != 1:
-        raise InvariantError(
-            "the 2-form multiplier is zeta^%d; table matching needs the "
-            "generator with multiplier zeta" % exponent)
+    _check_generator(f, g)
     table = enumerate_cases()
     singular = fiber_reports(f)
     types = {report.place: report.kodaira for report in singular}
@@ -763,9 +751,7 @@ def analyze_action(f: WeierstrassFibration,
     for place, f_chart, g_chart in _invariant_charts(f, g):
         tag = types.get(place, "I_0")
         if tag == "I_0":
-            name = _smooth_action_name(g_chart.ex, g_chart.ey, g.translate)
-            points = ([] if name in (IDENTITY, TRANSLATION_2)
-                      else _fixed_points_at_zero(f_chart, g_chart))
+            name, points = _smooth_fiber(f_chart, g_chart)
             counts = type_counts(p.pair for p in points)
             action = FiberAction(name, counts[:2] if name == ORDER_4 else None)
             entries.append((place, tag, _SMOOTH, action, points, counts))
@@ -825,7 +811,7 @@ def analyze_action(f: WeierstrassFibration,
     checks = {
         "smooth-fixed-data": smooth_data_ok,
         "pair-exponent-sums": all(
-            (p.base_exponent + p.tangent_exponent) % 8 == exponent
+            (p.base_exponent + p.tangent_exponent) % 8 == 1
             for info in infos for p in info.fixed_points),
         "isolated-point-counts": totals == (row.n2, row.n3, row.n4),
         "rational-fixed-curves":
@@ -836,7 +822,7 @@ def analyze_action(f: WeierstrassFibration,
     return ActionAnalysis(
         fibration=f, automorphism=g, singular_fibers=singular,
         inventory=_inventory(singular), euler_sum=24,
-        two_form_exponent=exponent, invariant_fibers=infos,
+        two_form_exponent=1, invariant_fibers=infos,
         action=(infos[0].label, infos[1].label), matched_row=row,
         checks=checks)
 

@@ -314,6 +314,37 @@ def test_examples_bad_inputs(capsys):
     assert code == 1 and "bad --params" in err
 
 
+def test_params_may_start_with_a_minus_sign(capsys):
+    code, out, err = run(capsys, "examples", "--id", "1",
+                         "--params", "-2,1,1,3")
+    assert code == 0 and err == ""
+    assert run(capsys, "examples", "--id", "1",
+               "--params=-2,1,1,3") == (0, out, "")
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("bogus",), "invalid choice: 'bogus'"),
+    (("analyze", "--fibration", "f.json"), "required: --automorphism"),
+    ((), "required: verb"),
+    (("examples", "--id", "one"), "invalid int value: 'one'"),
+    (("classify", "--pic", "18", "--extra"), "unrecognized arguments"),
+], ids=["unknown-verb", "missing-option", "no-verb", "bad-int",
+        "unknown-option"])
+def test_usage_errors_give_one_error_line(capsys, argv, words):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert words in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("examples", "--help")])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == 0
+    assert "usage: k3auto" in capsys.readouterr().out
+
+
 # -- lefschetz ----------------------------------------------------------------
 
 

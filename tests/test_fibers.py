@@ -6,7 +6,7 @@ from k3auto.fibers import (BRANCH_SWAP, FiberAction, FiberShape, IDENTITY,
                            INVOLUTION, ORDER_4, PRESERVE, REFLECTION,
                            ROTATION_2, ROTATION_4, TRANSLATION_2,
                            TRANSLATION_4, action_label, chain_step,
-                           elliptic_action_data, euler_number,
+                           elliptic_action_data,
                            fiber_fixed_data, parse_action_label, point_type,
                            type_counts)
 
@@ -23,11 +23,10 @@ def test_chain_step_period_eight_all_starts():
         assert walk == pair
 
 
-def test_shapes_and_euler_numbers():
-    assert euler_number(FiberShape.smooth_elliptic()) == 0
-    assert euler_number(FiberShape.i_cycle(5)) == 5
-    assert euler_number(FiberShape.iv_star()) == 8
+def test_shape_names_and_validation():
+    assert str(FiberShape.smooth_elliptic()) == "smooth"
     assert str(FiberShape.i_cycle(16)) == "I_16"
+    assert str(FiberShape.iv_star()) == "IV*"
     with pytest.raises(ValueError):
         FiberShape.i_cycle(0)
     with pytest.raises(ValueError):

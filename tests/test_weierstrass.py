@@ -7,14 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from k3auto.fibers import IDENTITY, INVOLUTION, ORDER_4, TRANSLATION_2
+from k3auto.fibers import (IDENTITY, INVOLUTION, ORDER_4, TRANSLATION_2,
+                           point_type)
 from k3auto.maps import CurvePolynomial, RationalMap, compose, maps_equal
 from k3auto.polynomial import (Place, RationalPolynomial,
                                weierstrass_discriminant)
 from k3auto.weierstrass import (DiagonalAutomorphism, InvariantError,
                                 WeierstrassFibration, _invariant_charts,
                                 _smooth_action_name,
-                                analyze_action, check_invariance,
+                                analyze_action,
                                 convert_two_torsion_form, fiber_inventory,
                                 fiber_reports,
                                 fixed_points_on_fiber, invariance_failures,
@@ -232,8 +233,8 @@ def test_direct_construction_checks_field_types():
 
 def test_invariance_congruences():
     f = WeierstrassFibration(poly((1, 8), (1, 0)), poly((1, 8), (3, 0)))
-    assert check_invariance(f, DiagonalAutomorphism(0, 0, 1))
-    assert check_invariance(f, DiagonalAutomorphism(0, 4, 5))
+    assert not invariance_failures(f, DiagonalAutomorphism(0, 0, 1))
+    assert not invariance_failures(f, DiagonalAutomorphism(0, 4, 5))
     failures = invariance_failures(f, DiagonalAutomorphism(0, 0, 2))
     assert not failures  # the square of the generic action still acts
     failures = invariance_failures(f, DiagonalAutomorphism(2, 0, 1))
@@ -287,12 +288,12 @@ def test_fixed_point_types_on_central_fiber():
     points = fixed_points_on_fiber(f, g, Place.finite_rational(0))
     assert [p.pair for p in points] == [(7, 2), (7, 2)]
     assert [p.description for p in points] == ["point at infinity", "(0, 0)"]
-    assert all(p.point_type() == 2 for p in points)
+    assert all(point_type(*p.pair) == 2 for p in points)
 
     f, g = _example3(use_tau=True)
     points = fixed_points_on_fiber(f, g, Place.finite_rational(0))
     assert [p.pair for p in points] == [(3, 6), (3, 6)]
-    assert all(p.point_type() == 3 for p in points)
+    assert all(point_type(*p.pair) == 3 for p in points)
 
 
 def test_fixed_points_on_the_fiber_at_infinity():
@@ -321,6 +322,23 @@ def test_identity_chart_has_no_isolated_points():
     g = DiagonalAutomorphism(0, 0, 1)
     with pytest.raises(ValueError):
         fixed_points_on_fiber(f, g, Place.finite_rational(0))
+
+
+@pytest.mark.parametrize("exponents, place, message", [
+    ((1, 0, 1), Place.finite_rational(0), "does not preserve"),
+    ((2, 3, 1), Place.finite_rational(0), "does not preserve"),
+    ((0, 0, 3), Place.infinity(), r"multiplier is zeta\^3"),
+])
+def test_fixed_points_run_the_checks_of_analyze(exponents, place, message):
+    # unchecked, these maps get three points, one point, and two points of
+    # pair (5, 6), which is no order-8 point type
+    f = WeierstrassFibration(poly((1, 8), (1, 0)), poly((1, 8), (3, 0)))
+    g = DiagonalAutomorphism(*exponents)
+    with pytest.raises(InvariantError, match=message) as err:
+        fixed_points_on_fiber(f, g, place)
+    with pytest.raises(InvariantError) as same:
+        analyze_action(f, g)
+    assert str(err.value) == str(same.value)
 
 
 # -- translation maps and composition identities ------------------------------
@@ -534,13 +552,14 @@ def test_two_smooth_invariant_fibers_carry_one_order_four_action():
     # every generator that passes the checks before row matching: its two
     # charts either leave a smooth fiber unnamed or name exactly one
     # order-four action, so two smooth fibers always order uniquely
-    partners = set()
+    partners, charts = set(), set()
     for ex, ey, et, translate in itertools.product(
             range(8), range(8), range(8), (False, True)):
         g = DiagonalAutomorphism(ex, ey, et, translate)
         if (2 * ey - 3 * ex) % 8 or et % 2 == 0 \
                 or two_form_multiplier(g) != 1:
             continue
+        charts.update((chart.ex, chart.ey) for chart in (g, g.at_infinity()))
         try:
             names = [_smooth_action_name(chart.ex, chart.ey, translate)
                      for chart in (g, g.at_infinity())]
@@ -549,6 +568,8 @@ def test_two_smooth_invariant_fibers_carry_one_order_four_action():
         assert names.count(ORDER_4) == 1, (g, names)
         partners.update(name for name in names if name != ORDER_4)
     assert partners == {IDENTITY, INVOLUTION, TRANSLATION_2}
+    # the only charts the smooth-fiber table and fixed-point routines meet
+    assert charts == {(0, 0), (0, 4), (4, 2), (4, 6)}
 
 
 def test_analysis_json_is_serializable():
