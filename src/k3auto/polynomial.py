@@ -14,10 +14,13 @@ polynomial in the bit size of the input: division by a primitive divisor
 stays in the integers whenever it is exact (Gauss's lemma), gcd is the
 heuristic GCDHEU (one big-integer gcd of two values, certified by exact
 division) with a primitive pseudo-remainder sequence as its fallback, and
-rational_roots Hensel-lifts the roots of a monic transform modulo a small
-prime.  Fractions appear only at the boundary: the dict and pair
-constructors, the `coeffs` view, and single values such as evaluate's
-result and the rational roots.
+the layer loops of Yun's algorithm and split_by_valuation try one exact
+division before each gcd.  rational_roots Hensel-lifts the roots of a
+monic transform modulo the first prime at which they are all simple, and
+the Weierstrass discriminant 4a^3 + 27b^2 is read off one big-integer
+value at a power of two.  Fractions appear only at the boundary: the dict
+and pair constructors, the `coeffs` view, and single values such as
+evaluate's result and the rational roots.
 
 A Place is where a fiber lives: a rational point t0, a monic squarefree
 factor with no rational roots (a Galois orbit class of irrational points),
@@ -337,7 +340,10 @@ def squarefree_decomposition(
     g, w, _ = _gcd_cofactors(f, _primitive_part(_derivative(f)))
     i = 1
     while len(w) > 1:
-        y, factor, g = _gcd_cofactors(w, g)
+        # w divides g when no root of w has multiplicity exactly i
+        quotient = _int_quotient(g, w)
+        y, factor, g = (_gcd_cofactors(w, g) if quotient is None
+                        else (w, [1], quotient))
         if len(factor) > 1:
             out.append((_monic(factor), i))
         w = y
@@ -362,10 +368,13 @@ def _split_rational_roots(
     Modular method: with a the leading coefficient of f, the primitive p
     without a factor t, and d its degree, every rational root r makes
     s = a*r an integer root of the monic Q(s) = a^(d-1) f(s/a).  Q's roots
-    modulo a small prime that keeps Q squarefree are found by evaluation,
-    Hensel-lifted past twice a root bound, read as symmetric residues and
-    kept only when their linear factor divides f.  The cost is polynomial
-    in the bit size of p: no integer is factored.
+    modulo the first prime at which each of them is simple (Q' nonzero
+    there) are found by evaluation; every integer root of Q reduces to one
+    of them, and a simple root lifts uniquely.  They are Hensel-lifted past
+    twice a root bound, read as symmetric residues and kept only when
+    their linear factor divides f.  A prime with no root proves there is
+    none.  The cost is polynomial in the bit size of p: no integer is
+    factored, and a prime is passed over only when it divides disc(Q).
     """
     f = _primitive_part(p._num)
     roots: List[Fraction] = []
@@ -378,10 +387,18 @@ def _split_rational_roots(
         monic = [c * lead ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
         # |a*r| <= |a| * (1 + max |f_i / a|), Cauchy's bound for f's roots
         bound = abs(lead) + max(abs(c) for c in f[:-1])
-        prime = _squarefree_prime(monic)
-        modulus = prime
-        lifted = [s for s in range(prime) if _eval_mod(monic, s, prime) == 0]
         diff = _derivative(monic)
+        # the first prime at which every root of Q is simple
+        prime = 1
+        while True:
+            prime += 1
+            if any(prime % k == 0 for k in range(2, math.isqrt(prime) + 1)):
+                continue
+            lifted = [s for s in range(prime)
+                      if _eval_mod(monic, s, prime) == 0]
+            if all(_eval_mod(diff, s, prime) for s in lifted):
+                break
+        modulus = prime
         while lifted and modulus <= 2 * bound:
             modulus *= modulus
             lifted = [(s - _eval_mod(monic, s, modulus)
@@ -538,31 +555,6 @@ def _eval_mod(f: List[int], s: int, m: int) -> int:
     return out
 
 
-def _squarefree_prime(monic: List[int]) -> int:
-    """The least prime above the degree modulo which monic is squarefree.
-
-    One exists because monic is squarefree over Q: only the finitely many
-    primes dividing its discriminant fail.  Over F_prime the remainder
-    sequence of monic and its derivative may use pseudo-remainders, since
-    every leading term it divides by is a unit there.
-    """
-    prime = len(monic) - 1
-    while True:
-        prime += 1
-        if any(prime % k == 0 for k in range(2, math.isqrt(prime) + 1)):
-            continue
-        a = _reduce_mod(monic, prime)
-        b = _reduce_mod(_derivative(monic), prime)
-        while b:
-            a, b = b, _reduce_mod(_pseudo_remainder(a, b)[0], prime)
-        if len(a) == 1:
-            return prime
-
-
-def _reduce_mod(f: List[int], prime: int) -> List[int]:
-    return _strip([c % prime for c in f])
-
-
 def _strip(f: List[int]) -> List[int]:
     """f without trailing zeros (a copy only when there are some)."""
     end = len(f)
@@ -692,7 +684,10 @@ def split_by_valuation(
     out: List[Tuple[RationalPolynomial, int]] = []
     level = 0
     while len(f) > 1:
-        f, part, g = _gcd_cofactors(f, g)
+        # f divides g when every root of f goes deeper than this level
+        quotient = _int_quotient(g, f)
+        f, part, g = (_gcd_cofactors(f, g) if quotient is None
+                      else (f, [1], quotient))
         if len(part) > 1:
             out.append((_monic(part), level))
         level += 1
@@ -705,5 +700,20 @@ def split_by_valuation(
 
 def weierstrass_discriminant(a: RationalPolynomial,
                              b: RationalPolynomial) -> RationalPolynomial:
-    """4a^3 + 27b^2."""
-    return a * a * a * 4 + b * b * 27
+    """4a^3 + 27b^2, read off one big-integer value.
+
+    With a = fa/da and b = fb/db, it is P/(da^3 db^2) for the int list
+    P = 4 fa^3 db^2 + 27 fb^2 da^3, whose coefficients are at most
+    N = 4 len(fa)^2 |fa|^3 db^2 + 27 len(fb) |fb|^2 da^3 (max norms).  At
+    xi = 2^k with 2^(k-1) > N, the value P(xi) = 4 fa(xi)^3 db^2
+    + 27 fb(xi)^2 da^3 has exactly those coefficients as its balanced
+    base-xi digits.
+    """
+    fa, fb, da3, db2 = a._num, b._num, a._den ** 3, b._den ** 2
+    bound = (4 * len(fa) ** 2 * max(map(abs, fa), default=0) ** 3 * db2
+             + 27 * len(fb) * max(map(abs, fb), default=0) ** 2 * da3)
+    xi = 1 << (bound.bit_length() + 1)
+    value = (4 * _eval_at(fa, xi) ** 3 * db2
+             + 27 * _eval_at(fb, xi) ** 2 * da3)
+    return RationalPolynomial._from_ints(_balanced_digits(value, xi),
+                                         da3 * db2)

@@ -1,14 +1,15 @@
 """Differential checks of the polynomial and maps layers against sympy.
 
-Rational roots must equal sympy's roots over Q, gcds must equal sympy's
-gcd over QQ (on the heuristic and on its fallback), squarefree
-decompositions and multiplicity profiles must agree with sympy's sqf_list
-and ground_roots, equal polynomials must hash equal, products and quotients
-with remainder must equal sympy's over QQ, fiber inventories must
-equal sympy's factorization of the discriminant read through Tate's table,
-2-torsion translations must equal sympy's chord construction, and sums,
-products and substitutions of polynomials in (x, y, t) over Q(zeta_8) must
-equal sympy's in (x, y, t, z) modulo z^4 + 1.
+Rational roots must equal sympy's roots over Q, also where roots meet
+modulo small primes, discriminants 4a^3 + 27b^2 must equal sympy's, gcds
+must equal sympy's gcd over QQ (on the heuristic and on its fallback),
+squarefree decompositions and multiplicity profiles must agree with
+sympy's sqf_list and ground_roots, equal polynomials must hash equal,
+products and quotients with remainder must equal sympy's over QQ, fiber
+inventories must equal sympy's factorization of the discriminant read
+through Tate's table, 2-torsion translations must equal sympy's chord
+construction, and sums, products and substitutions of polynomials in
+(x, y, t) over Q(zeta_8) must equal sympy's in (x, y, t, z) modulo z^4 + 1.
 sympy and hypothesis are test-only dependencies: without them this module
 is skipped.
 """
@@ -29,7 +30,8 @@ from k3auto.cyclotomic import Cyc8Element, zeta_pow  # noqa: E402
 from k3auto.maps import CurvePolynomial  # noqa: E402
 from k3auto.polynomial import (RationalPolynomial, gcd,  # noqa: E402
                                multiplicity_profile, rational_roots,
-                               squarefree_decomposition)
+                               squarefree_decomposition,
+                               weierstrass_discriminant)
 from k3auto.weierstrass import (InvariantError,  # noqa: E402
                                 WeierstrassFibration, fiber_inventory,
                                 torsion_translation)
@@ -73,6 +75,37 @@ def test_rational_roots_match_sympy(expr):
     roots = sympy.Poly(expr, T, domain="QQ").ground_roots()
     want = sorted(Fraction(int(r.p), int(r.q)) for r in roots)
     assert rational_roots(to_k3auto(expr)) == want
+
+
+@st.composite
+def colliding_roots(draw):
+    """Non-monic products whose rational roots come in groups r + 30030 k:
+    30030 = 2*3*5*7*11*13, so a group meets in one root modulo every prime
+    up to 13 and the root search must pass those primes over; with
+    multiplicities and a cofactor that may have no rational root."""
+    expr = draw(signed_20_digits)
+    for root in draw(st.lists(rationals, min_size=1, max_size=2)):
+        for k in draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2,
+                               max_size=3, unique=True)):
+            r = root + 30030 * k
+            expr *= (r.denominator * T - r.numerator) \
+                ** draw(st.integers(1, 2))
+    cofactor = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=4))
+    expr *= T ** len(cofactor) + sum(c * T ** i for i, c in enumerate(cofactor))
+    return sympy.expand(expr)
+
+
+@EXAMPLES
+@given(colliding_roots())
+def test_colliding_rational_roots_match_sympy(expr):
+    """rational_roots, and the rational places of multiplicity_profile
+    (the roots of each squarefree layer), against sympy's roots over Q."""
+    roots = sympy.Poly(expr, T, domain="QQ").ground_roots()
+    want = {Fraction(int(r.p), int(r.q)): m for r, m in roots.items()}
+    mine = to_k3auto(expr)
+    assert rational_roots(mine) == sorted(want)
+    assert [(place.t0, mult) for place, mult in multiplicity_profile(mine)
+            if place.kind == "finite-rational"] == sorted(want.items())
 
 
 @EXAMPLES
@@ -208,6 +241,15 @@ def test_products_and_division_match_sympy(p, d, r, exact):
     else:
         with pytest.raises(ValueError, match="division is not exact"):
             to_k3auto(dividend.as_expr()).exact_div(mine_d)
+
+
+@EXAMPLES
+@given(fraction_polys, fraction_polys)
+def test_weierstrass_discriminant_matches_sympy(a, b):
+    """4a^3 + 27b^2 read off one value at a power of two, against sympy's
+    products over QQ."""
+    assert weierstrass_discriminant(to_k3auto(a), to_k3auto(b)) \
+        == to_k3auto(sympy.expand(4 * a ** 3 + 27 * b ** 2))
 
 
 # -- fiber inventories ------------------------------------------------------------

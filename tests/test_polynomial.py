@@ -168,6 +168,34 @@ def test_rational_roots_of_repeated_and_fractional_factors():
         rational_roots(RationalPolynomial.zero())
 
 
+def test_rational_roots_skip_primes_with_a_double_root():
+    # 30031 = 2*3*5*7*11*13 + 1 meets 1 modulo every prime up to 13, where
+    # Q(s) = 4 p(s/2) then has a double root that Hensel lifting cannot
+    # use; the first prime with simple roots only is 17
+    p = (T - 1) * (T - 30031) * (2 * T + 3)
+    assert rational_roots(p) == [Fraction(-3, 2), Fraction(1),
+                                 Fraction(30031)]
+    # (t + 1)^2 modulo 2, and no root at all modulo 3, which proves none
+    assert rational_roots(T ** 2 + 1) == []
+
+
+# 2*3*5*...*47: 1 and 1 + PRIMORIAL_47 meet modulo every prime up to 47
+PRIMORIAL_47 = 614889782588491410
+
+
+def test_rational_roots_when_small_primes_all_see_a_double_root():
+    """The prime search stays short: it passes over a prime only when Q has
+    a double root modulo it, and then the prime divides disc(Q) != 0, so
+    it passes over at most log2 |disc(Q)| primes, a number polynomial in
+    the bit size of p.  Here disc(Q) = PRIMORIAL_47^2 and 53 serves."""
+    p = (T - 1) * (T - 1 - PRIMORIAL_47)
+    start = time.perf_counter()
+    roots = rational_roots(p)
+    elapsed = time.perf_counter() - start
+    assert roots == [Fraction(1), Fraction(1 + PRIMORIAL_47)]
+    assert elapsed < 1.0, elapsed
+
+
 def test_gcd_normalization():
     p = (2 * T - 1) ** 2 * (T + 3)
     q = Fraction(3, 4) * (2 * T - 1) * (T ** 2 + 1)
@@ -235,6 +263,25 @@ def test_split_by_valuation():
     assert parts[1] == (T - 4).monic()
     assert parts[2] == (T - 1).monic()
     assert parts[3] == (T + 1).monic()
+
+
+def test_layer_gcds_only_where_a_division_fails(monkeypatch):
+    """Yun's loop and split_by_valuation divide before each layer gcd:
+    a layer whose polynomial divides the other needs no gcd."""
+    calls = []
+    cofactors = polynomial._gcd_cofactors
+    monkeypatch.setattr(polynomial, "_gcd_cofactors",
+                        lambda a, b: calls.append(1) or cofactors(a, b))
+    p = (T - 2) ** 9 * (T ** 2 + 3) ** 2 * (T ** 3 - T - 1)
+    assert squarefree_decomposition(p) == [
+        (T ** 3 - T - 1, 1), (T ** 2 + 3, 2), (T - 2, 9)]
+    # gcd(p, p') and the gcds of levels 1, 2 and 9; without the division
+    # every one of the nine levels took a gcd
+    assert len(calls) == 4
+    calls.clear()
+    assert split_by_valuation((T - 2) * (T ** 2 + 3), p) == [
+        (T ** 2 + 3, 2), (T - 2, 9)]
+    assert len(calls) == 2
 
 
 # g has larger coefficients than both of its multiples, so the first value
@@ -314,3 +361,33 @@ def test_infinity_transform_valuation_pin():
                                    T ** 11 + 1).at_infinity()
     assert valuation_at(weierstrass_discriminant(flipped.a, flipped.b),
                         Place.finite_rational(0)) == 24 - 22
+
+
+BIG = 3 * 10 ** 39 + 17  # 40 digits
+
+
+@pytest.mark.parametrize("a, b", [
+    (RationalPolynomial.zero(), RationalPolynomial.zero()),
+    (RationalPolynomial.zero(), T ** 12 - 5 * T + 1),
+    (-2 * T ** 8 + T, RationalPolynomial.zero()),
+    (RationalPolynomial.constant(Fraction(-2, 3)),
+     RationalPolynomial.constant(Fraction(5, 7))),
+    (Fraction(-1, 6) * T ** 4 + Fraction(2, 9) * T - 5,
+     Fraction(3, 4) * T ** 6 - Fraction(7, 10) * T ** 5 + Fraction(1, 3)),
+    (-BIG * T ** 8 + (BIG - 1) * T ** 3 - Fraction(1, BIG),
+     Fraction(-BIG, BIG + 2) * T ** 12 + BIG * T ** 7 - BIG ** 2),
+    # 4 (-3u^2)^3 + 27 (2u^3)^2 = 0, with a fractional u
+    (-3 * (T ** 2 - Fraction(1, 2)) ** 2, 2 * (T ** 2 - Fraction(1, 2)) ** 3),
+])
+def test_discriminant_matches_the_products(a, b):
+    assert weierstrass_discriminant(a, b) == a * a * a * 4 + b * b * 27
+
+
+def test_discriminant_matches_the_products_on_random_fractions():
+    rng = random.Random(80805)
+    for _ in range(200):
+        a, b = (RationalPolynomial({
+            e: Fraction(rng.randint(-10 ** 12, 10 ** 12),
+                        rng.randint(1, 10 ** 4))
+            for e in range(rng.randint(0, top))}) for top in (9, 13))
+        assert weierstrass_discriminant(a, b) == a * a * a * 4 + b * b * 27
