@@ -17,7 +17,8 @@ violated.
 
 Each verb imports the layers it runs when it runs: ``lefschetz`` loads
 only the Lefschetz and cyclotomic modules, ``classify`` not the
-polynomial, maps or Weierstrass ones.
+polynomial, maps or Weierstrass ones, and ``analyze`` and ``examples``
+every layer but the maps.
 """
 
 from __future__ import annotations

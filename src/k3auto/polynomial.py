@@ -480,7 +480,8 @@ def _gcd_cofactors(a: List[int], b: List[int]
     balanced base-xi digits and take the primitive part h.  If h divides
     both a and b, it is their gcd (the GCDHEU theorem), and the exact
     quotients are the cofactors; otherwise xi grows, and after _HEU_TRIES
-    values _int_gcd decides.  No h is returned without both divisions.
+    values _int_gcd decides.  No h but 1 is returned without both
+    divisions.
     """
     if len(a) > 1 and len(b) > 1:
         xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
@@ -488,6 +489,8 @@ def _gcd_cofactors(a: List[int], b: List[int]
             # xi exceeds the min-norm input's root bound, so the gcd is > 0
             h = _primitive_part(_balanced_digits(
                 math.gcd(_eval_at(a, xi), _eval_at(b, xi)), xi))
+            if h == [1]:
+                return h, a, b
             cofactor_a = _int_quotient(a, h)
             if cofactor_a is not None:
                 cofactor_b = _int_quotient(b, h)

@@ -23,13 +23,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
-from .classify import enumerate_cases, match_row, validate_row
 from .cyclotomic import ONE, Cyc8Element, zeta_pow
 from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, ORDER_4, PRESERVE,
                      REFLECTION, ROTATION_2, TRANSLATION_2, FiberAction,
                      FiberShape, action_label, fiber_fixed_data, point_type,
                      type_counts)
-from .maps import CurvePolynomial, RationalMap, compose
 from .polynomial import (Place, RationalPolynomial, _split_rational_roots, gcd,
                          multiplicity_profile, split_by_valuation, sum_pairs,
                          valuation_at, weierstrass_discriminant)
@@ -182,6 +180,7 @@ class WeierstrassFibration:
 
     def curve_relation(self) -> CurvePolynomial:
         """The cubic in (x, t) with y^2 = cubic on the surface."""
+        from .maps import CurvePolynomial
         x = CurvePolynomial.coordinate("x")
         a = CurvePolynomial.from_base_polynomial(self.a)
         b = CurvePolynomial.from_base_polynomial(self.b)
@@ -603,6 +602,7 @@ def torsion_translation(f: WeierstrassFibration,
         raise ValueError(
             "c'(x0) = 3 x0^2 + 2 a x0 + b is 0: the generic fiber is "
             "singular at the section (x0, 0)")
+    from .maps import CurvePolynomial, RationalMap
     x = CurvePolynomial.coordinate("x")
     y = CurvePolynomial.coordinate("y")
     x0c = CurvePolynomial.from_base_polynomial(x0)
@@ -614,6 +614,7 @@ def torsion_translation(f: WeierstrassFibration,
 def automorphism_map(f: WeierstrassFibration,
                      g: DiagonalAutomorphism) -> RationalMap:
     """The symmetry as an exact rational self-map (translation first)."""
+    from .maps import RationalMap, compose
     diagonal = RationalMap.diagonal(g.ex, g.ey, g.et)
     if not g.translate:
         return diagonal
@@ -739,6 +740,7 @@ def analyze_action(f: WeierstrassFibration,
                    g: DiagonalAutomorphism) -> ActionAnalysis:
     """Verify invariance, locate the invariant fibers, compute the fixed
     points and action labels, and match the unique classification row."""
+    from .classify import enumerate_cases, match_row, validate_row
     _check_generator(f, g)
     table = enumerate_cases()
     singular = fiber_reports(f)

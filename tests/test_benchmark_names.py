@@ -3,7 +3,8 @@
 The tracer wraps functions by dotted path and the operations build their
 inputs from package internals, so a rename would otherwise surface only
 when the benchmark runs.  These tests resolve each such name without
-installing the tracer, and need no sympy.
+installing the tracer, and one installs it to check that calls through
+in-function imports are still counted; none needs sympy.
 """
 
 import importlib
@@ -48,3 +49,26 @@ def test_names_the_maps_workload_calls():
     assert callable(WeierstrassFibration.curve_relation)
     assert callable(RationalMap.diagonal)
     assert "curve_cubic" in inspect.signature(maps_equal).parameters
+
+
+def test_the_tracer_counts_calls_made_through_in_function_imports():
+    # weierstrass loads the classification and the maps inside the
+    # functions that use them; each such import reads the module attribute
+    # at call time, so it gets the tracer's wrapper
+    from k3auto import weierstrass
+    from k3auto.polynomial import RationalPolynomial
+    f = weierstrass.WeierstrassFibration(
+        RationalPolynomial({4: 3}), RationalPolynomial({8: 1, 0: 1}),
+        form="two-torsion")
+    tracer = _bench_module("tracing").Tracer()
+    tracer.install()
+    try:
+        weierstrass.worked_example(1)
+        weierstrass.automorphism_map(
+            f, weierstrass.DiagonalAutomorphism(4, 2, 7, translate=True))
+        weierstrass.fiber_inventory(f)
+    finally:
+        tracer.uninstall()
+    for name in ("classify.enumerate_cases", "maps.compose",
+                 "weierstrass.fiber_reports"):
+        assert tracer.calls[name] >= 1, name

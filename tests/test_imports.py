@@ -13,6 +13,13 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 INPUTS = Path(__file__).with_name("golden") / "inputs"
 ENUMERATE = str(INPUTS / "enumerate.json")
+README = str(INPUTS / "readme.json")
+EX4 = str(INPUTS / "ex4-generic.json")
+TRANSLATE = str(INPUTS / "translate-427.json")
+
+# what fiber typing runs on: the Weierstrass layer and the three below it
+TYPING = {"k3auto", "k3auto.cyclotomic", "k3auto.polynomial",
+          "k3auto.fibers", "k3auto.weierstrass"}
 
 _PROLOGUE = "import sys\nbefore = set(sys.modules)\n"
 _EPILOGUE = ("\nloaded = sorted(set(sys.modules) - before)\n"
@@ -28,6 +35,18 @@ def _loaded(body):
         [sys.executable, "-c", _PROLOGUE + body + _EPILOGUE],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _package(loaded):
+    return {m for m in loaded if m == "k3auto" or m.startswith("k3auto.")}
+
+
+def _read_fibration(path):
+    return ("import json\n"
+            "from k3auto.weierstrass import WeierstrassFibration\n"
+            "with open(%r, encoding='utf-8') as handle:\n"
+            "    f = WeierstrassFibration.from_json(json.load(handle))\n"
+            % (path,))
 
 
 def _run_verb(*argv):
@@ -58,6 +77,34 @@ def test_classify_verb_leaves_the_weierstrass_layers_unloaded():
     assert "k3auto.classify" in loaded
     for layer in ("polynomial", "maps", "weierstrass"):
         assert "k3auto." + layer not in loaded
+
+
+def test_fiber_typing_loads_four_layers():
+    loaded = _loaded(
+        _read_fibration(README) +
+        "from k3auto.weierstrass import fiber_inventory\n"
+        "assert fiber_inventory(f) == {'I_1': 24}\n")
+    # not the classification, Lefschetz, lattice or maps layers
+    assert _package(loaded) == TYPING
+
+
+def test_map_builders_add_only_the_maps_layer():
+    loaded = _loaded(
+        _read_fibration(EX4) +
+        "from k3auto.weierstrass import (DiagonalAutomorphism,\n"
+        "                                automorphism_map)\n"
+        "g = DiagonalAutomorphism(4, 2, 7, translate=True)\n"
+        "assert automorphism_map(f, g).x_den.terms\n")
+    assert _package(loaded) == TYPING | {"k3auto.maps"}
+
+
+def test_analysis_verbs_leave_the_maps_layer_unloaded():
+    verbs = [("analyze", "--fibration", EX4, "--automorphism", TRANSLATE),
+             ("examples", "--id", "4", "--preset", "i8")]
+    for argv in verbs:
+        loaded = _loaded(_run_verb(*argv))
+        assert {"k3auto.classify", "k3auto.weierstrass"} <= loaded, argv
+        assert "k3auto.maps" not in loaded, argv
 
 
 def test_package_names_resolve_on_first_use():

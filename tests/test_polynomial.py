@@ -309,6 +309,20 @@ def test_gcd_heuristic_checks_both_divisions():
     assert gcd(T ** 2 + 1, T - 4) == RationalPolynomial.constant(1)
 
 
+def test_gcd_heuristic_divides_by_no_constant_one(monkeypatch):
+    # at xi = 4 the values are 17 and 62, coprime: the gcd is 1, which
+    # divides both inputs, so no division runs
+    divisions = []
+    quotient = polynomial._int_quotient
+    monkeypatch.setattr(polynomial, "_int_quotient",
+                        lambda f, g: divisions.append(1) or quotient(f, g))
+    p, q = T ** 2 + 1, T ** 3 - 2
+    before = (list(p._num), list(q._num))
+    assert gcd(p, q) == RationalPolynomial.constant(1)
+    assert not divisions
+    assert (p._num, q._num) == before
+
+
 @pytest.mark.parametrize("tries", [0, 1])
 def test_pseudo_remainder_fallback_gives_the_same_results(monkeypatch,
                                                           tries):
