@@ -30,15 +30,24 @@ polynomial of y-degree at most 1 gives y-degree at most 1 again.  One
 composition builds each power of the inner map's four components, and
 each product num^e * den^(d - e) that homogenizes a substitution, at
 most once, and all four outer components read them; nothing is kept
-after the call.  A product by the polynomial 1 is free: it returns the
-other factor, which is already canonical.
+after the call.
 
-Equality is decided componentwise after cross-multiplying.  For maps in
-normal form it is exact without the curve equation y^2 = cubic(x, t):
-{1, y} is a basis of the surface's function field over Q(zeta_8)(x, t), so
-two such maps agree on the surface exactly when their R and S agree as
-rational functions in (x, t).  Maps built outside normal form can carry
-even powers of y, which maps_equal reduces modulo the cubic if given one.
+Products and sums skip the work that composition does not need.  A
+product by the polynomial 1 returns the other factor, which is already
+canonical, and the arithmetic builds the unit as the one object _ONE, so
+composition skips a unit factor without calling the product at all.  A
+factor of one term shifts the other factor's keys, which the zeta fold
+keeps distinct, so nothing is accumulated.  A sum of one summand is that
+summand.
+
+Equality is decided componentwise after cross-multiplying; a component
+whose canonical numerators and denominators are equal needs none.  For
+maps in normal form it is exact without the curve equation
+y^2 = cubic(x, t): {1, y} is a basis of the surface's function field over
+Q(zeta_8)(x, t), so two such maps agree on the surface exactly when their
+R and S agree as rational functions in (x, t).  Maps built outside normal
+form can carry even powers of y, which maps_equal reduces modulo the cubic
+if given one.
 """
 
 from __future__ import annotations
@@ -101,6 +110,8 @@ class CurvePolynomial:
     def _from_ints(cls, f: Dict[Key, int], d: int = 1) -> "CurvePolynomial":
         """f/d in canonical form, for d > 0."""
         f = {key: c for key, c in f.items() if c}
+        if d == 1 and f == _ONE._num:
+            return _ONE
         if d != 1:
             common = reduce(math.gcd, f.values(), d)
             if common != 1:
@@ -169,6 +180,16 @@ class CurvePolynomial:
             return self
         if self._den == 1 and self._num == _ONE._num:
             return other
+        big, small = (self, other) if len(other._num) == 1 else (other, self)
+        if len(small._num) == 1:
+            # a one-term factor shifts the keys, which stay distinct
+            ((i2, j2, k2, l2), c2), = small._num.items()
+            shifted: Dict[Key, int] = {}
+            for (i1, j1, k1, l1), c1 in big._num.items():
+                l = l1 + l2
+                shifted[i1 + i2, j1 + j2, k1 + k2, l % 4] = \
+                    c1 * c2 if l < 4 else -c1 * c2
+            return CurvePolynomial._from_ints(shifted, self._den * other._den)
         acc: Dict[Key, int] = {}
         get = acc.get
         right = list(other._num.items())
@@ -233,8 +254,15 @@ class CurvePolynomial:
 _ONE = CurvePolynomial.constant(1)
 
 
+def _times(p: CurvePolynomial, q: CurvePolynomial) -> CurvePolynomial:
+    """p * q, with no product when a factor is the unit."""
+    return q if p is _ONE else p if q is _ONE else p * q
+
+
 def _sum(polys) -> CurvePolynomial:
     """The sum of the polynomials, over the lcm of their denominators."""
+    if len(polys) == 1:
+        return polys[0]
     den = reduce(math.lcm, (p._den for p in polys), 1)
     acc: Dict[Key, int] = {}
     get = acc.get
@@ -252,32 +280,36 @@ class _Substitution:
     Each power of the four components, and each product
     num^e * den^(d - e) that homogenizes a degree-d substitution, is built
     at most once per instance and shared by every polynomial it is
-    applied to.
+    applied to; the first power is the component itself, and for e = 0 or
+    e = d the product is a power.
     """
 
-    __slots__ = ("_parts", "_powers", "_products", "_t_exponent")
+    __slots__ = ("_powers", "_products", "_t_exponent")
 
     def __init__(self, x_num, x_den, y_num, y_den, t_exponent: int):
-        self._parts = (x_num, x_den, y_num, y_den)
-        self._powers: Tuple[List[CurvePolynomial], ...] = (
-            [_ONE], [_ONE], [_ONE], [_ONE])
+        self._powers: Tuple[List[CurvePolynomial], ...] = tuple(
+            [_ONE, part] for part in (x_num, x_den, y_num, y_den))
         self._products: Dict[Tuple[int, int, int], CurvePolynomial] = {}
         self._t_exponent = t_exponent
 
     def _power(self, slot: int, n: int) -> CurvePolynomial:
         powers = self._powers[slot]
         while len(powers) <= n:
-            powers.append(powers[-1] * self._parts[slot])
+            powers.append(_times(powers[-1], powers[1]))
         return powers[n]
 
     def _product(self, slot: int, e: int, d: int) -> CurvePolynomial:
         """num^e * den^(d - e), for the x pair (slot 0) or the y pair
         (slot 2)."""
+        if e == 0:
+            return self._power(slot + 1, d)
+        if e == d:
+            return self._power(slot, d)
         key = (slot, e, d)
         out = self._products.get(key)
         if out is None:
             out = self._products[key] = \
-                self._power(slot, e) * self._power(slot + 1, d - e)
+                _times(self._power(slot, e), self._power(slot + 1, d - e))
         return out
 
     def apply(self, p: CurvePolynomial, dx: int, dy: int) -> CurvePolynomial:
@@ -295,8 +327,8 @@ class _Substitution:
                 l, c = l - 4, -c
             groups.setdefault((i, j), {})[(0, 0, k, l)] = c
         return _sum([
-            CurvePolynomial._from_ints(coeffs, p._den)
-            * self._product(0, i, dx) * self._product(2, j, dy)
+            _times(_times(CurvePolynomial._from_ints(coeffs, p._den),
+                          self._product(0, i, dx)), self._product(2, j, dy))
             for (i, j), coeffs in groups.items()])
 
 
@@ -354,7 +386,9 @@ def maps_equal(first: RationalMap, second: RationalMap,
     pairs = ((first.x_num, first.x_den, second.x_num, second.x_den),
              (first.y_num, first.y_den, second.y_num, second.y_den))
     for n1, d1, n2, d2 in pairs:
-        diff = n1 * d2 - n2 * d1
+        if n1 == n2 and d1 == d2:
+            continue
+        diff = _times(n1, d2) - _times(n2, d1)
         if curve_cubic is not None:
             diff = diff.reduce_y(curve_cubic)
         if not diff.is_zero():

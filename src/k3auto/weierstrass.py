@@ -778,8 +778,10 @@ def analyze_action(f: WeierstrassFibration,
     elliptic_label = action_label(_SMOOTH, entries[0][3])
     place, tag, shape, action, _, _ = entries[1]
     if action is None:
-        # IV*: the Weierstrass model does not see the dual graph action,
-        # so let the table decide; exactly one option may survive
+        # IV*: the Weierstrass model does not see the dual graph action, so
+        # let the table decide.  Exactly one option survives: the table has
+        # one IV* row for each smooth-fiber action except order four, and
+        # no generator that passes the checks puts IV* beside order four.
         hits = []
         for option in (FiberAction(PRESERVE), FiberAction(BRANCH_SWAP)):
             try:
@@ -787,11 +789,7 @@ def analyze_action(f: WeierstrassFibration,
                                        action_label(shape, option)), option))
             except ValueError:
                 pass
-        if len(hits) != 1:
-            raise InvariantError(
-                "cannot decide the IV* action: %d table rows carry the "
-                "pair (%r, IV*)" % (len(hits), elliptic_label))
-        row, action = hits[0]
+        [(row, action)] = hits
         entries[1] = (place, tag, shape, action, [], None)
     else:
         row = match_row(table, elliptic_label, action_label(shape, action))

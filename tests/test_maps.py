@@ -108,12 +108,17 @@ def test_product_by_one_is_the_other_factor():
                        for r in (q * one, one * q))
 
 
+def _example4_surface():
+    """y^2 = x (x^2 + 2 t^4 x + t^8 - 1)."""
+    return WeierstrassFibration(RationalPolynomial({4: 2}),
+                                RationalPolynomial({8: 1, 0: -1}),
+                                form="two-torsion")
+
+
 def _example4_maps():
     """tau, diag(4,2,7), sigma and sigma with the conjugate section
-    x0 = -t^4 + 1, all on y^2 = x (x^2 + 2 t^4 x + t^8 - 1)."""
-    f = WeierstrassFibration(RationalPolynomial({4: 2}),
-                             RationalPolynomial({8: 1, 0: -1}),
-                             form="two-torsion")
+    x0 = -t^4 + 1, all on the _example4_surface."""
+    f = _example4_surface()
     x0 = RationalPolynomial({4: -1, 0: 1})
     return [torsion_translation(f), RationalMap.diagonal(4, 2, 7),
             automorphism_map(f, DiagonalAutomorphism(4, 2, 7,
@@ -139,15 +144,136 @@ def test_compose_substitutes_each_component():
             (outer.t_exponent + inner.t_exponent) % 8
 
 
-def test_compose_is_associative():
+def _seeded_triples():
+    """12 seeded triples of translations and diagonal maps."""
     rng = random.Random(14)
     translations = _example4_maps()[::2]
     for _ in range(12):
-        triple = [rng.choice(translations) if rng.random() < 0.5
-                  else RationalMap.diagonal(rng.randrange(8),
-                                            rng.randrange(8),
-                                            rng.randrange(8))
-                  for _ in range(3)]
+        yield [rng.choice(translations) if rng.random() < 0.5
+               else RationalMap.diagonal(rng.randrange(8), rng.randrange(8),
+                                         rng.randrange(8))
+               for _ in range(3)]
+
+
+def test_compose_is_associative():
+    for triple in _seeded_triples():
         f, g, h = triple
         assert maps_equal(compose(compose(f, g), h),
                           compose(f, compose(g, h))), triple
+
+
+def _record_calls(monkeypatch, name):
+    """The (self, argument) pair of every call of the CurvePolynomial
+    method from now on."""
+    seen = []
+    method = getattr(CurvePolynomial, name)
+
+    def recording(self, other):
+        seen.append((self, other))
+        return method(self, other)
+    monkeypatch.setattr(CurvePolynomial, name, recording)
+    return seen
+
+
+def test_compose_skips_unit_factors(monkeypatch):
+    maps = _example4_maps()
+    products = _record_calls(monkeypatch, "__mul__")
+    composed = [compose(outer, inner)
+                for outer, inner in itertools.product(maps, repeat=2)]
+    assert products and not [pair for pair in products if ONE in pair]
+    # comparing a map with itself needs no cross-multiplication
+    cubic = _example4_surface().curve_relation()
+    products.clear()
+    for m in maps + composed:
+        assert maps_equal(m, m, curve_cubic=cubic)
+    assert products == []
+
+
+def _product_by_terms(p, q):
+    """p * q multiplied out on the terms view in Cyc8Element arithmetic."""
+    out = {}
+    for (i1, j1, k1), c1 in p.terms.items():
+        for (i2, j2, k2), c2 in q.terms.items():
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            out[key] = out.get(key, Cyc8Element.zero()) + c1 * c2
+    return CurvePolynomial(out)
+
+
+def test_one_term_products_match_the_terms_view():
+    rng = random.Random(19)
+
+    def fraction():
+        return Fraction(rng.choice([-6, -3, -1, 1, 2, 5]), rng.randint(1, 6))
+
+    def monomial():
+        return tuple(rng.randrange(3) for _ in range(3))
+
+    for _ in range(200):
+        # one zeta coordinate on one monomial: a one-term factor
+        one_term = CurvePolynomial({monomial(): zeta_pow(rng.randrange(4))
+                                    * fraction()})
+        other = CurvePolynomial({
+            monomial(): Cyc8Element([fraction() if rng.random() < 0.7 else 0
+                                     for _ in range(4)])
+            for _ in range(rng.randint(1, 4))})
+        for p, q in ((one_term, other), (other, one_term),
+                     (one_term, one_term)):
+            assert p * q == _product_by_terms(p, q), (p, q)
+
+
+def _cross_multiplied_equal(first, second, cubic=None):
+    """maps_equal as the plain cross-multiplication of every component."""
+    if (first.t_exponent - second.t_exponent) % 8:
+        return False
+    for n1, d1, n2, d2 in ((first.x_num, first.x_den, second.x_num,
+                            second.x_den),
+                           (first.y_num, first.y_den, second.y_num,
+                            second.y_den)):
+        diff = n1 * d2 - n2 * d1
+        if cubic is not None:
+            diff = diff.reduce_y(cubic)
+        if not diff.is_zero():
+            return False
+    return True
+
+
+def test_maps_equal_compares_fractions():
+    cubic = _example4_surface().curve_relation()
+    # equal numerators over different denominators are different maps
+    first = RationalMap(X, ONE, Y, ONE, 0)
+    second = RationalMap(X, X + ONE, Y, ONE, 0)
+    for curve in (None, cubic):
+        assert not maps_equal(first, second, curve_cubic=curve)
+        assert not maps_equal(second, first, curve_cubic=curve)
+    # and equal fractions in different forms are one map
+    assert maps_equal(first, RationalMap(X * X, X, Y * T, T, 0))
+
+
+def test_maps_equal_reduces_formally_different_fractions(monkeypatch):
+    cubic = _example4_surface().curve_relation()
+    reduced = _record_calls(monkeypatch, "reduce_y")
+    # y^2/x and cubic/x agree on the surface only; the y components are
+    # equal, so only the x components are cross-multiplied and reduced
+    first = RationalMap(Y * Y, X, Y, ONE, 0)
+    second = RationalMap(cubic, X, Y, ONE, 0)
+    assert not maps_equal(first, second)
+    assert reduced == []
+    assert maps_equal(first, second, curve_cubic=cubic)
+    [(diff, _)] = reduced
+    assert not diff.is_zero()
+
+
+def test_maps_equal_agrees_with_cross_multiplication():
+    cubic = _example4_surface().curve_relation()
+    verdicts = []
+    for f, g, h in _seeded_triples():
+        left, right = compose(compose(f, g), h), compose(f, compose(g, h))
+        for first, second in ((left, right), (left, left),
+                              (left, compose(compose(h, g), f)),
+                              (compose(f, g), compose(g, f))):
+            for curve in (None, cubic):
+                verdict = maps_equal(first, second, curve_cubic=curve)
+                assert verdict \
+                    == _cross_multiplied_equal(first, second, curve)
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts

@@ -446,12 +446,16 @@ small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 @st.composite
 def curve_polynomials(draw, max_terms=4):
     """Up to max_terms monomials x^i y^j t^k (i, j <= 2, k <= 3), each with
-    all four zeta coordinates drawn over denominators up to 6."""
+    all four zeta coordinates drawn over denominators up to 6 or with one
+    of them, so that one-term polynomials come up too."""
     keys = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
                                    st.integers(0, 3)),
                          max_size=max_terms, unique=True))
-    return CurvePolynomial({key: Cyc8Element(draw(st.lists(
-        small_fractions, min_size=4, max_size=4))) for key in keys})
+    coefficients = st.one_of(
+        st.lists(small_fractions, min_size=4, max_size=4).map(Cyc8Element),
+        st.builds(lambda l, c: zeta_pow(l) * c, st.integers(0, 3),
+                  small_fractions))
+    return CurvePolynomial({key: draw(coefficients) for key in keys})
 
 
 def zeta_coefficients(p):
@@ -499,6 +503,14 @@ def assert_matches(mine, poly):
 # zeta^3 * zeta^3 = -zeta^2: the product folds past zeta^4
 @example(CurvePolynomial({(1, 0, 0): zeta_pow(3)}),
          CurvePolynomial({(0, 1, 0): zeta_pow(3) * Fraction(1, 2)}))
+# a one-term factor on the left, then on the right: zeta^2 and zeta^3
+# fold past zeta^4 against the other factor's zeta^2 and zeta^3 terms
+@example(CurvePolynomial({(0, 1, 2): zeta_pow(2) * 5}),
+         CurvePolynomial({(1, 0, 0): Cyc8Element([1, -2, 3, Fraction(1, 4)]),
+                          (0, 0, 3): zeta_pow(3) * -2}))
+@example(CurvePolynomial({(2, 1, 0): Cyc8Element([Fraction(2, 3), 0, 1, 5]),
+                          (0, 0, 0): 7}),
+         CurvePolynomial({(1, 2, 1): zeta_pow(3) * Fraction(-3, 4)}))
 def test_curve_polynomial_ring_matches_sympy(p, q):
     ps, qs = curve_to_zeta_sympy(p), curve_to_zeta_sympy(q)
     assert_matches(p + q, ps + qs)
@@ -510,6 +522,13 @@ def test_curve_polynomial_ring_matches_sympy(p, q):
 @given(curve_polynomials(),
        st.lists(curve_polynomials(max_terms=2), min_size=4, max_size=4),
        st.integers(0, 7), st.integers(0, 1))
+# unit denominators, a one-term x part and a group whose coefficient is 1
+@example(CurvePolynomial({(2, 1, 0): 1, (1, 0, 2): zeta_pow(3),
+                          (0, 0, 1): Fraction(1, 2)}),
+         [CurvePolynomial({(1, 0, 1): zeta_pow(2) * Fraction(1, 3)}),
+          CurvePolynomial.constant(1),
+          CurvePolynomial({(0, 1, 0): 1, (1, 1, 0): zeta_pow(1)}),
+          CurvePolynomial.constant(1)], 5, 1)
 def test_substitute_matches_sympy(p, parts, e, extra):
     """self(x -> xn/xd, y -> yn/yd, t -> zeta^e t) times xd^dx yd^dy,
     summed term by term in sympy."""

@@ -3,11 +3,14 @@
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from k3auto.fibers import (IDENTITY, INVOLUTION, ORDER_4, TRANSLATION_2,
+from k3auto.classify import enumerate_cases
+from k3auto.fibers import (IDENTITY, INVOLUTION, IV_STAR, ORDER_4,
+                           TRANSLATION_2, TRANSLATION_4, parse_action_label,
                            point_type)
 from k3auto.maps import CurvePolynomial, RationalMap, compose, maps_equal
 from k3auto.polynomial import (Place, RationalPolynomial,
@@ -570,6 +573,52 @@ def test_two_smooth_invariant_fibers_carry_one_order_four_action():
     assert partners == {IDENTITY, INVOLUTION, TRANSLATION_2}
     # the only charts the smooth-fiber table and fixed-point routines meet
     assert charts == {(0, 0), (0, 4), (4, 2), (4, 6)}
+
+
+def test_iv_star_never_sits_beside_an_order_four_smooth_fiber():
+    # analyze_action lets the table decide the action on an IV* fiber, and
+    # exactly one row survives: the table has one IV* row for each action
+    # on the smooth fiber except order four ...
+    partners = Counter(
+        parse_action_label(row.action[0])[1] for row in enumerate_cases()
+        if parse_action_label(row.action[1])[0].kind == IV_STAR)
+    assert partners == {IDENTITY: 1, TRANSLATION_2: 1, TRANSLATION_4: 1,
+                        INVOLUTION: 1}
+    # ... and no generator that passes the checks has a smooth order-four
+    # fiber beside an IV* fiber.  The checks are symmetric under t -> 1/t,
+    # so the order-four chart may be the one at t = 0; every coefficient
+    # choice in -2..3 on the monomials invariance admits is typed.
+    beside_smooth, iv_star = set(), set()
+    for ex, ey, et in itertools.product(range(8), repeat=3):
+        g = DiagonalAutomorphism(ex, ey, et)
+        if (2 * ey - 3 * ex) % 8 or et % 2 == 0 \
+                or two_form_multiplier(g) != 1 \
+                or _smooth_action_name(ex, ey, False) != ORDER_4:
+            continue
+        for form, (da, db) in (("short", (8, 12)), ("two-torsion", (4, 8))):
+            def surface(a, b):
+                return WeierstrassFibration(RationalPolynomial(a),
+                                            RationalPolynomial(b), form)
+            ea = [e for e in range(da + 1)
+                  if not invariance_failures(surface({e: 1}, {}), g)]
+            eb = [e for e in range(db + 1)
+                  if not invariance_failures(surface({}, {e: 1}), g)]
+            for cs in itertools.product((-2, -1, 0, 1, 3),
+                                        repeat=len(ea) + len(eb)):
+                f = surface(dict(zip(ea, cs)), dict(zip(eb, cs[len(ea):])))
+                try:
+                    at_zero, at_infinity = (
+                        kodaira_type_at(f, place).kodaira for place in
+                        (Place.finite_rational(0), Place.infinity()))
+                except InvariantError:  # zero discriminant, non-minimal
+                    continue
+                if at_zero == "I_0":
+                    beside_smooth.add(at_infinity)
+                if IV_STAR in (at_zero, at_infinity):
+                    iv_star.add((form, at_zero, at_infinity))
+    assert beside_smooth == {"I_0", "I_8", "I_16"}
+    # IV* does occur, on the order-four chart's own fiber (a = 0)
+    assert iv_star == {("short", IV_STAR, "I_0")}
 
 
 def test_analysis_json_is_serializable():
