@@ -38,7 +38,9 @@ canonical, and the arithmetic builds the unit as the one object _ONE, so
 composition skips a unit factor without calling the product at all.  A
 factor of one term shifts the other factor's keys, which the zeta fold
 keeps distinct, so nothing is accumulated.  A sum of one summand is that
-summand.
+summand.  A one-term product, a negation and the term groups of a
+substitution or a y-reduction hold no zero entry, so their dicts are
+kept as built, without a copy that drops zeros.
 
 Equality is decided componentwise after cross-multiplying; a component
 whose canonical numerators and denominators are equal needs none.  For
@@ -109,7 +111,12 @@ class CurvePolynomial:
     @classmethod
     def _from_ints(cls, f: Dict[Key, int], d: int = 1) -> "CurvePolynomial":
         """f/d in canonical form, for d > 0."""
-        f = {key: c for key, c in f.items() if c}
+        return cls._from_nonzero({key: c for key, c in f.items() if c}, d)
+
+    @classmethod
+    def _from_nonzero(cls, f: Dict[Key, int], d: int = 1) -> "CurvePolynomial":
+        """f/d in canonical form, for d > 0 and an f with no zero entry;
+        the result may keep the dict f."""
         if d == 1 and f == _ONE._num:
             return _ONE
         if d != 1:
@@ -164,7 +171,7 @@ class CurvePolynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "CurvePolynomial":
-        return CurvePolynomial._from_ints(
+        return CurvePolynomial._from_nonzero(
             {key: -c for key, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "CurvePolynomial":
@@ -189,7 +196,8 @@ class CurvePolynomial:
                 l = l1 + l2
                 shifted[i1 + i2, j1 + j2, k1 + k2, l % 4] = \
                     c1 * c2 if l < 4 else -c1 * c2
-            return CurvePolynomial._from_ints(shifted, self._den * other._den)
+            return CurvePolynomial._from_nonzero(shifted,
+                                                 self._den * other._den)
         acc: Dict[Key, int] = {}
         get = acc.get
         right = list(other._num.items())
@@ -233,8 +241,8 @@ class CurvePolynomial:
             low = {key: c for key, c in p._num.items() if key[1] < 2}
             high = {(i, j - 2, k, l): c
                     for (i, j, k, l), c in p._num.items() if j >= 2}
-            p = CurvePolynomial._from_ints(low, p._den) \
-                + CurvePolynomial._from_ints(high, p._den) * cubic
+            p = CurvePolynomial._from_nonzero(low, p._den) \
+                + CurvePolynomial._from_nonzero(high, p._den) * cubic
         return p
 
     def __repr__(self):
@@ -327,7 +335,7 @@ class _Substitution:
                 l, c = l - 4, -c
             groups.setdefault((i, j), {})[(0, 0, k, l)] = c
         return _sum([
-            _times(_times(CurvePolynomial._from_ints(coeffs, p._den),
+            _times(_times(CurvePolynomial._from_nonzero(coeffs, p._den),
                           self._product(0, i, dx)), self._product(2, j, dy))
             for (i, j), coeffs in groups.items()])
 
@@ -361,8 +369,13 @@ def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     plug = _Substitution(*inner)
 
     def pair(num: CurvePolynomial, den: CurvePolynomial):
-        dx = max(num.x_degree(), den.x_degree())
-        dy = max(num.y_degree(), den.y_degree())
+        # the x- and y-degrees of the pair, in one pass over the keys
+        dx = dy = 0
+        for i, j, _, _ in (*num._num, *den._num):
+            if i > dx:
+                dx = i
+            if j > dy:
+                dy = j
         return plug.apply(num, dx, dy), plug.apply(den, dx, dy)
 
     xn, xd = pair(outer.x_num, outer.x_den)

@@ -15,12 +15,14 @@ stays in the integers whenever it is exact (Gauss's lemma), gcd is the
 heuristic GCDHEU (one big-integer gcd of two values, certified by exact
 division) with a primitive pseudo-remainder sequence as its fallback, and
 the layer loops of Yun's algorithm and split_by_valuation try one exact
-division before each gcd.  rational_roots Hensel-lifts the roots of a
-monic transform modulo the first prime at which they are all simple, and
-the Weierstrass discriminant 4a^3 + 27b^2 is read off one big-integer
-value at a power of two.  Fractions appear only at the boundary: the dict
-and pair constructors, the `coeffs` view, and single values such as
-evaluate's result and the rational roots.
+division before each gcd; a monic divisor needs no integer division.
+rational_roots solves layers of degree at most 2 in closed form and
+Hensel-lifts the roots of a monic transform of a higher layer modulo the
+first prime at which they are all simple.  The Weierstrass discriminant
+4a^3 + 27b^2 is read off one big-integer value at a power of two.
+Fractions appear only at the boundary: the dict and pair constructors,
+the `coeffs` view, and single values such as evaluate's result and the
+rational roots.
 
 A Place is where a fiber lives: a rational point t0, a monic squarefree
 factor with no rational roots (a Galois orbit class of irrational points),
@@ -365,23 +367,39 @@ def _split_rational_roots(
     """(roots, residual) for a squarefree nonzero p: its rational roots,
     sorted, and the monic cofactor of their linear factors.
 
-    Modular method: with a the leading coefficient of f, the primitive p
-    without a factor t, and d its degree, every rational root r makes
-    s = a*r an integer root of the monic Q(s) = a^(d-1) f(s/a).  Q's roots
-    modulo the first prime at which each of them is simple (Q' nonzero
-    there) are found by evaluation; every integer root of Q reduces to one
-    of them, and a simple root lifts uniquely.  They are Hensel-lifted past
-    twice a root bound, read as symmetric residues and kept only when
-    their linear factor divides f.  A prime with no root proves there is
-    none.  The cost is polynomial in the bit size of p: no integer is
-    factored, and a prime is passed over only when it divides disc(Q).
+    Let f be the primitive p without a factor t.  A linear f has the root
+    -f0/f1.  A quadratic f = a t^2 + b t + c has rational roots exactly
+    when b^2 - 4ac is a square, which math.isqrt decides; they are
+    (-b +- r)/2a.
+
+    Higher degrees take the modular method: with a the leading coefficient
+    of f and d its degree, every rational root r makes s = a*r an integer
+    root of the monic Q(s) = a^(d-1) f(s/a).  Q's roots modulo the first
+    prime at which each of them is simple (Q' nonzero there) are found by
+    evaluating Q and Q', reduced mod the prime once, at every residue;
+    every integer root of Q reduces to one of them, and a simple root
+    lifts uniquely.  They are Hensel-lifted past twice a root bound, read
+    as symmetric residues and kept only when their linear factor divides
+    f.  A prime with no root proves there is none.  The cost is polynomial
+    in the bit size of p: no integer is factored, and a prime is passed
+    over only when it divides disc(Q).
     """
     f = _primitive_part(p._num)
     roots: List[Fraction] = []
     if not f[0]:
         roots.append(Fraction(0))
         f = f[1:]
-    if len(f) > 1:
+    if len(f) == 2:
+        roots.append(Fraction(-f[0], f[1]))
+        f = [1]
+    elif len(f) == 3:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        r = math.isqrt(max(disc, 0))
+        if r * r == disc:
+            roots += (Fraction(-b - r, 2 * a), Fraction(-b + r, 2 * a))
+            f = [1]
+    elif len(f) > 3:
         d, lead = len(f) - 1, f[-1]
         # Q(s) = sum f_i a^(d-1-i) s^i for i < d, plus s^d
         monic = [c * lead ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
@@ -394,9 +412,11 @@ def _split_rational_roots(
             prime += 1
             if any(prime % k == 0 for k in range(2, math.isqrt(prime) + 1)):
                 continue
+            small = [c % prime for c in monic]
+            small_diff = [c % prime for c in diff]
             lifted = [s for s in range(prime)
-                      if _eval_mod(monic, s, prime) == 0]
-            if all(_eval_mod(diff, s, prime) for s in lifted):
+                      if _eval_mod(small, s, prime) == 0]
+            if all(_eval_mod(small_diff, s, prime) for s in lifted):
                 break
         modulus = prime
         while lifted and modulus <= 2 * bound:
@@ -536,18 +556,24 @@ def _int_quotient(f: List[int], g: List[int]) -> Optional[List[int]]:
 
     By Gauss's lemma g divides f over Q exactly when it does over Z, so
     the first quotient term that lc(g) does not divide ends the search.
+    A monic g divides every term, so each quotient term is the current top
+    coefficient; a zero term subtracts nothing.
     """
     f = f[:]
     n, lead = len(g) - 1, g[-1]
     body = g[:-1]
     quotient = [0] * max(len(f) - n, 0)
     for k in range(len(quotient) - 1, -1, -1):
-        c, rest = divmod(f[k + n], lead)
-        if rest:
-            return None
+        c = f[k + n]
+        if not c:
+            continue
+        if lead != 1:
+            c, rest = divmod(c, lead)
+            if rest:
+                return None
         quotient[k] = c
-        for i, gc in enumerate(body):
-            f[k + i] -= c * gc
+        for i, gc in enumerate(body, k):
+            f[i] -= c * gc
     return None if any(f[:n]) else quotient
 
 
@@ -653,23 +679,22 @@ def multiplicity_profile(
     """
     if p.is_zero():
         raise ValueError("zero polynomial rejected")
-    out: List[Tuple[Place, int]] = []
+    rational: List[Tuple[Place, int]] = []
+    irrational: List[Tuple[Place, int]] = []
     for factor, mult in squarefree_decomposition(p):
         roots, residual = _split_rational_roots(factor)
-        out.extend((Place.finite_rational(root), mult) for root in roots)
+        rational.extend((Place.finite_rational(root), mult) for root in roots)
         if residual.degree() > 0:
             # no rational root is left: the place needs no re-check
-            out.append((Place("finite-irreducible", poly=residual), mult))
-    out.sort(key=_profile_sort_key)
-    return out
-
-
-def _profile_sort_key(entry: Tuple[Place, int]):
-    place, mult = entry
-    if place.kind == "finite-rational":
-        return (0, place.t0, mult)
-    # the coefficient view fixes the order of the irrational places
-    return (1, list(place.poly.coeffs.items()), mult)
+            irrational.append((Place("finite-irreducible", poly=residual),
+                               mult))
+    # the layers are coprime, so every root is listed once
+    rational.sort(key=lambda entry: entry[0].t0)
+    if len(irrational) > 1:
+        # the coefficient view fixes the order of the irrational places
+        irrational.sort(key=lambda entry: (list(entry[0].poly.coeffs.items()),
+                                           entry[1]))
+    return rational + irrational
 
 
 def split_by_valuation(

@@ -225,14 +225,21 @@ def _short_and_discriminant(f: WeierstrassFibration):
 
 
 def kodaira_type_at(f: WeierstrassFibration, place: Place) -> FiberReport:
-    """Fiber report over one place; t = infinity is read as the fiber over
-    t = 0 of f.at_infinity()."""
-    at = place
-    if place.kind == "infinity":
-        f, at = f.at_infinity(), Place.finite_rational(0)
+    """Fiber report over one place.
+
+    t = infinity is read from degrees.  In the chart s = 1/t of
+    f.at_infinity() the short-form coefficients and the discriminant are
+    s^8 a(1/s), s^12 b(1/s) and s^24 delta(1/s), in both forms once the
+    2-torsion form is converted, so their valuations at s = 0 are
+    8 - deg a, 12 - deg b and 24 - deg delta, and inf for a zero
+    coefficient (whose degree is -inf).
+    """
     a, b, delta = _short_and_discriminant(f)
-    return _fiber_report(place, valuation_at(a, at), valuation_at(b, at),
-                         valuation_at(delta, at))
+    if place.kind == "infinity":
+        return _fiber_report(place, 8 - a.degree(), 12 - b.degree(),
+                             24 - delta.degree())
+    return _fiber_report(place, valuation_at(a, place), valuation_at(b, place),
+                         valuation_at(delta, place))
 
 
 def _split(f: RationalPolynomial, p: RationalPolynomial):
@@ -245,8 +252,10 @@ def fiber_reports(f: WeierstrassFibration) -> List[FiberReport]:
 
     v(delta) at a finite place is its multiplicity in delta.  An
     irrational layer of delta is split by v(a), then by v(b), so every
-    report's place bundles roots sharing one valuation triple.  The sum
-    of v(delta) weighted by residue degree must be 24; a shortfall always
+    report's place bundles roots sharing one valuation triple.  Where
+    v(a) = 0 at a root of delta = 4a^3 + 27b^2, 27b^2 = delta - 4a^3 is a
+    unit, so v(b) = 0 is read off without computing it.  The sum of
+    v(delta) weighted by residue degree must be 24; a shortfall always
     surfaces as a non-minimal place instead, so the explicit check is a
     backstop.
     """
@@ -254,11 +263,12 @@ def fiber_reports(f: WeierstrassFibration) -> List[FiberReport]:
     reports = []
     for place, mult in multiplicity_profile(delta):
         if place.kind == "finite-rational":
-            reports.append(_fiber_report(place, valuation_at(a, place),
-                                         valuation_at(b, place), mult))
+            v_a = valuation_at(a, place)
+            v_b = valuation_at(b, place) if v_a else 0
+            reports.append(_fiber_report(place, v_a, v_b, mult))
             continue
         for part, v_a in _split(place.poly, a):
-            for piece, v_b in _split(part, b):
+            for piece, v_b in _split(part, b) if v_a else [(part, 0)]:
                 reports.append(_fiber_report(
                     Place("finite-irreducible", poly=piece), v_a, v_b, mult))
     if 24 - delta.degree() > 0:

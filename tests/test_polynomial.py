@@ -189,11 +189,102 @@ def test_rational_roots_when_small_primes_all_see_a_double_root():
     it passes over at most log2 |disc(Q)| primes, a number polynomial in
     the bit size of p.  Here disc(Q) = PRIMORIAL_47^2 and 53 serves."""
     p = (T - 1) * (T - 1 - PRIMORIAL_47)
-    start = time.perf_counter()
-    roots = rational_roots(p)
-    elapsed = time.perf_counter() - start
-    assert roots == [Fraction(1), Fraction(1 + PRIMORIAL_47)]
-    assert elapsed < 1.0, elapsed
+    # the quadratic is solved in closed form; times t^2 + 1 it takes the
+    # prime search
+    for q in (p, p * (T ** 2 + 1)):
+        start = time.perf_counter()
+        roots = rational_roots(q)
+        elapsed = time.perf_counter() - start
+        assert roots == [Fraction(1), Fraction(1 + PRIMORIAL_47)]
+        assert elapsed < 1.0, elapsed
+
+
+def _int_product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _random_ints(rng, length, bound):
+    # a dense int list of the given length with a nonzero top term
+    out = [rng.randint(-bound, bound) for _ in range(length)]
+    out[-1] = out[-1] or 1
+    return out
+
+
+def test_exact_division_by_monic_and_non_monic_divisors():
+    rng = random.Random(80806)
+    kinds = set()
+    for _ in range(400):
+        bound = rng.choice([9, 10 ** 20])
+        g = _random_ints(rng, rng.randint(1, 7), bound)
+        g[-1] = 1 if rng.random() < 0.5 else abs(g[-1])
+        g = polynomial._primitive_part(g)
+        kinds.add((g[-1] == 1, len(g) > 1, bound > 9))
+        q = _random_ints(rng, rng.randint(1, 7), rng.choice([9, 10 ** 20]))
+        f = _int_product(q, g)
+        assert polynomial._int_quotient(f, g) == q
+        if len(g) > 1:
+            # a nonzero remainder of lower degree than g
+            r = _random_ints(rng, rng.randint(1, len(g) - 1), bound)
+            for i, c in enumerate(r):
+                f[i] += c
+            assert polynomial._int_quotient(f, g) is None
+    # monic and not, constant and not, narrow and wide
+    assert len(kinds) == 8 - 2, kinds  # a constant primitive g is [1]
+
+
+# layers of degree at most 2 with the rational roots they have, built up
+# front
+LOW_DEGREE_LAYERS = [
+    # two rational roots, monic
+    ((T - 2) * (T + 5), [Fraction(-5), Fraction(2)]),
+    # non-monic, with a perfect-square discriminant 289
+    ((3 * T - 1) * (2 * T + 5), [Fraction(-5, 2), Fraction(1, 3)]),
+    # negative discriminant
+    (3 * T ** 2 + T + 1, []),
+    # positive discriminant 37 that is no square
+    (3 * T ** 2 - 7 * T + 1, []),
+    # a zero root beside a quadratic, with and without rational roots
+    (T * (T ** 2 - 3), [Fraction(0)]),
+    (T * (4 * T - 3) * (T + 6), [Fraction(-6), Fraction(0), Fraction(3, 4)]),
+    # linear layers
+    (7 * T + 3, [Fraction(-3, 7)]),
+    (Fraction(1, 2) * T, [Fraction(0)]),
+    # wide coefficients: 20-digit primes, and t^2 minus their product, a
+    # 40-digit non-square
+    ((PRIME_20_DIGITS[0] * T - PRIME_20_DIGITS[1])
+     * (PRIME_20_DIGITS[1] * T + 7),
+     [Fraction(-7, PRIME_20_DIGITS[1]),
+      Fraction(PRIME_20_DIGITS[1], PRIME_20_DIGITS[0])]),
+    (T ** 2 - PRIME_20_DIGITS[0] * PRIME_20_DIGITS[1], []),
+    (PRIME_20_DIGITS[0] * T + PRIME_20_DIGITS[1],
+     [Fraction(-PRIME_20_DIGITS[1], PRIME_20_DIGITS[0])]),
+]
+
+
+@pytest.mark.parametrize("layer, roots", LOW_DEGREE_LAYERS)
+def test_rational_roots_of_low_degree_layers(layer, roots):
+    assert rational_roots(layer) == roots
+    # the layer is simple; with the rational roots taken out, what is
+    # left is one irrational place, or nothing
+    residual = layer.monic()
+    for root in roots:
+        residual = residual.exact_div(T - root)
+    irrational = ([(Place.finite_irreducible(residual), 1)]
+                  if residual.degree() > 0 else [])
+    expected = [(Place.finite_rational(r), 1) for r in roots] + irrational
+    assert multiplicity_profile(layer) == expected
+    # as a layer of multiplicity 2, beside a simple rational root
+    extra = max(roots, default=0) + 1
+    squared = multiplicity_profile(layer ** 2 * (T - extra))
+    assert squared == sorted(
+        [(Place.finite_rational(r), 2) for r in roots]
+        + [(Place.finite_rational(extra), 1)],
+        key=lambda entry: entry[0].t0) + [(place, 2)
+                                           for place, _ in irrational]
 
 
 def test_gcd_normalization():

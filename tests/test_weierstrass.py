@@ -1,19 +1,23 @@
 """Weierstrass models: fiber types, invariance, fixed points, examples."""
 
 import itertools
+import json
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from k3auto import weierstrass
 from k3auto.classify import enumerate_cases
 from k3auto.fibers import (IDENTITY, INVOLUTION, IV_STAR, ORDER_4,
                            TRANSLATION_2, TRANSLATION_4, parse_action_label,
                            point_type)
 from k3auto.maps import CurvePolynomial, RationalMap, compose, maps_equal
-from k3auto.polynomial import (Place, RationalPolynomial,
+from k3auto.polynomial import (Place, RationalPolynomial, valuation_at,
                                weierstrass_discriminant)
 from k3auto.weierstrass import (DiagonalAutomorphism, InvariantError,
                                 WeierstrassFibration, _invariant_charts,
@@ -195,6 +199,134 @@ def test_fiber_reports_rejects_zero_discriminant():
                              RationalPolynomial.zero())
     with pytest.raises(InvariantError, match="vanishes identically"):
         fiber_reports(f)
+
+
+def _chart_report_at_infinity(f):
+    # the fiber at infinity as the chart computes it: t = 0 of at_infinity()
+    zero = Place.finite_rational(0)
+    chart = weierstrass._short_and_discriminant(f.at_infinity())
+    return weierstrass._fiber_report(
+        Place.infinity(), *(valuation_at(p, zero) for p in chart))
+
+
+def test_fiber_at_infinity_is_read_from_degrees():
+    rng = random.Random(80807)
+    pins = [WeierstrassFibration(RationalPolynomial.zero(), T ** 11 + 1),
+            WeierstrassFibration(T ** 5 - 2, RationalPolynomial.zero()),
+            WeierstrassFibration(RationalPolynomial.zero(), T ** 7 + 3,
+                                 form="two-torsion"),
+            WeierstrassFibration(T ** 3 + 1, RationalPolynomial.zero(),
+                                 form="two-torsion")]
+    samples = pins + [
+        WeierstrassFibration(_random_sparse(rng, da), _random_sparse(rng, db),
+                             form)
+        for form, (da, db) in _WEIGHTS.items() for _ in range(150)]
+    seen = Counter()
+    for f in samples:
+        try:
+            expected = _chart_report_at_infinity(f)
+        except InvariantError as err:
+            with pytest.raises(InvariantError, match=re.escape(str(err))):
+                kodaira_type_at(f, Place.infinity())
+            seen[f.form, "error"] += 1
+            continue
+        report = kodaira_type_at(f, Place.infinity())
+        assert report == expected
+        assert [type(v) for v in report] == [type(v) for v in expected]
+        if report.v_delta > 0:
+            seen[f.form, "singular"] += 1
+        if INF in (report.v_a, report.v_b):
+            seen[f.form, "zero coefficient"] += 1
+    # both forms give singular fibers at infinity (deg delta < 24), zero
+    # coefficients and refusals (a zero discriminant or a non-minimal place)
+    assert all(seen[form, kind] >= 2 for form in _WEIGHTS
+               for kind in ("error", "singular", "zero coefficient")), seen
+
+
+GOLDEN_FIBRATIONS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _valuation_samples():
+    """Fibrations whose reports the valuation cross-check reads: the golden
+    inputs, every preset of the four worked examples and 50 seeded designs
+    with additive and multiplicative fibers on rational and irrational
+    places."""
+    for name in ("ex3", "ex4-generic", "ex4-i8", "iv-star", "not-invariant",
+                 "readme"):
+        data = json.loads((GOLDEN_FIBRATIONS / (name + ".json")).read_text())
+        yield WeierstrassFibration.from_json(data)
+    builders = {1: weierstrass._build_example_12,
+                2: weierstrass._build_example_12,
+                3: weierstrass._build_example_3,
+                4: weierstrass._build_example_4}
+    for example_id, presets in weierstrass._EXAMPLE_PRESETS.items():
+        for params in presets.values():
+            yield builders[example_id](params)
+    rng = random.Random(80808)
+    kept = 0
+    while kept < 50:
+        f = _designed_fibration(rng)
+        if f is not None:
+            kept += 1
+            yield f
+
+
+def _cofactor(rng, degree):
+    return RationalPolynomial({e: rng.randint(-4, 4)
+                               for e in range(degree + 1)}) + rng.randint(1, 3)
+
+
+def _designed_fibration(rng):
+    """A short-form datum built from chosen factors, as the fiber-typing
+    benchmark draws them: a = -3 h^2 s^2, b = (2 h^3 + g) s^3 (cycles,
+    their twists, II and IV), or a = P^alpha a0, b = P^beta b0 (the additive
+    types), with P = t - r or t^2 - d; None when the draw is no K3 datum
+    or is refused."""
+    place = rng.choice([T - rng.randint(-3, 3),
+                        T * T - rng.choice([2, 3, 5, 7])])
+    if rng.random() < 0.5:
+        h = place ** rng.randint(0, 1) * _cofactor(rng, rng.randint(0, 1))
+        s = place ** rng.randint(0, 1)
+        g = place ** rng.randint(0, 3) * _cofactor(rng, rng.randint(0, 2))
+        a, b = h * h * s * s * -3, (h * h * h * 2 + g) * s * s * s
+    else:
+        alpha, beta = rng.choice([(1, 2), (3, 5), (3, 4), (4, 5), (2, 3),
+                                  (1, 1)])
+        a = place ** alpha * _cofactor(rng, rng.randint(0, 2))
+        b = place ** beta * _cofactor(rng, rng.randint(0, 2))
+    if a.degree() > 8 or b.degree() > 12:
+        return None
+    f = WeierstrassFibration(a, b)
+    try:
+        fiber_reports(f)
+    except InvariantError:
+        return None
+    return f
+
+
+def test_reported_valuations_match_direct_computation():
+    """v(a) and v(b) of every report equal the valuations computed
+    directly: valuation_at at a rational place, one level of the whole
+    split by a and by b on an irrational bundle.  fiber_reports reads
+    v(b) = 0 off v(a) = 0 without computing it."""
+    seen = Counter()
+    for f in _valuation_samples():
+        a, b = f.short_coefficients()
+        for report in fiber_reports(f):
+            place, v_a, v_b = report.place, report.v_a, report.v_b
+            if place.kind == "finite-rational":
+                assert (v_a, v_b) == (valuation_at(a, place),
+                                      valuation_at(b, place)), report
+            elif place.kind == "finite-irreducible":
+                assert weierstrass._split(place.poly, a) == [(place.poly, v_a)]
+                assert weierstrass._split(place.poly, b) == [(place.poly, v_b)]
+            if v_a == 0:
+                assert v_b == 0, report
+            seen[place.kind, v_a > 0 and v_b > 0] += 1
+    # the valuations the shortcut skips, and the ones it must not
+    assert all(seen[kind, additive] >= 5
+               for kind in ("finite-rational", "finite-irreducible")
+               for additive in (False, True)), seen
 
 
 def test_rescaling_leaves_fiber_types():
