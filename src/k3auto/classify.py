@@ -6,12 +6,12 @@ skeleton carries one or two smooth elliptic curves fixed by the fourth
 power plus, in ranks 14 and 18, a degenerate second invariant fiber (IV*
 or I_8, respectively I_16).  The enumerator walks the closed vocabulary of
 actions on these fibers, assembles the total fixed-locus configuration,
-and keeps a case only when
-
-  * the holomorphic fixed point sum is exactly 1 + zeta^7 (the two
-    integer point-count constraints are this identity's coordinates, so
-    it is tested once), and
-  * the eigenspace rank system has a non-negative integral solution.
+and keeps a case only when the holomorphic fixed point sum is exactly
+1 + zeta^7 (the two integer point-count constraints are this identity's
+coordinates, so it is tested once).  Every case kept fits its skeleton's
+k_sigma4 and has a non-negative integral solution of the eigenspace rank
+system; a case that does not raises InvariantError rather than being
+dropped.
 
 Exactly sixteen cases survive.  validate_row re-checks each row from
 scratch, including the induced order-4 data of the square (its isolated
@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import InvariantError
 from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, IV_STAR, ORDER_4,
                      PRESERVE, REFLECTION, ROTATION_2, ROTATION_4, SMOOTH,
                      TRANSLATION_2, TRANSLATION_4, FiberAction, FiberShape,
@@ -155,14 +156,20 @@ def _assemble(rk_pic: int, num_c: int, k_sigma4: int, c_action: FiberAction,
     _, fd_cp, config = _fixed_locus(c_action, cp_shape, cp_action)
     if not holo_total(config, 1)[1]:
         return None
+    # every candidate the holomorphic identity keeps fits its skeleton
+    # and has ranks; a failure is a fault in the vocabulary, not a row
     k_sigma2 = fd_cp.k_sigma2 if cp_shape.kind != SMOOTH else 0
     rational_k4 = fd_cp.k_sigma4 if cp_shape.kind != SMOOTH else 0
+    where = "%s on C, %s on C'" % (c_action.name, cp_action.name)
     if rational_k4 != k_sigma4:
-        return None  # shape incompatible with the skeleton
+        raise InvariantError(
+            "%s: the fiber gives k_sigma4 = %d, the rank-%d skeleton %d"
+            % (where, rational_k4, rk_pic, k_sigma4))
     try:
         r, l, m = solve_ranks(m1, config.N, config.alpha, k_sigma2)
-    except ValueError:
-        return None
+    except ValueError as err:
+        raise InvariantError("%s: no eigenspace ranks (%s)"
+                             % (where, err)) from None
     labels = (action_label(_SMOOTH_C, c_action), action_label(cp_shape, cp_action))
     sort_key = (rk_pic, _category_rank(cp_shape, cp_action),
                 _ELLIPTIC_ORDER[c_action.name])

@@ -14,12 +14,13 @@ polynomial in the bit size of the input: division by a primitive divisor
 stays in the integers whenever it is exact (Gauss's lemma), gcd is the
 heuristic GCDHEU (one big-integer gcd of two values, certified by exact
 division) with a primitive pseudo-remainder sequence as its fallback, and
-the layer loops of Yun's algorithm and split_by_valuation try one exact
-division before each gcd; a monic divisor needs no integer division.
-rational_roots solves layers of degree at most 2 in closed form and
-Hensel-lifts the roots of a monic transform of a higher layer modulo the
-first prime at which they are all simple.  The Weierstrass discriminant
-4a^3 + 27b^2 is read off one big-integer value at a power of two.
+the layer loop that Yun's algorithm and split_by_valuation share tries
+one exact division before each gcd; a monic divisor needs no integer
+division.  rational_roots solves layers of degree at most 2 in closed
+form; for a higher layer it Hensel-lifts the roots of the layer itself,
+at the first prime not dividing its lead at which they are all simple.
+The Weierstrass discriminant 4a^3 + 27b^2 is read off one big-integer
+value at a power of two.
 Fractions appear only at the boundary: the dict and pair constructors,
 the `coeffs` view, and single values such as evaluate's result and the
 rational roots.
@@ -338,19 +339,9 @@ def squarefree_decomposition(
     if p.is_zero():
         raise ValueError("zero polynomial has no squarefree decomposition")
     f = _primitive_part(p._num)
-    out: List[Tuple[RationalPolynomial, int]] = []
+    # gcd(f, f') holds every root once less often than f
     g, w, _ = _gcd_cofactors(f, _primitive_part(_derivative(f)))
-    i = 1
-    while len(w) > 1:
-        # w divides g when no root of w has multiplicity exactly i
-        quotient = _int_quotient(g, w)
-        y, factor, g = (_gcd_cofactors(w, g) if quotient is None
-                        else (w, [1], quotient))
-        if len(factor) > 1:
-            out.append((_monic(factor), i))
-        w = y
-        i += 1
-    return out
+    return _peel_layers(w, g, 1)
 
 
 def rational_roots(p: RationalPolynomial) -> List[Fraction]:
@@ -372,17 +363,21 @@ def _split_rational_roots(
     when b^2 - 4ac is a square, which math.isqrt decides; they are
     (-b +- r)/2a.
 
-    Higher degrees take the modular method: with a the leading coefficient
-    of f and d its degree, every rational root r makes s = a*r an integer
-    root of the monic Q(s) = a^(d-1) f(s/a).  Q's roots modulo the first
-    prime at which each of them is simple (Q' nonzero there) are found by
-    evaluating Q and Q', reduced mod the prime once, at every residue;
-    every integer root of Q reduces to one of them, and a simple root
-    lifts uniquely.  They are Hensel-lifted past twice a root bound, read
-    as symmetric residues and kept only when their linear factor divides
-    f.  A prime with no root proves there is none.  The cost is polynomial
-    in the bit size of p: no integer is factored, and a prime is passed
-    over only when it divides disc(Q).
+    Higher degrees take the modular method, which Hensel-lifts the roots
+    of the layer itself, at the first prime not dividing its lead.  With
+    a the lead of f, a rational root r = u/v has v | a, so r is an
+    integer modulo every power of a prime p not dividing a, and a*r is an
+    integer with |a*r| <= |a| + max |f_i| (Cauchy's bound).  The roots of
+    f modulo the first such p at which each of them is simple (f' nonzero
+    there) are found by evaluating f and f', reduced mod p once, at every
+    residue; every rational root reduces to one of them, and a simple
+    root lifts uniquely.  Each is Hensel-lifted on f and f' until the
+    modulus m exceeds twice the bound, a*r is read as the symmetric
+    residue of a*s mod m, and r is kept only when its linear factor
+    divides f.  A prime with no root proves there is none.  The cost is
+    polynomial in the bit size of p: no integer is factored, the lifting
+    keeps f's own coefficients, and a prime is passed over only when it
+    divides a or disc(f).
     """
     f = _primitive_part(p._num)
     roots: List[Fraction] = []
@@ -400,19 +395,18 @@ def _split_rational_roots(
             roots += (Fraction(-b - r, 2 * a), Fraction(-b + r, 2 * a))
             f = [1]
     elif len(f) > 3:
-        d, lead = len(f) - 1, f[-1]
-        # Q(s) = sum f_i a^(d-1-i) s^i for i < d, plus s^d
-        monic = [c * lead ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
-        # |a*r| <= |a| * (1 + max |f_i / a|), Cauchy's bound for f's roots
-        bound = abs(lead) + max(abs(c) for c in f[:-1])
-        diff = _derivative(monic)
-        # the first prime at which every root of Q is simple
+        lead = f[-1]
+        # |a*r| <= |a| + max |f_i|, Cauchy's bound, for every root r
+        bound = lead + max(abs(c) for c in f[:-1])
+        diff = _derivative(f)
+        # the first prime not dividing a at which every root of f is simple
         prime = 1
         while True:
             prime += 1
-            if any(prime % k == 0 for k in range(2, math.isqrt(prime) + 1)):
+            if not lead % prime or any(
+                    prime % k == 0 for k in range(2, math.isqrt(prime) + 1)):
                 continue
-            small = [c % prime for c in monic]
+            small = [c % prime for c in f]
             small_diff = [c % prime for c in diff]
             lifted = [s for s in range(prime)
                       if _eval_mod(small, s, prime) == 0]
@@ -421,10 +415,12 @@ def _split_rational_roots(
         modulus = prime
         while lifted and modulus <= 2 * bound:
             modulus *= modulus
-            lifted = [(s - _eval_mod(monic, s, modulus)
+            lifted = [(s - _eval_mod(f, s, modulus)
                        * pow(_eval_mod(diff, s, modulus), -1, modulus))
                       % modulus for s in lifted]
         for s in lifted:
+            # s is r modulo the lifted modulus, so s*a is a*r
+            s = s * lead % modulus
             root = Fraction(s - modulus if s > modulus // 2 else s, lead)
             rest = _int_quotient(f, [-root.numerator, root.denominator])
             if rest is not None:
@@ -453,7 +449,8 @@ def _primitive_part(f: List[int]) -> List[int]:
     f = _strip(f)
     if not f:
         return f
-    content = reduce(math.gcd, f)
+    # from 0, so that a one-term list's content is positive too
+    content = reduce(math.gcd, f, 0)
     if f[-1] < 0:
         content = -content
     return [c // content for c in f]
@@ -691,10 +688,22 @@ def multiplicity_profile(
     # the layers are coprime, so every root is listed once
     rational.sort(key=lambda entry: entry[0].t0)
     if len(irrational) > 1:
-        # the coefficient view fixes the order of the irrational places
-        irrational.sort(key=lambda entry: (list(entry[0].poly.coeffs.items()),
-                                           entry[1]))
+        _sort_irrational(irrational)
     return rational + irrational
+
+
+def _sort_irrational(places: List[Tuple[Place, int]]) -> None:
+    """Sort (irrational place, multiplicity) pairs by the coefficient view
+    [(e, c_e) for nonzero c_e] of the place, then the multiplicity: the
+    coefficients are compared over one common denominator L > 0, which
+    keeps the order and needs no Fraction."""
+    common = reduce(math.lcm, (place.poly._den for place, _ in places))
+
+    def key(entry):
+        poly = entry[0].poly
+        scale = common // poly._den
+        return [(e, c * scale) for e, c in enumerate(poly._num) if c], entry[1]
+    places.sort(key=key)
 
 
 def split_by_valuation(
@@ -708,14 +717,21 @@ def split_by_valuation(
     """
     if p.is_zero():
         raise ValueError("cannot split against the zero polynomial")
-    f, g = _primitive_part(f._num), _primitive_part(p._num)
+    return _peel_layers(_primitive_part(f._num), _primitive_part(p._num), 0)
+
+
+def _peel_layers(w: List[int], g: List[int], level: int
+                 ) -> List[Tuple[RationalPolynomial, int]]:
+    """[(w_v, v)] for v >= level: w_v the monic product of the roots of the
+    squarefree w that g holds v - level times (w, g primitive int lists).
+    Each step keeps in w the roots g still holds and divides them out of g.
+    """
     out: List[Tuple[RationalPolynomial, int]] = []
-    level = 0
-    while len(f) > 1:
-        # f divides g when every root of f goes deeper than this level
-        quotient = _int_quotient(g, f)
-        f, part, g = (_gcd_cofactors(f, g) if quotient is None
-                      else (f, [1], quotient))
+    while len(w) > 1:
+        # w divides g when every root of w goes deeper than this level
+        quotient = _int_quotient(g, w)
+        w, part, g = (_gcd_cofactors(w, g) if quotient is None
+                      else (w, [1], quotient))
         if len(part) > 1:
             out.append((_monic(part), level))
         level += 1

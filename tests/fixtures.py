@@ -1,4 +1,5 @@
-"""Frozen expected values for the classification.
+"""Frozen expected values for the classification, and seeded polynomial
+layers with known rational roots.
 
 The sixteen rows and the three (k, N, rkPic) groupings were transcribed
 by hand and are kept independent of the enumeration code on purpose:
@@ -8,6 +9,12 @@ Row layout:
 (case, r, l, m, k_sigma2, num_C, rk_pic, k_sigma4, N, n2, n3, n4, k,
  elliptic_action, fiber_action)
 """
+
+import math
+import random
+from fractions import Fraction
+
+from k3auto.polynomial import RationalPolynomial
 
 TABLE_ROWS = [
     (1, 3, 3, 2, 0, 2, 10, 0, 2, 2, 0, 0, 0,
@@ -65,3 +72,42 @@ def classification_key(row):
     return (row.r, row.l, row.m, row.k_sigma2, row.num_c, row.rk_pic,
             row.k_sigma4, row.N, row.n2, row.n3, row.n4, row.k,
             row.action[0], row.action[1])
+
+
+def _wide_layers():
+    """[(layer, its rational roots sorted, cofactor)]: squarefree layers
+    built as products of linear factors (v t - u), for v = 10 and v = 21,
+    and a cofactor without real roots, a product of quadratics with a
+    negative discriminant; half of them also have the root 0.
+
+    Each lead is 210 times a number of 1 to 58 digits, so it is divisible
+    by 2, 3, 5 and 7, as the root denominators are, and a root search must
+    pass those primes over.  The layers have degree 4 or 19, leads of 3 to
+    61 digits and other coefficients of up to about 600.
+    """
+    rng = random.Random(2021)
+    t = RationalPolynomial.variable()
+    out = []
+    for digits in (3, 12, 30, 60):
+        for zero, quadratics in ((False, 1), (True, 8)):
+            roots = [Fraction(0)] if zero else []
+            for v in (10, 21):
+                u = rng.randrange(1, 10 ** digits)
+                while math.gcd(u, v) != 1:
+                    u += 1
+                roots.append(Fraction(rng.choice((-u, u)), v))
+            cofactor = RationalPolynomial.constant(1)
+            for i in range(quadratics):
+                a = (rng.randrange(10 ** (digits - 3), 10 ** (digits - 2))
+                     if i == 0 else 1)
+                c = rng.randrange(1, 10 ** digits)
+                b = math.isqrt(4 * a * c - 1)
+                cofactor *= a * t ** 2 + rng.randint(-b, b) * t + c
+            layer = cofactor
+            for root in roots:
+                layer *= root.denominator * t - root.numerator
+            out.append((layer, sorted(roots), cofactor))
+    return out
+
+
+WIDE_LAYERS = _wide_layers()

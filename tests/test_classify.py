@@ -4,8 +4,10 @@ from collections import Counter
 
 import pytest
 
-from k3auto.classify import (CSV_HEADER, _candidates, _fixed_locus,
-                             enumerate_cases, match_row, render_csv,
+from k3auto import InvariantError, classify
+from k3auto.classify import (CSV_HEADER, _candidates, _decompose,
+                             _fixed_locus, enumerate_cases, match_row,
+                             render_csv,
                              render_table, rows_from_json, rows_to_json,
                              theorem1_groups, validate_row)
 from k3auto.lattice import sigma4_skeletons
@@ -50,6 +52,43 @@ def test_point_constraints_agree_with_holomorphic_sum():
                                    config.alpha) == verdict, candidate
             verdicts.append(verdict)
     assert len(verdicts) == 82 and 16 <= verdicts.count(True) < 82
+
+
+def test_enumerator_funnel_and_the_abstract_bounds():
+    """Per Picard rank: the candidates, those the holomorphic identity
+    rejects, and the rows kept; every candidate it keeps is a row.  The
+    abstract's bounds hold on the table, and each is attained."""
+    rows = enumerate_cases()
+    funnel = []
+    for rk_pic, _, _ in sigma4_skeletons():
+        candidates = list(_candidates(rk_pic))
+        rejected = sum(not holo_total(_fixed_locus(*c)[2], 1)[1]
+                       for c in candidates)
+        kept = sum(row.rk_pic == rk_pic for row in rows)
+        funnel.append((rk_pic, len(candidates), rejected, kept))
+    assert funnel == [(10, 12, 8, 4), (14, 42, 34, 8), (18, 28, 24, 4)]
+    assert {row.rk_pic for row in rows} == {10, 14, 18}
+    elliptic = [sum(curve.genus == 1 for curve in
+                    _fixed_locus(*_decompose(row), row)[2].curves)
+                for row in rows]
+    assert max(elliptic) == 1
+    assert max(row.k for row in rows) == 2
+    assert max(row.N for row in rows) == 14
+
+
+def test_enumerator_refuses_a_kept_case_without_skeleton_or_ranks(
+        monkeypatch):
+    """A case the holomorphic identity keeps but that does not fit its
+    skeleton, or has no eigenspace ranks, is a fault: it raises."""
+    def no_ranks(*args):
+        raise ValueError("inconsistent configuration")
+    with monkeypatch.context() as patch:
+        patch.setattr(classify, "solve_ranks", no_ranks)
+        with pytest.raises(InvariantError, match="no eigenspace ranks"):
+            enumerate_cases()
+    monkeypatch.setattr(classify, "sigma4_skeletons", lambda: [(18, 1, 7)])
+    with pytest.raises(InvariantError, match="skeleton 7"):
+        enumerate_cases()
 
 
 def test_theorem_groups():

@@ -1,17 +1,17 @@
 """Differential checks of the polynomial and maps layers against sympy.
 
 Rational roots must equal sympy's roots over Q, also where roots meet
-modulo small primes, discriminants 4a^3 + 27b^2 must equal sympy's, gcds
-must equal sympy's gcd over QQ (on the heuristic and on its fallback),
-squarefree decompositions and multiplicity profiles must agree with
-sympy's sqf_list and ground_roots, equal polynomials must hash equal,
-products and quotients with remainder must equal sympy's over QQ, fiber
-inventories must equal sympy's factorization of the discriminant read
-through Tate's table, 2-torsion translations must equal sympy's chord
-construction, and sums, products and substitutions of polynomials in
-(x, y, t) over Q(zeta_8) must equal sympy's in (x, y, t, z) modulo z^4 + 1.
-sympy and hypothesis are test-only dependencies: without them this module
-is skipped.
+modulo small primes and on seeded layers with wide leads, discriminants
+4a^3 + 27b^2 must equal sympy's, gcds must equal sympy's gcd over QQ (on
+the heuristic and on its fallback), squarefree decompositions and
+multiplicity profiles must agree with sympy's sqf_list and ground_roots,
+equal polynomials must hash equal, products and quotients with remainder
+must equal sympy's over QQ, fiber inventories must equal sympy's
+factorization of the discriminant read through Tate's table, 2-torsion
+translations must equal sympy's chord construction, and sums, products
+and substitutions of polynomials in (x, y, t) over Q(zeta_8) must equal
+sympy's in (x, y, t, z) modulo z^4 + 1.  sympy and hypothesis are
+test-only dependencies: without them this module is skipped.
 """
 
 from collections import Counter
@@ -35,6 +35,8 @@ from k3auto.polynomial import (RationalPolynomial, gcd,  # noqa: E402
 from k3auto.weierstrass import (InvariantError,  # noqa: E402
                                 WeierstrassFibration, fiber_inventory,
                                 torsion_translation)
+
+from fixtures import WIDE_LAYERS  # noqa: E402
 
 T = sympy.Symbol("t")
 X = sympy.Symbol("x")
@@ -75,6 +77,16 @@ def test_rational_roots_match_sympy(expr):
     roots = sympy.Poly(expr, T, domain="QQ").ground_roots()
     want = sorted(Fraction(int(r.p), int(r.q)) for r in roots)
     assert rational_roots(to_k3auto(expr)) == want
+
+
+@pytest.mark.parametrize("layer, roots, cofactor", WIDE_LAYERS)
+def test_rational_roots_of_wide_layers_match_sympy(layer, roots, cofactor):
+    """The seeded layers with leads of 3 to 61 digits, divisible by 2, 3,
+    5 and 7, against sympy's roots over Q."""
+    expr = sum(int(c) * T ** e for e, c in layer.coeffs.items())
+    want = sorted(Fraction(int(r.p), int(r.q)) for r in
+                  sympy.Poly(expr, T, domain="QQ").ground_roots())
+    assert rational_roots(layer) == want == roots
 
 
 @st.composite

@@ -13,6 +13,8 @@ from k3auto.polynomial import (Place, RationalPolynomial, gcd,
                                valuation_at, weierstrass_discriminant)
 from k3auto.weierstrass import WeierstrassFibration
 
+from fixtures import WIDE_LAYERS
+
 T = RationalPolynomial.variable()
 
 
@@ -197,6 +199,53 @@ def test_rational_roots_when_small_primes_all_see_a_double_root():
         elapsed = time.perf_counter() - start
         assert roots == [Fraction(1), Fraction(1 + PRIMORIAL_47)]
         assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("layer, roots, cofactor", WIDE_LAYERS)
+def test_rational_roots_of_wide_layers(layer, roots, cofactor):
+    """Layers whose leads and root denominators are divisible by 2, 3, 5
+    and 7: the roots are found modulo a larger prime, exactly, and what is
+    left is the one irrational place of the cofactor."""
+    assert rational_roots(layer) == roots
+    assert rational_roots(-layer) == roots
+    assert multiplicity_profile(layer) == [
+        (Place.finite_rational(r), 1) for r in roots] + [
+        (Place.finite_irreducible(cofactor), 1)]
+    # a prime that divides the lead would lose the roots it divides the
+    # denominator of
+    assert all(layer.leading_coefficient() % p == 0 for p in (2, 3, 5, 7))
+
+
+def test_irrational_places_sort_as_their_coefficient_views():
+    """The integer key of _sort_irrational orders seeded monic residuals
+    exactly as the Fraction key [(e, c_e)] then multiplicity does, with
+    equal leading pairs, prefixes, repeated polynomials and different
+    lengths among them."""
+    rng = random.Random(80809)
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+              Fraction(1, 3), Fraction(-2, 3), Fraction(2)]
+    pool = []
+    for _ in range(40):
+        body = {e: rng.choice(values) for e in range(rng.randint(1, 5))}
+        body[len(body)] = Fraction(1)
+        pool.append(RationalPolynomial(body))
+    pool += [T ** 2 + 1, T ** 4 + T ** 2 + 1, T ** 2 + T + 1]
+    for _ in range(300):
+        entries = [(Place("finite-irreducible", poly=rng.choice(pool)),
+                    rng.randint(1, 3)) for _ in range(rng.randint(2, 8))]
+        want = sorted(entries, key=lambda entry: (
+            list(entry[0].poly.coeffs.items()), entry[1]))
+        polynomial._sort_irrational(entries)
+        assert entries == want
+
+
+def test_primitive_part_of_one_term_lists():
+    """The leading term is positive for one-term lists too."""
+    assert polynomial._primitive_part([-5]) == [1]
+    assert polynomial._primitive_part([5]) == [1]
+    assert polynomial._primitive_part([-5, 0]) == [1]
+    assert polynomial._primitive_part([4, -6]) == [-2, 3]
+    assert polynomial._primitive_part([0]) == []
 
 
 def _int_product(f, g):

@@ -194,6 +194,26 @@ def test_mixed_irrational_layer_is_split_by_valuation():
                        repr(T * T - 3): (0, 0, 2, "I_2")}
 
 
+PLACE_ORDER = Path(__file__).with_name("golden") / "place-order.json"
+
+
+def test_irrational_places_keep_their_order():
+    """fiber_reports lists every place in a fixed order; these surfaces
+    have three irrational places each, sorted by coefficients with
+    fractions, equal leading pairs, one polynomial's terms a prefix of
+    another's, and wide coefficients.  The fixture was written by the
+    Fraction-keyed sort, before the integer key replaced it."""
+    cases = json.loads(PLACE_ORDER.read_text(encoding="utf-8"))
+    assert len(cases) >= 4
+    for name, case in cases.items():
+        reports = fiber_reports(WeierstrassFibration.from_json(
+            case["fibration"]))
+        assert [[str(r.place), r.kodaira] for r in reports] \
+            == case["places"], name
+        assert sum(r.place.kind == "finite-irreducible"
+                   for r in reports) >= 3, name
+
+
 def test_fiber_reports_rejects_zero_discriminant():
     f = WeierstrassFibration(RationalPolynomial.zero(),
                              RationalPolynomial.zero())
