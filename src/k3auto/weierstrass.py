@@ -28,7 +28,7 @@ from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, ORDER_4, PRESERVE,
                      REFLECTION, ROTATION_2, TRANSLATION_2, FiberAction,
                      FiberShape, action_label, fiber_fixed_data, point_type,
                      type_counts)
-from .polynomial import (Place, RationalPolynomial, _split_rational_roots, gcd,
+from .polynomial import (Place, RationalPolynomial, _split_rational_roots,
                          multiplicity_profile, split_by_valuation, sum_pairs,
                          valuation_at, weierstrass_discriminant)
 
@@ -107,6 +107,11 @@ class FiberReport(namedtuple("FiberReport",
         return {"place": str(self.place), "degree": self.place.degree(),
                 "v_a": fin(self.v_a), "v_b": fin(self.v_b),
                 "v_delta": self.v_delta, "kodaira": self.kodaira}
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ValueError(message)
 
 
 def _reverse(p: RationalPolynomial, weight: int) -> RationalPolynomial:
@@ -236,10 +241,16 @@ def kodaira_type_at(f: WeierstrassFibration, place: Place) -> FiberReport:
     """
     a, b, delta = _short_and_discriminant(f)
     if place.kind == "infinity":
-        return _fiber_report(place, 8 - a.degree(), 12 - b.degree(),
-                             24 - delta.degree())
+        return _infinity_report(a, b, delta)
     return _fiber_report(place, valuation_at(a, place), valuation_at(b, place),
                          valuation_at(delta, place))
+
+
+def _infinity_report(a: RationalPolynomial, b: RationalPolynomial,
+                     delta: RationalPolynomial) -> FiberReport:
+    """The report at t = infinity from the short-form a, b and delta."""
+    return _fiber_report(Place.infinity(), 8 - a.degree(), 12 - b.degree(),
+                         24 - delta.degree())
 
 
 def _split(f: RationalPolynomial, p: RationalPolynomial):
@@ -272,7 +283,7 @@ def fiber_reports(f: WeierstrassFibration) -> List[FiberReport]:
                 reports.append(_fiber_report(
                     Place("finite-irreducible", poly=piece), v_a, v_b, mult))
     if 24 - delta.degree() > 0:
-        reports.append(kodaira_type_at(f, Place.infinity()))
+        reports.append(_infinity_report(a, b, delta))
     total = sum(r.v_delta * r.place.degree() for r in reports)
     if total != 24:
         raise InvariantError(
@@ -840,106 +851,72 @@ def analyze_action(f: WeierstrassFibration,
 # ---------------------------------------------------------------------------
 # the four worked example families
 
-
-def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-_EXAMPLE_PRESETS: Dict[int, Dict[str, Tuple[int, ...]]] = {
-    1: {"generic": (1, 1, 1, 3), "iv-star": (0, 1, 1, 1)},
-    2: {"generic": (1, 1, 1, 3), "iv-star": (0, 1, 1, 1)},
-    3: {"generic": (1, 1, 2, 1), "i8": (-3, 1, 1, 2), "i16": (-3, 1, -1, 2)},
-    4: {"generic": (3, 1, 1), "i8": (2, 1, -1), "i16": (1, 0, 1)},
+# id -> (form, exponents of a's terms and of b's, generators (ex, ey, et,
+# translate), the second use_tau's, presets); the parameters are the terms'
+# coefficients, a's first; a preset is a witness and its singular fibers
+_PRESETS_12 = {"generic": ((1, 1, 1, 3), {"I_1": 24}),
+               "iv-star": ((0, 1, 1, 1), {"I_1": 16, "IV*": 1})}
+_FAMILIES = {
+    1: (SHORT_FORM, (8, 0), (8, 0), [(0, 0, 1, False)], _PRESETS_12),
+    2: (SHORT_FORM, (8, 0), (8, 0), [(0, 4, 5, False)], _PRESETS_12),
+    3: (SHORT_FORM, (8, 0), (4, 12), [(4, 2, 7, False), (4, 6, 3, False)],
+        {"generic": ((1, 1, 2, 1), {"I_1": 24}),
+         "i8": ((-3, 1, 1, 2), {"I_1": 16, "I_8": 1}),
+         "i16": ((-3, 1, -1, 2), {"I_1": 8, "I_16": 1})}),
+    4: (TWO_TORSION_FORM, (4,), (8, 0), [(4, 2, 7, True)],
+        {"generic": ((3, 1, 1), {"I_1": 8, "I_2": 8}),
+         "i8": ((2, 1, -1), {"I_2": 8, "I_8": 1}),
+         "i16": ((1, 0, 1), {"I_1": 8, "I_16": 1})}),
 }
 
 
-def _build_example_12(params) -> WeierstrassFibration:
-    p, q, r, s = (Fraction(v) for v in params)
-    return WeierstrassFibration(RationalPolynomial({8: p, 0: q}),
-                                RationalPolynomial({8: r, 0: s}))
+def _fibers_text(counts: Dict[str, int]) -> str:
+    return ", ".join("%s: %d" % item for item in counts.items())
 
 
-def _build_example_3(params) -> WeierstrassFibration:
-    p, q, r, s = (Fraction(v) for v in params)
-    return WeierstrassFibration(RationalPolynomial({8: p, 0: q}),
-                                RationalPolynomial({4: r, 12: s}))
-
-
-def _build_example_4(params) -> WeierstrassFibration:
-    alpha, beta, gamma = (Fraction(v) for v in params)
-    return WeierstrassFibration(RationalPolynomial({4: alpha}),
-                                RationalPolynomial({8: beta, 0: gamma}),
-                                form=TWO_TORSION_FORM)
-
-
-def _validate_example_12(preset: str, params, f: WeierstrassFibration):
-    p, q, r, s = (Fraction(v) for v in params)
-    delta = f.discriminant()
-    _require(delta.evaluate(0) != 0, "fiber at t=0 must be smooth")
-    _require(gcd(delta, delta.derivative()).degree() <= 0,
-             "the discriminant must be squarefree")
-    if preset == "generic":
-        _require(delta.degree() == 24,
-                 "generic case needs 24 singular fibers (deg delta = 24)")
-    else:
-        _require(p == 0, "the IV* degeneration needs a(t) constant")
-        _require(q != 0 and r != 0,
-                 "the IV* degeneration needs a nonzero constant a and a "
-                 "nonconstant b")
-
-
-def _validate_example_3(preset: str, params, f: WeierstrassFibration):
-    delta = f.discriminant()
-    h1, h2, h3 = (delta.coefficient(e) for e in (24, 16, 8))
-    _require(f.a.coefficient(0) != 0,
-             "fiber at t=0 must be smooth (constant term of a)")
-    _require(gcd(delta, delta.derivative()).degree() <= 0,
-             "the discriminant must be squarefree")
-    if preset == "generic":
-        _require(h1 != 0, "generic case needs the top discriminant "
-                          "coefficient nonzero")
-    elif preset == "i8":
-        _require(h1 == 0, "the I_8 degeneration needs the degree-24 "
-                          "discriminant coefficient to vanish")
-        _require(h2 != 0, "the I_8 degeneration needs the degree-16 "
-                          "discriminant coefficient nonzero")
-    else:
-        _require(h1 == 0 and h2 == 0,
-                 "the I_16 degeneration needs the degree-24 and degree-16 "
-                 "discriminant coefficients to vanish")
-        _require(h3 != 0, "the I_16 degeneration needs the degree-8 "
-                          "discriminant coefficient nonzero")
-
-
-def _validate_example_4(preset: str, params, f: WeierstrassFibration):
-    alpha, beta, gamma = (Fraction(v) for v in params)
-    second = f.a * f.a - f.b * 4
-    _require(gamma != 0, "fiber at t=0 must be smooth (gamma != 0)")
-    if preset == "generic":
-        _require(beta != 0 and second.coefficient(8) != 0,
-                 "generic case needs beta and alpha^2 - 4 beta nonzero")
-        _require(gcd(f.b, second).degree() <= 0,
-                 "generic case needs b and a^2 - 4b coprime")
-    elif preset == "i8":
-        _require(alpha != 0 and second.coefficient(8) == 0,
-                 "the I_8 degeneration needs alpha^2 = 4 beta != 0")
-        _require(_rational_sqrt(-gamma) is not None,
-                 "the I_8 translation section needs -gamma to be a "
-                 "rational square")
-    else:
-        _require(beta == 0, "the I_16 degeneration needs beta = 0")
-        _require(alpha != 0, "the I_16 degeneration needs alpha != 0")
+def _example(example_id: int, preset: str, params: Optional[Sequence],
+             use_tau: bool):
+    """(f, g) for worked_example, once the arguments are checked and the
+    parameters give the preset's singular fibers."""
+    if example_id not in _FAMILIES:
+        raise ValueError("example id must be one of 1, 2, 3, 4")
+    if use_tau and example_id != 3:
+        raise ValueError("only example 3 carries the second generator")
+    form, a_exps, b_exps, generators, presets = _FAMILIES[example_id]
+    if preset not in presets:
+        raise ValueError("example %d has presets %s"
+                         % (example_id, sorted(presets)))
+    witness, fibers = presets[preset]
+    values = tuple(params) if params is not None else witness
+    if len(values) != len(witness):
+        raise ValueError("example %d takes %d parameters"
+                         % (example_id, len(witness)))
+    values = [Fraction(v) for v in values]
+    f = WeierstrassFibration(RationalPolynomial(dict(zip(a_exps, values))),
+                             RationalPolynomial(dict(zip(
+                                 b_exps, values[len(a_exps):]))), form)
+    where = "example %d preset %r" % (example_id, preset)
+    shown = ", ".join(map(str, values))
+    try:
+        counts = fiber_inventory(f)
+        given = _fibers_text(counts)
+    except InvariantError as err:
+        counts, given = None, "no K3 surface (%s)" % err
+    _require(counts == fibers, "%s needs the singular fibers %s; the "
+             "parameters %s give %s" % (where, _fibers_text(fibers), shown,
+                                        given))
+    x0 = None
+    if (example_id, preset) == (4, "i8"):
+        # the section (-alpha t^4 / 2 + sqrt(-gamma), 0)
+        square = -values[2]
+        root = Fraction(math.isqrt(max(square.numerator, 0)),
+                        math.isqrt(square.denominator))
+        _require(root * root == square, "%s needs -gamma to be a rational "
+                 "square for its translation section; the parameters %s "
+                 "give -gamma = %s" % (where, shown, square))
+        x0 = RationalPolynomial({4: -values[0] / 2, 0: root})
+    ex, ey, et, translate = generators[use_tau]
+    return f, DiagonalAutomorphism(ex, ey, et, translate, x0)
 
 
 def worked_example(example_id: int, preset: str = "generic",
@@ -954,40 +931,8 @@ def worked_example(example_id: int, preset: str = "generic",
     Example 4: y^2 = x(x^2 + alpha t^4 x + beta t^8 + gamma) with
         (-x, i y, zeta^7 t) composed with a 2-torsion translation.
 
-    Presets pin validated parameter witnesses; explicit params are checked
-    against the same degeneration conditions.
+    Presets pin parameter witnesses.  Explicit params must give the
+    preset's singular fibers (fiber_inventory), and for example 4 i8 a
+    rational square -gamma, whose root gives the translation section.
     """
-    if example_id not in _EXAMPLE_PRESETS:
-        raise ValueError("example id must be one of 1, 2, 3, 4")
-    if use_tau and example_id != 3:
-        raise ValueError("only example 3 carries the second generator")
-    presets = _EXAMPLE_PRESETS[example_id]
-    if preset not in presets:
-        raise ValueError("example %d has presets %s"
-                         % (example_id, sorted(presets)))
-    values = tuple(params) if params is not None else presets[preset]
-    if len(values) != len(presets[preset]):
-        raise ValueError("example %d takes %d parameters"
-                         % (example_id, len(presets[preset])))
-
-    if example_id in (1, 2):
-        f = _build_example_12(values)
-        _validate_example_12(preset, values, f)
-        g = DiagonalAutomorphism(0, 0, 1) if example_id == 1 \
-            else DiagonalAutomorphism(0, 4, 5)
-    elif example_id == 3:
-        f = _build_example_3(values)
-        _validate_example_3(preset, values, f)
-        g = DiagonalAutomorphism(4, 6, 3) if use_tau \
-            else DiagonalAutomorphism(4, 2, 7)
-    else:
-        f = _build_example_4(values)
-        _validate_example_4(preset, values, f)
-        x0 = None
-        if preset == "i8":
-            alpha, _, gamma = (Fraction(v) for v in values)
-            root = _rational_sqrt(-gamma)
-            assert root is not None
-            x0 = RationalPolynomial({4: -alpha / 2, 0: root})
-        g = DiagonalAutomorphism(4, 2, 7, translate=True, torsion_x0=x0)
-    return analyze_action(f, g)
+    return analyze_action(*_example(example_id, preset, params, use_tau))

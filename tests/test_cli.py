@@ -314,6 +314,45 @@ def test_examples_bad_inputs(capsys):
     assert code == 1 and "bad --params" in err
 
 
+@pytest.mark.parametrize("example_id, preset, params, needs, gives", [
+    (1, "generic", "0,1,1,1", "I_1: 24", "I_1: 16, IV*: 1"),
+    (1, "iv-star", "1,1,1,3", "I_1: 16, IV*: 1", "I_1: 24"),
+    (2, "generic", "0,-3,0,2", "I_1: 24",
+     "no K3 surface (discriminant vanishes identically"),
+    (2, "iv-star", "0,1,0,1", "I_1: 16, IV*: 1",
+     "no K3 surface (non-minimal Weierstrass datum"),
+    (3, "generic", "-3,1,1,2", "I_1: 24", "I_1: 16, I_8: 1"),
+    (3, "i8", "1,1,2,1", "I_1: 16, I_8: 1", "I_1: 24"),
+    # non-minimal at t = infinity: it had passed the coefficient
+    # conditions the preset was checked against, then exited 2
+    (3, "i16", "0,1,1,0", "I_1: 8, I_16: 1",
+     "no K3 surface (non-minimal Weierstrass datum"),
+    (4, "generic", "2,1,-1", "I_1: 8, I_2: 8", "I_2: 8, I_8: 1"),
+    (4, "i8", "3,1,1", "I_2: 8, I_8: 1", "I_1: 8, I_2: 8"),
+    (4, "i16", "1,1,1", "I_1: 8, I_16: 1", "I_1: 8, I_2: 8"),
+])
+def test_examples_refuse_params_without_the_preset_fibers(
+        capsys, example_id, preset, params, needs, gives):
+    code, out, err = run(capsys, "examples", "--id", str(example_id),
+                         "--preset", preset, "--params=" + params)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: example %d preset %r needs the singular "
+                          "fibers %s; the parameters %s give %s"
+                          % (example_id, preset, needs,
+                             params.replace(",", ", "), gives))
+
+
+def test_examples_i8_refuses_a_section_that_is_not_rational(capsys):
+    # alpha^2 = 4 beta gives the I_8 fibers, but -gamma = -1 has no
+    # rational root, so there is no translation section
+    code, out, err = run(capsys, "examples", "--id", "4", "--preset", "i8",
+                         "--params", "2,1,1")
+    assert (code, out) == (1, "")
+    assert err == ("error: example 4 preset 'i8' needs -gamma to be a "
+                   "rational square for its translation section; the "
+                   "parameters 2, 1, 1 give -gamma = -1\n")
+
+
 def test_params_may_start_with_a_minus_sign(capsys):
     code, out, err = run(capsys, "examples", "--id", "1",
                          "--params", "-2,1,1,3")

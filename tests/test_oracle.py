@@ -7,11 +7,13 @@ the heuristic and on its fallback), squarefree decompositions and
 multiplicity profiles must agree with sympy's sqf_list and ground_roots,
 equal polynomials must hash equal, products and quotients with remainder
 must equal sympy's over QQ, fiber inventories must equal sympy's
-factorization of the discriminant read through Tate's table, 2-torsion
-translations must equal sympy's chord construction, and sums, products
-and substitutions of polynomials in (x, y, t) over Q(zeta_8) must equal
-sympy's in (x, y, t, z) modulo z^4 + 1.  sympy and hypothesis are
-test-only dependencies: without them this module is skipped.
+factorization of the discriminant read through Tate's table, the
+worked-example preset check must accept exactly the parameters whose
+sympy inventory is the preset's, 2-torsion translations must equal
+sympy's chord construction, and sums, products and substitutions of
+polynomials in (x, y, t) over Q(zeta_8) must equal sympy's in (x, y, t,
+z) modulo z^4 + 1.  sympy and hypothesis are test-only dependencies:
+without them this module is skipped.
 """
 
 from collections import Counter
@@ -25,7 +27,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from k3auto import polynomial  # noqa: E402
+from k3auto import polynomial, weierstrass  # noqa: E402
 from k3auto.cyclotomic import Cyc8Element, zeta_pow  # noqa: E402
 from k3auto.maps import CurvePolynomial  # noqa: E402
 from k3auto.polynomial import (RationalPolynomial, gcd,  # noqa: E402
@@ -390,6 +392,58 @@ def test_fiber_inventory_matches_factorization_and_tate(data):
             fiber_inventory(f)
         return
     assert fiber_inventory(f) == want
+
+
+# -- worked-example presets ---------------------------------------------------
+
+# (a, b, form) of each worked-example family in its parameters, from the
+# families' equations rather than from k3auto's table of them
+FAMILY_DATA = {
+    1: lambda p, q, r, s: (p * T ** 8 + q, r * T ** 8 + s, "short"),
+    3: lambda p, q, r, s: (p * T ** 8 + q, r * T ** 4 + s * T ** 12, "short"),
+    4: lambda alpha, beta, gamma: (alpha * T ** 4, beta * T ** 8 + gamma,
+                                   "two-torsion"),
+}
+FAMILY_DATA[2] = FAMILY_DATA[1]
+PRESETS = [(family, preset) for family in sorted(weierstrass._FAMILIES)
+           for preset in sorted(weierstrass._FAMILIES[family][4])]
+
+
+@st.composite
+def preset_params(draw):
+    family, preset = draw(st.sampled_from(PRESETS))
+    size = 3 if family == 4 else 4
+    return family, preset, draw(st.lists(st.integers(-3, 3), min_size=size,
+                                         max_size=size))
+
+
+@EXAMPLES
+@given(preset_params())
+@example((3, "i16", [0, 1, 1, 0]))  # non-minimal at t = infinity
+@example((4, "i8", [2, 1, 1]))  # the I_8 fibers, but -gamma = -1
+@example((4, "i8", [-2, 1, -1]))  # accepted, with x0 = t^4 + 1
+@example((1, "generic", [0, -3, 0, 2]))  # delta = 0
+def test_preset_check_accepts_exactly_the_preset_fibers(drawn):
+    # the check alone, without the analysis that follows it
+    family, preset, params = drawn
+    a, b, form = FAMILY_DATA[family](*map(sympy.Integer, params))
+    _, pin = weierstrass._FAMILIES[family][4][preset]
+    delta = 4 * a ** 3 + 27 * b ** 2 if form == "short" \
+        else b ** 2 * (a ** 2 - 4 * b)
+    try:
+        accepted = sympy.expand(delta) != 0 \
+            and oracle_inventory(a, b, form) == pin
+    except NonMinimal:
+        accepted = False
+    if (family, preset) == (4, "i8"):
+        accepted &= sympy.sqrt(-params[2]).is_rational
+    if accepted:
+        f, _ = weierstrass._example(family, preset, params, False)
+        assert fiber_inventory(f) == pin
+    else:
+        with pytest.raises(ValueError, match="example %d preset %r needs"
+                           % (family, preset)):
+            weierstrass._example(family, preset, params, False)
 
 
 # -- 2-torsion translations ---------------------------------------------------

@@ -221,6 +221,27 @@ def test_fiber_reports_rejects_zero_discriminant():
         fiber_reports(f)
 
 
+@pytest.mark.parametrize("f,at_infinity", [
+    (WeierstrassFibration(poly((1, 0)), T ** 8 + 1), ["IV*"]),
+    (WeierstrassFibration(poly((-3, 8), (1, 0)), poly((-1, 4), (2, 12))),
+     ["I_16"]),
+    (WeierstrassFibration(T ** 4, poly((1, 0)), form="two-torsion"),
+     ["I_16"]),
+    (WeierstrassFibration(T ** 8 + 1, T ** 8 + 3), [])])
+def test_fiber_typing_computes_the_discriminant_once(monkeypatch, f,
+                                                     at_infinity):
+    # the report at t = infinity reads the a, b and delta that
+    # fiber_reports already holds
+    calls = []
+    discriminant = weierstrass.weierstrass_discriminant
+    monkeypatch.setattr(weierstrass, "weierstrass_discriminant",
+                        lambda a, b: calls.append(1) or discriminant(a, b))
+    reports = fiber_reports(f)
+    assert len(calls) == 1
+    assert [r.kodaira for r in reports
+            if r.place == Place.infinity()] == at_infinity
+
+
 def _chart_report_at_infinity(f):
     # the fiber at infinity as the chart computes it: t = 0 of at_infinity()
     zero = Place.finite_rational(0)
@@ -275,13 +296,9 @@ def _valuation_samples():
                  "readme"):
         data = json.loads((GOLDEN_FIBRATIONS / (name + ".json")).read_text())
         yield WeierstrassFibration.from_json(data)
-    builders = {1: weierstrass._build_example_12,
-                2: weierstrass._build_example_12,
-                3: weierstrass._build_example_3,
-                4: weierstrass._build_example_4}
-    for example_id, presets in weierstrass._EXAMPLE_PRESETS.items():
-        for params in presets.values():
-            yield builders[example_id](params)
+    for example_id, family in weierstrass._FAMILIES.items():
+        for preset in family[4]:
+            yield weierstrass._example(example_id, preset, None, False)[0]
     rng = random.Random(80808)
     kept = 0
     while kept < 50:
