@@ -1,21 +1,19 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_8).
 
-Elements are stored on the power basis (1, z, z^2, z^3) where z is a
-primitive 8th root of unity, reduced with z^4 = -1.  Coordinates are
-`fractions.Fraction`, so every operation is exact.  Two elements are equal
-iff their four coordinates are equal (the basis representation is
-canonical).
-
-The field contains i = z^2 and sqrt(2) = z - z^3, which covers all the
-eigenvalue bookkeeping done elsewhere in the package.  Nothing here knows
-about polynomials or geometry; this module is the arithmetic floor, and it
-also holds the two ring idioms every ring of the package shares:
-`format_sum` writes a sum of terms and `power` raises to a power.
+Elements are stored on the power basis (1, z, z^2, z^3), z a primitive 8th
+root of unity and z^4 = -1, with `fractions.Fraction` coordinates: every
+operation is exact, and equal elements have equal coordinates.  The field
+holds i = z^2 and sqrt(2) = z - z^3.  Inverse and norm go through Q(i) in
+integers: x = (u + v*z)/d, u = a0 + a2*i and v = a1 + a3*i integral, and
+s5: z -> -z gives x * x^s5 = (u^2 - i*v^2)/d^2 = (p + q*i)/d^2, so N(x) =
+(p^2 + q^2)/d^4 and x^-1 = d^2 * x^s5 * (p - q*i)/(p^2 + q^2).  The module
+also holds the ring idioms all rings here share: `format_sum` and `power`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -172,17 +170,21 @@ class Cyc8Element:
 
     # -- field structure -------------------------------------------------
 
-    def invert(self) -> "Cyc8Element":
-        """Multiplicative inverse x^-1 = (x^s3 * x^s5 * x^s7) / N(x).
+    def _tower(self) -> Tuple[int, int, Tuple[int, int, int, int]]:
+        """(d, p^2 + q^2, w): x^-1 = d * sum(w_k z^k) / (p^2 + q^2)."""
+        d = lcm(*(c.denominator for c in self.coords))
+        a0, a1, a2, a3 = [d//c.denominator * c.numerator for c in self.coords]
+        p = a0 * a0 - a2 * a2 + 2 * a1 * a3
+        q = 2 * a0 * a2 - a1 * a1 + a3 * a3
+        return d, p * p + q * q, (a0 * p + a2 * q, -a1 * p - a3 * q,
+                                  a2 * p - a0 * q, a1 * q - a3 * p)
 
-        The product of all four Galois conjugates is the rational norm, so
-        the division is exact.
-        """
-        if self.is_zero():
+    def invert(self) -> "Cyc8Element":
+        """x^-1 through the tower over Q(i), in integers."""
+        d, n, w = self._tower()
+        if not n:
             raise ZeroDivisionError("inverse of 0 in Q(zeta_8)")
-        conj = self.galois(3) * self.galois(5) * self.galois(7)
-        n = (self * conj).rational_part()
-        return Cyc8Element(c / n for c in conj.coords)
+        return Cyc8Element(Fraction(d * c, n) for c in w)
 
     def galois(self, j: int) -> "Cyc8Element":
         """The field automorphism sending z to z^j, for j in {1,3,5,7}.
@@ -205,8 +207,8 @@ class Cyc8Element:
 
     def norm(self) -> Fraction:
         """Product of all four Galois conjugates; always rational."""
-        return (self * self.galois(3) * self.galois(5)
-                * self.galois(7)).rational_part()
+        d, n, _ = self._tower()
+        return Fraction(n, d ** 4)
 
     # -- misc -------------------------------------------------------------
 
@@ -226,10 +228,8 @@ class Cyc8Element:
 
 def zeta_pow(e: int) -> Cyc8Element:
     """Canonical representation of zeta_8^e (e arbitrary, reduced mod 8)."""
-    e = e % 8
-    coords = [Fraction(0)] * 4
-    coords[e % 4] = Fraction(1 if e < 4 else -1)
-    return Cyc8Element(coords)
+    sign = 1 if e % 8 < 4 else -1
+    return Cyc8Element([sign if k == e % 4 else 0 for k in range(4)])
 
 
 ZERO = Cyc8Element.zero()

@@ -265,14 +265,18 @@ def fiber_reports(f: WeierstrassFibration) -> List[FiberReport]:
     irrational layer of delta is split by v(a), then by v(b), so every
     report's place bundles roots sharing one valuation triple.  Where
     v(a) = 0 at a root of delta = 4a^3 + 27b^2, 27b^2 = delta - 4a^3 is a
-    unit, so v(b) = 0 is read off without computing it.  The sum of
-    v(delta) weighted by residue degree must be 24; a shortfall always
-    surfaces as a non-minimal place instead, so the explicit check is a
-    backstop.
+    unit, so v(b) = 0 is read off without computing it.  A simple root of
+    delta is I_1 with no valuation computed: v(a) >= 1 there would give
+    27b^2 = delta - 4a^3 the odd valuation 1.  The sum of v(delta)
+    weighted by residue degree must be 24; a shortfall always surfaces as
+    a non-minimal place instead, so the explicit check is a backstop.
     """
     a, b, delta = _short_and_discriminant(f)
     reports = []
     for place, mult in multiplicity_profile(delta):
+        if mult == 1:
+            reports.append(_fiber_report(place, 0, 0, 1))
+            continue
         if place.kind == "finite-rational":
             v_a = valuation_at(a, place)
             v_b = valuation_at(b, place) if v_a else 0

@@ -45,15 +45,55 @@ def test_field_axioms_randomized():
         if not a.is_zero():
             inv = a.invert()
             assert a * inv == ONE
-            # a * inv == ONE above is the independent check; invert is
-            # built from the Galois conjugates, so the lines below only
-            # confirm that their product with a is the rational norm
+            # invert goes through Q(i) in integers, so the conjugates
+            # check it independently: their product with a is the rational
+            # norm, and inv is that product over the norm
             conj = a.galois(3) * a.galois(5) * a.galois(7)
             norm = a.norm()
             assert a * conj == Cyc8Element.from_rational(norm)
             assert inv * norm == conj
             checks += 3
     assert checks >= 1000
+
+
+def _galois_inverse_and_norm(x):
+    """The definitions: N(x) = x * c with c = x^s3 * x^s5 * x^s7, and
+    x^-1 = c / N(x)."""
+    conj = x.galois(3) * x.galois(5) * x.galois(7)
+    norm = (x * conj).rational_part()
+    return conj * Fraction(1, norm), norm
+
+
+def _kernel_samples():
+    rng = random.Random(80804)
+    wide = 10 ** 40
+
+    def q():
+        return Fraction(rng.randint(-wide, wide), rng.randint(1, wide))
+    samples = {"wide-%d" % k: Cyc8Element([q() for _ in range(4)])
+               for k in range(12)}
+    for k in range(4):
+        r, s = q(), q()
+        samples["Q-%d" % k] = Cyc8Element([r, 0, 0, 0])
+        samples["Q(i)-%d" % k] = Cyc8Element([r, 0, s, 0])
+        # sqrt(2) = z - z^3 and sqrt(-2) = z + z^3
+        samples["Q(sqrt2)-%d" % k] = Cyc8Element([r, s, 0, -s])
+        samples["Q(sqrt-2)-%d" % k] = Cyc8Element([r, s, 0, s])
+    for e in range(1, 8):
+        samples["1-z^%d" % e] = ONE - zeta_pow(e)
+    return samples
+
+
+KERNEL_SAMPLES = _kernel_samples()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SAMPLES))
+def test_inverse_and_norm_match_the_galois_product(name):
+    x = KERNEL_SAMPLES[name]
+    inverse, norm = _galois_inverse_and_norm(x)
+    assert x.norm() == norm
+    assert x.invert() == inverse
+    assert x * x.invert() == ONE
 
 
 def test_galois_group():
@@ -77,6 +117,7 @@ def test_division_and_powers():
     assert x ** 0 == ONE
     assert x ** 3 == x * x * x
     assert x ** -2 == (x * x).invert()
+    assert ZERO.norm() == 0
     with pytest.raises(ZeroDivisionError):
         ZERO.invert()
 

@@ -10,10 +10,12 @@ must equal sympy's over QQ, fiber inventories must equal sympy's
 factorization of the discriminant read through Tate's table, the
 worked-example preset check must accept exactly the parameters whose
 sympy inventory is the preset's, 2-torsion translations must equal
-sympy's chord construction, and sums, products and substitutions of
+sympy's chord construction, sums, products and substitutions of
 polynomials in (x, y, t) over Q(zeta_8) must equal sympy's in (x, y, t,
-z) modulo z^4 + 1.  sympy and hypothesis are test-only dependencies:
-without them this module is skipped.
+z) modulo z^4 + 1, and inverses and norms in Q(zeta_8) must equal
+sympy's inverse modulo z^4 + 1 and its resultant with z^4 + 1.  sympy
+and hypothesis are test-only dependencies: without them this module is
+skipped.
 """
 
 from collections import Counter
@@ -607,3 +609,30 @@ def test_substitute_matches_sympy(p, parts, e, extra):
         want += twisted * sympy.Rational(c.numerator, c.denominator) \
             * xn ** i * xd ** (dx - i) * yn ** j * yd ** (dy - j)
     assert_matches(p.substitute(*parts, t_exponent=e, dx=dx, dy=dy), want)
+
+
+# -- inverse and norm in Q(zeta_8) --------------------------------------------
+
+wide_fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                           st.integers(1, 10 ** 30))
+
+
+@EXAMPLES
+@given(st.lists(st.one_of(st.just(Fraction(0)), small_fractions,
+                          wide_fractions), min_size=4, max_size=4))
+# a unit of Z[zeta_8]: 1 + z + z^2 has norm 1
+@example([1, 1, 1, 0])
+def test_inverse_and_norm_match_sympy(coords):
+    """invert equals sympy's inverse modulo z^4 + 1 over QQ, and norm
+    equals the resultant of z^4 + 1 and the element, the product of the
+    element at the four primitive 8th roots of unity."""
+    x = Cyc8Element(coords)
+    f = curve_to_zeta_sympy(CurvePolynomial.constant(x)).as_expr()
+    norm = sympy.resultant(Z ** 4 + 1, f, Z)
+    assert x.norm() == Fraction(int(norm.p), int(norm.q))
+    assume(not x.is_zero())
+    inverse = sympy.Poly(sympy.invert(f, Z ** 4 + 1, domain=sympy.QQ), Z,
+                         domain="QQ")
+    want = (inverse.coeff_monomial(Z ** k) for k in range(4))
+    assert x.invert().coords \
+        == tuple(Fraction(int(c.p), int(c.q)) for c in want)

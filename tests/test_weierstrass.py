@@ -242,6 +242,26 @@ def test_fiber_typing_computes_the_discriminant_once(monkeypatch, f,
             if r.place == Place.infinity()] == at_infinity
 
 
+def test_simple_roots_of_delta_are_typed_without_valuations(monkeypatch):
+    # a = -3, b = 2 + g gives delta = 27 g (g + 4): with g = t^12 - 1 it is
+    # squarefree of degree 24, with the rational roots +-1 and irrational
+    # layers, so every fiber is I_1 and no valuation is computed
+    calls = []
+    for name in ("valuation_at", "split_by_valuation"):
+        wrapped = getattr(weierstrass, name)
+        monkeypatch.setattr(weierstrass, name,
+                            lambda *args, _f=wrapped, _n=name:
+                            calls.append(_n) or _f(*args))
+    f = WeierstrassFibration(poly((-3, 0)), poly((1, 12), (1, 0)))
+    reports = fiber_reports(f)
+    assert calls == []
+    assert {r.place.kind for r in reports} \
+        == {"finite-rational", "finite-irreducible"}
+    assert all((r.v_a, r.v_b, r.v_delta, r.kodaira) == (0, 0, 1, "I_1")
+               for r in reports)
+    assert fiber_inventory(f) == {"I_1": 24}
+
+
 def _chart_report_at_infinity(f):
     # the fiber at infinity as the chart computes it: t = 0 of at_infinity()
     zero = Place.finite_rational(0)
