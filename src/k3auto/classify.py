@@ -5,7 +5,8 @@ fixed lattice pins down three skeletons (Picard rank 10, 14, 18).  Each
 skeleton carries one or two smooth elliptic curves fixed by the fourth
 power plus, in ranks 14 and 18, a degenerate second invariant fiber (IV*
 or I_8, respectively I_16).  The enumerator walks the closed vocabulary of
-actions on these fibers, assembles the total fixed-locus configuration,
+actions on these fibers, read from the action table in `fibers` whose order
+is the rows' order, assembles the total fixed-locus configuration,
 and keeps a case only when the holomorphic fixed point sum is exactly
 1 + zeta^7 (the two integer point-count constraints are this identity's
 coordinates, so it is tested once).  Every case kept fits its skeleton's
@@ -24,10 +25,9 @@ from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
-from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, IV_STAR, ORDER_4,
-                     PRESERVE, REFLECTION, ROTATION_2, ROTATION_4, SMOOTH,
-                     TRANSLATION_2, TRANSLATION_4, FiberAction, FiberShape,
-                     action_label, fiber_fixed_data, parse_action_label)
+from .fibers import (ORDER_4, SMOOTH, SMOOTH_SHAPE, FiberAction, FiberShape,
+                     action_label, fiber_fixed_data, kind_actions,
+                     parse_action_label, table_position)
 from .lattice import EigenRanks, power_ranks, sigma4_skeletons, solve_ranks
 from .lefschetz import (FixedCurve, FixedLocusConfig, holo_total,
                         prop1_satisfied, topo_check)
@@ -84,48 +84,32 @@ class ClassificationRow(namedtuple("ClassificationRow", (
         return row
 
 
-_SMOOTH_C = FiberShape.smooth_elliptic()
 _ORDER4_SPLITS = ((2, 0), (1, 1), (0, 2))
-# table ordering of the actions on the elliptic curve
-_ELLIPTIC_ORDER = {IDENTITY: 0, TRANSLATION_2: 1, TRANSLATION_4: 2,
-                   INVOLUTION: 3, ORDER_4: 4}
+# the second invariant fiber of each Picard rank's skeleton
+_SECOND_FIBERS = {10: (SMOOTH_SHAPE,),
+                  14: (FiberShape.iv_star(), FiberShape.i_cycle(8)),
+                  18: (FiberShape.i_cycle(16),)}
+
+
+def _actions(kind: str) -> List[FiberAction]:
+    """The actions on a fiber kind in table order, order four once for each
+    point split."""
+    return [FiberAction(name, split) for name in kind_actions(kind)
+            for split in (_ORDER4_SPLITS if name == ORDER_4 else (None,))]
 
 
 def _candidates(rk_pic: int):
     """(elliptic action, second-fiber shape, second-fiber action) triples."""
-    plain = [FiberAction(name) for name in
-             (IDENTITY, TRANSLATION_2, TRANSLATION_4, INVOLUTION)]
-    order4 = [FiberAction(ORDER_4, split) for split in _ORDER4_SPLITS]
-    if rk_pic == 10:
-        # two smooth elliptic curves; the square cannot fix both, so the
-        # action is order 4 on exactly one of them
-        for c_act in plain:
-            for cp_act in order4:
-                yield c_act, _SMOOTH_C, cp_act
-        return
-    shapes: List[Tuple[FiberShape, List[FiberAction]]] = []
-    cycle_actions = [FiberAction(name) for name in
-                     (PRESERVE, REFLECTION, ROTATION_2, ROTATION_4)]
-    if rk_pic == 14:
-        shapes.append((FiberShape.iv_star(),
-                       [FiberAction(PRESERVE), FiberAction(BRANCH_SWAP)]))
-        shapes.append((FiberShape.i_cycle(8), cycle_actions))
-    else:
-        shapes.append((FiberShape.i_cycle(16), cycle_actions))
-    for c_act in plain + order4:
-        for shape, actions in shapes:
+    second = [(shape, _actions(shape.kind))
+              for shape in _SECOND_FIBERS[rk_pic]]
+    for c_act in _actions(SMOOTH):
+        for shape, actions in second:
             for cp_act in actions:
-                yield c_act, shape, cp_act
-
-
-def _category_rank(shape: FiberShape, action: FiberAction) -> int:
-    # table order within a Picard block: IV* reflection first, then the
-    # cycle rotations, reflection, IV* preserve, cycle preserve
-    if shape.kind == SMOOTH:
-        return 0
-    if shape.kind == IV_STAR:
-        return 0 if action.name == BRANCH_SWAP else 4
-    return {ROTATION_2: 1, ROTATION_4: 2, REFLECTION: 3, PRESERVE: 5}[action.name]
+                # two smooth elliptic curves: the square cannot fix both,
+                # so the action is order 4 on exactly one of them, C'
+                if shape.kind != SMOOTH or (c_act.name != ORDER_4
+                                            and cp_act.name == ORDER_4):
+                    yield c_act, shape, cp_act
 
 
 def _fixed_locus(c_action: FiberAction, cp_shape: FiberShape,
@@ -135,9 +119,9 @@ def _fixed_locus(c_action: FiberAction, cp_shape: FiberShape,
 
     The point counts and the k fixed rational curves come from the row
     when one is given, else from the two fibers; the elliptic curve is
-    fixed as well when the action is the identity on it.
+    fixed as well when its data says sigma fixes it pointwise.
     """
-    fd_c = fiber_fixed_data(_SMOOTH_C, c_action)
+    fd_c = fiber_fixed_data(SMOOTH_SHAPE, c_action)
     fd_cp = fiber_fixed_data(cp_shape, cp_action)
     if row is None:
         n2, n3, n4 = (c + cp for c, cp in zip(fd_c.points, fd_cp.points))
@@ -145,7 +129,7 @@ def _fixed_locus(c_action: FiberAction, cp_shape: FiberShape,
     else:
         n2, n3, n4, k = row.n2, row.n3, row.n4, row.k
     curves: Tuple[FixedCurve, ...] = (FixedCurve(0, 1),) * k
-    if c_action.name == IDENTITY:
+    if fd_c.k_sigma == 1:
         curves = (FixedCurve(1, 1),) + curves
     return fd_c, fd_cp, FixedLocusConfig(curves, n2, n3, n4)
 
@@ -170,9 +154,10 @@ def _assemble(rk_pic: int, num_c: int, k_sigma4: int, c_action: FiberAction,
     except ValueError as err:
         raise InvariantError("%s: no eigenspace ranks (%s)"
                              % (where, err)) from None
-    labels = (action_label(_SMOOTH_C, c_action), action_label(cp_shape, cp_action))
-    sort_key = (rk_pic, _category_rank(cp_shape, cp_action),
-                _ELLIPTIC_ORDER[c_action.name])
+    labels = (action_label(SMOOTH_SHAPE, c_action),
+              action_label(cp_shape, cp_action))
+    sort_key = (rk_pic, table_position(cp_shape, cp_action),
+                table_position(SMOOTH_SHAPE, c_action))
     return sort_key, dict(r=r, l=l, m=m, k_sigma2=k_sigma2, num_c=num_c,
                           rk_pic=rk_pic, k_sigma4=k_sigma4, n2=config.n2,
                           n3=config.n3, n4=config.n4, k=config.k,
@@ -252,7 +237,7 @@ def theorem1_groups(rows: Sequence[ClassificationRow]):
     first occurrence kept."""
     groups: Dict[int, List[Tuple[int, int, int]]] = {1: [], 2: [], 4: []}
     for row in rows:
-        fixed_by = fiber_fixed_data(_SMOOTH_C,
+        fixed_by = fiber_fixed_data(SMOOTH_SHAPE,
                                     _decompose(row)[0]).elliptic_fixed_by
         triple = (row.k, row.N, row.rk_pic)
         if triple not in groups[fixed_by]:

@@ -15,9 +15,13 @@ cycle, involution derivative on an axis or central component) and checks
 they all produce the same counting data.  The same propagation with the
 doubled or quadrupled multiplier yields the sigma^2 / sigma^4 data.
 
-Action labels serialize as the classification table strings, e.g.
-"rotation of order 2 on I_8" or "reflection of IV*"; action_label and
-parse_action_label read one table in both directions.
+One table holds the action vocabulary: each (shape kind, action name) in
+the classification table's order, with its label and the engine of its
+fixed data.  Labels serialize as the table strings, e.g. "rotation of
+order 2 on I_8" or "reflection of IV*"; action_label and
+parse_action_label read it in both directions, fiber_fixed_data runs its
+engines, and kind_actions and table_position give the enumerator the
+actions of each kind and the order of the rows.
 """
 
 from __future__ import annotations
@@ -42,22 +46,6 @@ REFLECTION = "reflection"
 ROTATION_2 = "rotation-2"
 ROTATION_4 = "rotation-4"
 BRANCH_SWAP = "branch-swap"
-
-# (shape kind, action name) -> classification table label; cycle labels
-# take the component count
-_LABELS = {
-    (SMOOTH, IDENTITY): "identity",
-    (SMOOTH, TRANSLATION_2): "translation of order two",
-    (SMOOTH, TRANSLATION_4): "translation of order four",
-    (SMOOTH, INVOLUTION): "involution",
-    (SMOOTH, ORDER_4): "order four",
-    (I_CYCLE, PRESERVE): "preserves each curve of I_%d",
-    (I_CYCLE, REFLECTION): "reflection on I_%d",
-    (I_CYCLE, ROTATION_2): "rotation of order 2 on I_%d",
-    (I_CYCLE, ROTATION_4): "rotation of order 4 on I_%d",
-    (IV_STAR, PRESERVE): "preserves each curve of IV*",
-    (IV_STAR, BRANCH_SWAP): "reflection of IV*",
-}
 
 
 class FiberShape(namedtuple("FiberShape", "kind n")):
@@ -91,6 +79,9 @@ class FiberShape(namedtuple("FiberShape", "kind n")):
         if self.kind == I_CYCLE:
             return "I_%d" % self.n
         return "IV*" if self.kind == IV_STAR else "smooth"
+
+
+SMOOTH_SHAPE = FiberShape.smooth_elliptic()
 
 
 class FiberAction(namedtuple("FiberAction", "name split")):
@@ -241,12 +232,11 @@ def _i_n_rotation(n: int, order: int) -> FiberFixedData:
     if order == 2:
         # square preserves every component (shift n/2 twice is the identity)
         return _square_preserving_data(n, 0, (0, 0, 0))
-    if order == 4:
-        # square still rotates by n/2: nothing sigma^2-fixed on this fiber
-        k4, _ = _cycle_preserve_scan(n, 4, 0)
-        return FiberFixedData(k_sigma=0, points=(0, 0, 0), k_sigma2=0,
-                              k_sigma4=k4, alpha_contrib=0, n_sigma2=0)
-    raise ValueError("rotation order must be 2 or 4")
+    # order 4: the square still rotates by n/2, so nothing on this fiber is
+    # sigma^2-fixed
+    k4, _ = _cycle_preserve_scan(n, 4, 0)
+    return FiberFixedData(k_sigma=0, points=(0, 0, 0), k_sigma2=0,
+                          k_sigma4=k4, alpha_contrib=0, n_sigma2=0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,73 +283,95 @@ def _iv_star_branch_swap() -> FiberFixedData:
 
 
 # ---------------------------------------------------------------------------
+# the action table
+
+
+def _elliptic(fixed_by: int,
+              points: Optional[Tuple[int, int, int]] = (0, 0, 0),
+              n_sigma2: int = 0):
+    """The engine of an action on a smooth elliptic fiber that sigma^fixed_by
+    fixes pointwise first (sigma^4 always does, and a genus-1 curve adds 0
+    to alpha).  With points None the action's split types sigma's two fixed
+    points."""
+    def engine(n: Optional[int],
+               split: Optional[Tuple[int, int]]) -> FiberFixedData:
+        return FiberFixedData(
+            k_sigma=int(fixed_by == 1),
+            points=split + (0,) if points is None else points,
+            k_sigma2=int(fixed_by <= 2), k_sigma4=1, alpha_contrib=0,
+            n_sigma2=n_sigma2, elliptic_fixed_by=fixed_by)
+    return engine
+
+
+# The action vocabulary in the classification table's order: the actions on
+# the elliptic curve C, then those on the second invariant fiber, from the
+# IV* reflection to the actions preserving every component.  Each (shape
+# kind, action name) maps to its table label, where a cycle puts in its
+# component count, and to the engine of its fixed data, which takes the
+# shape's component count and the action's point split.
+_ACTIONS = {
+    (SMOOTH, IDENTITY): ("identity", _elliptic(1)),
+    (SMOOTH, TRANSLATION_2): ("translation of order two", _elliptic(2)),
+    (SMOOTH, TRANSLATION_4): ("translation of order four", _elliptic(4)),
+    # four fixed points, derivative -1, necessarily type (4,5); the square
+    # fixes the curve pointwise so none survive as isolated
+    (SMOOTH, INVOLUTION): ("involution", _elliptic(2, (0, 0, 4))),
+    # the square is an involution of the curve: four isolated points
+    (SMOOTH, ORDER_4): ("order four", _elliptic(4, None, n_sigma2=4)),
+    (IV_STAR, BRANCH_SWAP): ("reflection of IV*",
+                             lambda n, _: _iv_star_branch_swap()),
+    (I_CYCLE, ROTATION_2): ("rotation of order 2 on I_%d",
+                            lambda n, _: _i_n_rotation(n, 2)),
+    (I_CYCLE, ROTATION_4): ("rotation of order 4 on I_%d",
+                            lambda n, _: _i_n_rotation(n, 4)),
+    (I_CYCLE, REFLECTION): ("reflection on I_%d",
+                            lambda n, _: _i_n_reflection(n)),
+    (IV_STAR, PRESERVE): ("preserves each curve of IV*",
+                          lambda n, _: _iv_star_preserve()),
+    (I_CYCLE, PRESERVE): ("preserves each curve of I_%d",
+                          lambda n, _: _i_n_preserve(n)),
+}
+_REFUSALS = {SMOOTH: "not a smooth-elliptic action: %r",
+             I_CYCLE: "action %r incompatible with I_n",
+             IV_STAR: "action %r incompatible with IV*"}
+
+
+# ---------------------------------------------------------------------------
 # public entry points
 
 
 def elliptic_action_data(action: FiberAction) -> FiberFixedData:
     """Fixed data of an action on a smooth elliptic fiber."""
-    if action.name == IDENTITY:
-        return FiberFixedData(k_sigma=1, points=(0, 0, 0), k_sigma2=1,
-                              k_sigma4=1, alpha_contrib=0, n_sigma2=0,
-                              elliptic_fixed_by=1)
-    if action.name == TRANSLATION_2:
-        return FiberFixedData(k_sigma=0, points=(0, 0, 0), k_sigma2=1,
-                              k_sigma4=1, alpha_contrib=0, n_sigma2=0,
-                              elliptic_fixed_by=2)
-    if action.name == TRANSLATION_4:
-        return FiberFixedData(k_sigma=0, points=(0, 0, 0), k_sigma2=0,
-                              k_sigma4=1, alpha_contrib=0, n_sigma2=0,
-                              elliptic_fixed_by=4)
-    if action.name == INVOLUTION:
-        # four fixed points, derivative -1, necessarily type (4,5); the
-        # square fixes the curve pointwise so none survive as isolated
-        return FiberFixedData(k_sigma=0, points=(0, 0, 4), k_sigma2=1,
-                              k_sigma4=1, alpha_contrib=0, n_sigma2=0,
-                              elliptic_fixed_by=2)
-    if action.name == ORDER_4:
-        assert action.split is not None
-        c2, c3 = action.split
-        # the square is an involution of the curve: four isolated points
-        return FiberFixedData(k_sigma=0, points=(c2, c3, 0), k_sigma2=0,
-                              k_sigma4=1, alpha_contrib=0, n_sigma2=4,
-                              elliptic_fixed_by=4)
-    raise ValueError("not a smooth-elliptic action: %r" % (action.name,))
+    return fiber_fixed_data(SMOOTH_SHAPE, action)
 
 
 def fiber_fixed_data(shape: FiberShape, action: FiberAction) -> FiberFixedData:
     """Fixed-locus data of the action on the given fiber shape."""
-    if shape.kind == SMOOTH:
-        return elliptic_action_data(action)
-    if shape.kind == I_CYCLE:
-        assert shape.n is not None
-        if action.name == PRESERVE:
-            return _i_n_preserve(shape.n)
-        if action.name == REFLECTION:
-            return _i_n_reflection(shape.n)
-        if action.name == ROTATION_2:
-            return _i_n_rotation(shape.n, 2)
-        if action.name == ROTATION_4:
-            return _i_n_rotation(shape.n, 4)
-        raise ValueError("action %r incompatible with I_n" % (action.name,))
-    if shape.kind == IV_STAR:
-        if action.name == PRESERVE:
-            return _iv_star_preserve()
-        if action.name == BRANCH_SWAP:
-            return _iv_star_branch_swap()
-        raise ValueError("action %r incompatible with IV*" % (action.name,))
-    raise ValueError("unknown shape %r" % (shape.kind,))
+    if (shape.kind, action.name) not in _ACTIONS:
+        raise ValueError(_REFUSALS[shape.kind] % (action.name,))
+    return _ACTIONS[shape.kind, action.name][1](shape.n, action.split)
+
+
+def kind_actions(kind: str) -> List[str]:
+    """The names of the actions on a fiber kind, in table order."""
+    return [name for each_kind, name in _ACTIONS if each_kind == kind]
+
+
+def table_position(shape: FiberShape, action: FiberAction) -> int:
+    """The place of the action in the classification table's order."""
+    return list(_ACTIONS).index((shape.kind, action.name))
 
 
 def action_label(shape: FiberShape, action: FiberAction) -> str:
     """The classification table's name for the action."""
-    label = _LABELS[shape.kind, action.name]
+    label = _ACTIONS[shape.kind, action.name][0]
     return label % shape.n if shape.kind == I_CYCLE else label
 
 
 def parse_action_label(label: str) -> Tuple[FiberShape, str]:
     """The fiber shape and action name of a table label (inverse of
     action_label)."""
-    for (kind, name), template in _LABELS.items():
+    for (kind, name), (template, _) in _ACTIONS.items():
         if kind == I_CYCLE:
             prefix = template[:-len("%d")]
             count = label[len(prefix):]

@@ -24,10 +24,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .cyclotomic import ONE, Cyc8Element, zeta_pow
-from .fibers import (BRANCH_SWAP, IDENTITY, INVOLUTION, ORDER_4, PRESERVE,
-                     REFLECTION, ROTATION_2, TRANSLATION_2, FiberAction,
-                     FiberShape, action_label, fiber_fixed_data, point_type,
-                     type_counts)
+from .fibers import (IDENTITY, INVOLUTION, IV_STAR, ORDER_4, PRESERVE,
+                     REFLECTION, ROTATION_2, SMOOTH_SHAPE, TRANSLATION_2,
+                     FiberAction, FiberShape, action_label, fiber_fixed_data,
+                     kind_actions, point_type, type_counts)
 from .polynomial import (Place, RationalPolynomial, _split_rational_roots,
                          multiplicity_profile, split_by_valuation, sum_pairs,
                          valuation_at, weierstrass_discriminant)
@@ -649,9 +649,6 @@ def automorphism_map(f: WeierstrassFibration,
 # ---------------------------------------------------------------------------
 # action labels and classification matching
 
-_SMOOTH = FiberShape.smooth_elliptic()
-
-
 # (without, with translation) by chart exponents (ex, ey): a generator that
 # passes _check_generator has one of these four at t = 0 and t = infinity
 _SMOOTH_ACTIONS = {(0, 0): (IDENTITY, TRANSLATION_2),
@@ -781,7 +778,7 @@ def analyze_action(f: WeierstrassFibration,
             name, points = _smooth_fiber(f_chart, g_chart)
             counts = type_counts(p.pair for p in points)
             action = FiberAction(name, counts[:2] if name == ORDER_4 else None)
-            entries.append((place, tag, _SMOOTH, action, points, counts))
+            entries.append((place, tag, SMOOTH_SHAPE, action, points, counts))
         elif tag.startswith("I_") and not tag.endswith("*"):
             action = FiberAction(_cycle_action_name(f_chart, g_chart))
             entries.append((place, tag, FiberShape.i_cycle(int(tag[2:])),
@@ -793,14 +790,15 @@ def analyze_action(f: WeierstrassFibration,
                 "invariant fiber of type %s is outside the classified "
                 "shapes" % tag)
 
-    if all(entry[2] != _SMOOTH for entry in entries):
+    if all(entry[2] != SMOOTH_SHAPE for entry in entries):
         raise InvariantError(
             "no smooth invariant fiber (%s); outside the table"
             % ", ".join("%s at %s" % (entry[1], entry[0]) for entry in entries))
     # smooth first; of two smooth fibers (ex and ex + 4) one has order four
-    entries.sort(key=lambda entry: (entry[2] != _SMOOTH, entry[2] == _SMOOTH
+    entries.sort(key=lambda entry: (entry[2] != SMOOTH_SHAPE,
+                                    entry[2] == SMOOTH_SHAPE
                                     and entry[3].name == ORDER_4))
-    elliptic_label = action_label(_SMOOTH, entries[0][3])
+    elliptic_label = action_label(SMOOTH_SHAPE, entries[0][3])
     place, tag, shape, action, _, _ = entries[1]
     if action is None:
         # IV*: the Weierstrass model does not see the dual graph action, so
@@ -808,7 +806,7 @@ def analyze_action(f: WeierstrassFibration,
         # one IV* row for each smooth-fiber action except order four, and
         # no generator that passes the checks puts IV* beside order four.
         hits = []
-        for option in (FiberAction(PRESERVE), FiberAction(BRANCH_SWAP)):
+        for option in map(FiberAction, kind_actions(IV_STAR)):
             try:
                 hits.append((match_row(table, elliptic_label,
                                        action_label(shape, option)), option))

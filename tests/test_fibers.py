@@ -1,5 +1,7 @@
 """Combinatorial fixed-point data of fiber actions."""
 
+import re
+
 import pytest
 
 from k3auto.fibers import (BRANCH_SWAP, FiberAction, FiberShape, IDENTITY,
@@ -49,8 +51,22 @@ def test_smooth_fiber_actions():
         FiberAction(ORDER_4)  # missing split
     with pytest.raises(ValueError):
         FiberAction(IDENTITY, split=(1, 1))
-    with pytest.raises(ValueError, match="not a smooth-elliptic action"):
-        fiber_fixed_data(FiberShape.smooth_elliptic(), FiberAction(REFLECTION))
+    # each shape kind refuses an action of another kind, in its own words
+    refusals = [
+        (FiberShape.smooth_elliptic(), FiberAction(REFLECTION),
+         "not a smooth-elliptic action: 'reflection'"),
+        (FiberShape.i_cycle(8), FiberAction(BRANCH_SWAP),
+         "action 'branch-swap' incompatible with I_n"),
+        (FiberShape.i_cycle(16), FiberAction(ORDER_4, split=(1, 1)),
+         "action 'order-4' incompatible with I_n"),
+        (FiberShape.iv_star(), FiberAction(INVOLUTION),
+         "action 'involution' incompatible with IV*"),
+        (FiberShape.iv_star(), FiberAction(ROTATION_2),
+         "action 'rotation-2' incompatible with IV*"),
+    ]
+    for shape, action, message in refusals:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            fiber_fixed_data(shape, action)
 
 
 def test_cycle_preserve_counts():

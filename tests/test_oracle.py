@@ -13,9 +13,11 @@ sympy inventory is the preset's, 2-torsion translations must equal
 sympy's chord construction, sums, products and substitutions of
 polynomials in (x, y, t) over Q(zeta_8) must equal sympy's in (x, y, t,
 z) modulo z^4 + 1, and inverses and norms in Q(zeta_8) must equal
-sympy's inverse modulo z^4 + 1 and its resultant with z^4 + 1.  sympy
-and hypothesis are test-only dependencies: without them this module is
-skipped.
+sympy's inverse modulo z^4 + 1 and its resultant with z^4 + 1, and the
+holomorphic Lefschetz sum of every enumerator candidate and table row,
+summed by sympy in Q[z]/(z^4 + 1), must equal 1 + z^7 exactly where
+holo_total says it does.  sympy and hypothesis are test-only
+dependencies: without them this module is skipped.
 """
 
 from collections import Counter
@@ -30,7 +32,12 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from k3auto import polynomial, weierstrass  # noqa: E402
+from k3auto.classify import (_candidates, _decompose,  # noqa: E402
+                             _fixed_locus, enumerate_cases)
 from k3auto.cyclotomic import Cyc8Element, zeta_pow  # noqa: E402
+from k3auto.fibers import SMOOTH_SHAPE, action_label  # noqa: E402
+from k3auto.lattice import sigma4_skeletons  # noqa: E402
+from k3auto.lefschetz import holo_total  # noqa: E402
 from k3auto.maps import CurvePolynomial  # noqa: E402
 from k3auto.polynomial import (RationalPolynomial, gcd,  # noqa: E402
                                multiplicity_profile, rational_roots,
@@ -636,3 +643,53 @@ def test_inverse_and_norm_match_sympy(coords):
     want = (inverse.coeff_monomial(Z ** k) for k in range(4))
     assert x.invert().coords \
         == tuple(Fraction(int(c.p), int(c.q)) for c in want)
+
+
+# -- the holomorphic Lefschetz sum of the classification table ----------------
+
+CYCLOTOMIC = Z ** 4 + 1
+
+
+def reduced_quotient(numerator, denominator):
+    """numerator / denominator in Q[z]/(z^4 + 1), of degree below 4."""
+    inverse = sympy.invert(denominator, CYCLOTOMIC, Z, domain=sympy.QQ)
+    return sympy.Poly(sympy.rem(sympy.expand(numerator * inverse),
+                                CYCLOTOMIC, Z), Z, domain="QQ")
+
+
+def test_holomorphic_sum_of_the_candidates_and_rows_matches_sympy():
+    """Each isolated point of type (t, 9 - t) adds 1/((1 - z^t)(1 - z^(9-t)))
+    and each fixed rational curve, of normal exponent 1, adds
+    (1 + z)/(1 - z)^2; a fixed elliptic curve adds nothing.  The sum equals
+    1 + z^7 for exactly the sixteen candidates the enumerator keeps, agrees
+    with holo_total on all 82, and holds on each row's own configuration."""
+    points = [reduced_quotient(1, (1 - Z ** t) * (1 - Z ** (9 - t)))
+              for t in (2, 3, 4)]
+    rational_curve = reduced_quotient(1 + Z, (1 - Z) ** 2)
+    target = reduced_quotient(1 + Z ** 7, 1)
+
+    def holds(config):
+        assert {(c.genus, c.normal_exponent) for c in config.curves} \
+            <= {(0, 1), (1, 1)}
+        total = sum((count * term for count, term in
+                     zip((config.n2, config.n3, config.n4, config.k),
+                         points + [rational_curve])),
+                    sympy.Poly(0, Z, domain="QQ"))
+        return total == target
+
+    rows = enumerate_cases()
+    kept, verdicts = set(), Counter()
+    for rk_pic, _, _ in sigma4_skeletons():
+        for candidate in _candidates(rk_pic):
+            config = _fixed_locus(*candidate)[2]
+            verdict = holds(config)
+            assert verdict == holo_total(config, 1)[1], candidate
+            verdicts[verdict] += 1
+            if verdict:
+                c_action, cp_shape, cp_action = candidate
+                kept.add((action_label(SMOOTH_SHAPE, c_action),
+                          action_label(cp_shape, cp_action)))
+    assert verdicts == {True: 16, False: 66}
+    assert kept == {row.action for row in rows}
+    for row in rows:
+        assert holds(_fixed_locus(*_decompose(row), row)[2]), row.index
