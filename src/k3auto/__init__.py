@@ -29,7 +29,7 @@ _EXPORTS = {
                "parse_action_label"),
     "lattice": ("EigenRanks", "power_ranks", "sigma4_skeletons",
                 "solve_ranks"),
-    "lefschetz": ("FixedCurve", "FixedLocusConfig", "PointType",
+    "lefschetz": ("FixedCurve", "FixedLocusConfig",
                   "derive_prop1_constraints", "holo_target", "holo_total",
                   "prop1_residuals", "prop1_satisfied", "topo_check"),
     "polynomial": ("Place", "RationalPolynomial", "multiplicity_profile",

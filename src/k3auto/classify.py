@@ -33,8 +33,18 @@ from .lefschetz import (FixedCurve, FixedLocusConfig, holo_total,
                         prop1_satisfied, topo_check)
 
 
-class ClassificationRow(namedtuple("ClassificationRow", (
-        "index r l m k_sigma2 num_c rk_pic k_sigma4 n2 n3 n4 k action"))):
+# (row attribute, JSON and CSV key, table heading) of each column in order;
+# N is derived, the action pair comes last, and the CSV has no index
+_COLUMNS = (("index", "index", "case"), ("r", "r", "r"), ("l", "l", "l"),
+            ("m", "m", "m"), ("k_sigma2", "k_sigma2", "k_s2"),
+            ("num_c", "num_C", "#C"), ("rk_pic", "rk_pic", "rkPic"),
+            ("k_sigma4", "k_sigma4", "k_s4"), ("N", "N", "N"),
+            ("n2", "n2", "n2"), ("n3", "n3", "n3"), ("n4", "n4", "n4"),
+            ("k", "k", "k"), ("action", "action", "action"))
+
+
+class ClassificationRow(namedtuple("ClassificationRow", [
+        attr for attr, _, _ in _COLUMNS if attr != "N"])):
     """One line of the classification table.
 
     action = (label on the smooth invariant elliptic curve, label on the
@@ -44,14 +54,11 @@ class ClassificationRow(namedtuple("ClassificationRow", (
 
     __slots__ = ()
 
-    def __new__(cls, index: int, r: int, l: int, m: int, k_sigma2: int,
-                num_c: int, rk_pic: int, k_sigma4: int, n2: int, n3: int,
-                n4: int, k: int, action: Tuple[str, str]):
-        row = super().__new__(cls, index, r, l, m, k_sigma2, num_c, rk_pic,
-                              k_sigma4, n2, n3, n4, k, action)
-        if rk_pic not in (10, 14, 18):
+    def __new__(cls, *args, **kwargs):
+        row = super().__new__(cls, *args, **kwargs)
+        if row.rk_pic not in (10, 14, 18):
             raise ValueError("Picard rank must be 10, 14 or 18")
-        if r + l + 2 * m + 4 * row.m1 != 22:
+        if row.r + row.l + 2 * row.m + 4 * row.m1 != 22:
             raise ValueError("eigenspace ranks must sum to 22")
         return row
 
@@ -64,21 +71,15 @@ class ClassificationRow(namedtuple("ClassificationRow", (
         return self.n2 + self.n3 + self.n4
 
     def to_dict(self) -> Dict:
-        return {
-            "index": self.index, "r": self.r, "l": self.l, "m": self.m,
-            "k_sigma2": self.k_sigma2, "num_C": self.num_c,
-            "rk_pic": self.rk_pic, "k_sigma4": self.k_sigma4, "N": self.N,
-            "n2": self.n2, "n3": self.n3, "n4": self.n4, "k": self.k,
-            "action": list(self.action),
-        }
+        data = {key: getattr(self, attr) for attr, key, _ in _COLUMNS}
+        data["action"] = list(self.action)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ClassificationRow":
-        row = cls(index=data["index"], r=data["r"], l=data["l"], m=data["m"],
-                  k_sigma2=data["k_sigma2"], num_c=data["num_C"],
-                  rk_pic=data["rk_pic"], k_sigma4=data["k_sigma4"],
-                  n2=data["n2"], n3=data["n3"], n4=data["n4"], k=data["k"],
-                  action=(data["action"][0], data["action"][1]))
+        fields = {attr: data[key] for attr, key, _ in _COLUMNS[:-1]
+                  if attr != "N"}
+        row = cls(**fields, action=(data["action"][0], data["action"][1]))
         if "N" in data and data["N"] != row.N:
             raise ValueError("point total inconsistent with the counts")
         return row
@@ -198,6 +199,16 @@ def _decompose(row: ClassificationRow):
     return c_action, cp_shape, cp_action
 
 
+def _square_locus(fd_c, fd_cp, k_sigma2: int) -> FixedLocusConfig:
+    """The square's fixed locus: the two fibers' isolated points, k_sigma2
+    rational curves and each elliptic curve the square fixes pointwise."""
+    curves: Tuple[FixedCurve, ...] = (FixedCurve(0, 2),) * k_sigma2
+    for fd in (fd_c, fd_cp):
+        if fd.elliptic_fixed_by is not None and fd.elliptic_fixed_by <= 2:
+            curves = (FixedCurve(1, 2),) + curves
+    return FixedLocusConfig(curves, fd_c.n_sigma2 + fd_cp.n_sigma2, 0, 0)
+
+
 def validate_row(row: ClassificationRow) -> Dict[str, bool]:
     """Re-check every relation a table row must satisfy; keys are stable."""
     checks: Dict[str, bool] = {}
@@ -209,16 +220,11 @@ def validate_row(row: ClassificationRow) -> Dict[str, bool]:
     checks["holomorphic"] = holo_total(config, 1)[1]
 
     # induced order-4 data of the square
-    n_square = fd_c.n_sigma2 + fd_cp.n_sigma2
-    checks["square-point-count"] = n_square == 2 * row.k_sigma2 + 4
-    square_curves: Tuple[FixedCurve, ...] = (FixedCurve(0, 2),) * row.k_sigma2
-    for fd in (fd_c, fd_cp):
-        if fd.elliptic_fixed_by is not None and fd.elliptic_fixed_by <= 2:
-            square_curves = (FixedCurve(1, 2),) + square_curves
-    square_config = FixedLocusConfig(square_curves, n_square, 0, 0)
-    checks["square-holomorphic"] = holo_total(square_config, 2)[1]
+    square = _square_locus(fd_c, fd_cp, row.k_sigma2)
+    checks["square-point-count"] = square.N == 2 * row.k_sigma2 + 4
+    checks["square-holomorphic"] = holo_total(square, 2)[1]
     r2, l2, _ = power_ranks(EigenRanks(row.r, row.l, row.m, row.m1), 2)
-    checks["square-topological"] = n_square + 2 * row.k_sigma2 == r2 - l2 + 2
+    checks["square-topological"] = topo_check(square, r2, l2)
 
     try:
         solved: Optional[Tuple[int, int, int]] = \
@@ -258,34 +264,32 @@ def match_row(rows: Sequence[ClassificationRow], elliptic_label: str,
 # ---------------------------------------------------------------------------
 # rendering
 
-CSV_HEADER = "r,l,m,k_sigma2,num_C,rk_pic,k_sigma4,N,n2,n3,n4,k,action"
+CSV_HEADER = ",".join(key for _, key, _ in _COLUMNS[1:])
+
+
+def _cells(row: ClassificationRow) -> List[str]:
+    """The row's columns as text, the action pair joined by ", "."""
+    return [str(getattr(row, attr)) for attr, _, _ in _COLUMNS[:-1]] \
+        + [", ".join(row.action)]
 
 
 def render_csv(rows: Sequence[ClassificationRow]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        cells = [row.r, row.l, row.m, row.k_sigma2, row.num_c, row.rk_pic,
-                 row.k_sigma4, row.N, row.n2, row.n3, row.n4, row.k]
-        lines.append(",".join(str(c) for c in cells)
-                     + ',"%s"' % ", ".join(row.action))
+        cells = _cells(row)[1:]
+        lines.append(",".join(cells[:-1]) + ',"%s"' % cells[-1])
     return "\n".join(lines) + "\n"
 
 
 def render_table(rows: Sequence[ClassificationRow]) -> str:
-    headers = ["case", "r", "l", "m", "k_s2", "#C", "rkPic", "k_s4", "N",
-               "n2", "n3", "n4", "k", "action"]
-    body = []
-    for row in rows:
-        body.append([str(v) for v in
-                     (row.index, row.r, row.l, row.m, row.k_sigma2, row.num_c,
-                      row.rk_pic, row.k_sigma4, row.N, row.n2, row.n3, row.n4,
-                      row.k)] + [", ".join(row.action)])
-    widths = [max(len(headers[i]), max(len(line[i]) for line in body))
-              for i in range(len(headers))]
-    def fmt(line):
-        cells = [line[i].rjust(widths[i]) for i in range(len(headers) - 1)]
-        return "  ".join(cells + [line[-1]])
-    return "\n".join([fmt(headers)] + [fmt(line) for line in body]) + "\n"
+    """Right-aligned columns but the action; the headings alone for no rows."""
+    lines = [[heading for _, _, heading in _COLUMNS]]
+    lines += [_cells(row) for row in rows]
+    widths = [max(len(line[i]) for line in lines)
+              for i in range(len(_COLUMNS) - 1)]
+    return "".join("  ".join([cell.rjust(width) for cell, width
+                              in zip(line, widths)] + [line[-1]]) + "\n"
+                   for line in lines)
 
 
 def rows_to_json(rows: Sequence[ClassificationRow]) -> List[Dict]:

@@ -195,14 +195,6 @@ def cmd_examples(args) -> int:
 _COUNT_NAMES = ("n2", "n3", "n4", "alpha")
 
 
-def _as_count(data, key: str) -> int:
-    value = data[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError("%r must be a non-negative integer, not %r"
-                         % (key, value))
-    return value
-
-
 def _lefschetz_check(data, fmt: str) -> int:
     from .cyclotomic import format_sum
     from .lefschetz import (FixedLocusConfig, derive_prop1_constraints,
@@ -260,8 +252,9 @@ def enumerate_point_counts(alpha: int,
 
 
 def _lefschetz_enumerate(data, fmt: str) -> int:
-    alpha = _as_count(data, "alpha")
-    pins = {key: _as_count(data, key)
+    from .lefschetz import as_count
+    alpha = as_count("alpha", data["alpha"])
+    pins = {key: as_count(key, data[key])
             for key in ("n2", "n3", "n4") if key in data}
     solutions = enumerate_point_counts(alpha, pins)
     if fmt == "json":

@@ -5,8 +5,9 @@ r, l, m, m1 for eigenvalues 1, -1, +-i and the primitive 8th roots (the
 last four roots share one rank m1, so r + l + 2m + 4*m1 = 22).  Squaring
 collapses the spectrum, which is pure bookkeeping, and the fourth power is
 a non-symplectic involution whose fixed locus follows the 2-elementary
-lattice classification: 2g = 22 - rkS - a, 2k = rkS - a, with two special
-lattices (fixed locus empty, or two elliptic curves).
+lattice classification: 2g = 22 - rkS - a, 2k = rkS - a, except at
+(rkS, a) = (10, 10), where the fixed locus is empty, and at the tagged
+member of (10, 8), where it is two elliptic curves.
 
 solve_ranks inverts the three linear relations the fixed point counts
 impose, so each classification row's (r, l, m) comes out of (m1, N, alpha,
@@ -49,7 +50,6 @@ def power_ranks(e: EigenRanks, j: int) -> Tuple[int, int, int]:
     raise ValueError("power must be 2 or 4")
 
 
-SPECIAL_EMPTY = "empty-lattice"
 SPECIAL_TWO_ELLIPTIC = "two-elliptic-lattice"
 
 
@@ -63,11 +63,9 @@ class InvolutionFixData(namedtuple("InvolutionFixData", "rkS a special")):
             raise ValueError("rkS must lie in [0, 20]")
         if a < 0:
             raise ValueError("determinant exponent must be non-negative")
-        if special == SPECIAL_EMPTY and (rkS, a) != (10, 10):
-            raise ValueError("empty-lattice tag requires (rkS, a) = (10, 10)")
         if special == SPECIAL_TWO_ELLIPTIC and (rkS, a) != (10, 8):
             raise ValueError("two-elliptic tag requires (rkS, a) = (10, 8)")
-        if special not in (None, SPECIAL_EMPTY, SPECIAL_TWO_ELLIPTIC):
+        if special not in (None, SPECIAL_TWO_ELLIPTIC):
             raise ValueError("unknown special tag %r" % (special,))
         return super().__new__(cls, rkS, a, special)
 
@@ -79,13 +77,11 @@ def nikulin_fixed_locus(d: InvolutionFixData) -> NikulinShape:
     """Fixed locus shape of a non-symplectic involution from lattice data.
 
     Returns "empty", "two-elliptic-curves", or (g, k): one curve of genus g
-    plus k rational curves.  (10, 10) is the empty case even untagged: the
-    unique 2-elementary hyperbolic lattice with those invariants is the one
-    with empty fixed locus.  (10, 8) untagged uses the general formulas;
-    the two-elliptic member needs its tag.
+    plus k rational curves.  (10, 10) is the empty case: the unique
+    2-elementary hyperbolic lattice with those invariants is the one with
+    empty fixed locus.  (10, 8) untagged uses the general formulas; the
+    two-elliptic member needs its tag.
     """
-    if d.special == SPECIAL_EMPTY:
-        return "empty"
     if d.special == SPECIAL_TWO_ELLIPTIC:
         return "two-elliptic-curves"
     if (d.rkS, d.a) == (10, 10):
@@ -113,8 +109,6 @@ def sigma4_skeletons() -> List[Tuple[int, int, int]]:
             continue  # determinant exponent cannot exceed the rank
         shape = nikulin_fixed_locus(InvolutionFixData(rk_pic, a))
         if shape == "empty":
-            special = InvolutionFixData(10, 8, special=SPECIAL_TWO_ELLIPTIC)
-            assert nikulin_fixed_locus(special) == "two-elliptic-curves"
             out.append((rk_pic, 2, 0))
         else:
             g, k = shape  # type: ignore[misc]

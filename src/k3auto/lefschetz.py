@@ -6,11 +6,12 @@ side is a sum of isolated-point terms 1/((1-z^t)(1-z^s)) and fixed-curve
 terms (1-g)(1+z^e)/(1-z^e)^2.  Everything is evaluated exactly; "matches"
 is literal field equality, never a tolerance.
 
-Admissible isolated points have unordered local eigenvalue exponents
-(2,7), (3,6) or (4,5) (determinant condition t+s = 9).  For the square of
-the automorphism every isolated fixed point has local type (6,4) and fixed
-curves have normal exponent 2, so configurations for power_j=2 only use
-their total point count.
+One table, _POINT_EXPONENTS, holds the local eigenvalue exponents of
+the isolated points for each power the module handles: (2,7), (3,6) or
+(4,5) under the automorphism (determinant condition t+s = 9), and (6,4)
+for every isolated point of its square.  Fixed curves of the square have
+normal exponent 2, so configurations for power_j=2 only use their total
+point count.
 
 The module also re-derives the two integer point-count constraints by
 expanding the fixed-point sum on the power basis and reducing the
@@ -28,22 +29,19 @@ from typing import Dict, List, Sequence, Tuple
 
 from .cyclotomic import ONE, ZERO, Cyc8Element, zeta_pow
 
-_ADMISSIBLE_T = (2, 3, 4)
+# local exponents (t, s) of the isolated fixed points of sigma^j, keyed by
+# the power j; the counts n2, n3, n4 follow the order of the j = 1 entry,
+# and (6, 4) is the local type diag(-i, -1) of sigma^2
+_POINT_EXPONENTS = {1: ((2, 7), (3, 6), (4, 5)), 2: ((6, 4),)}
 
 
-class PointType(namedtuple("PointType", "t")):
-    """Isolated fixed point with tangent eigenvalue exponents (t, 9-t)."""
-
-    __slots__ = ()
-
-    def __new__(cls, t: int):
-        if t not in _ADMISSIBLE_T:
-            raise ValueError("point type must have t in {2,3,4}, got %r" % (t,))
-        return super().__new__(cls, t)
-
-    @property
-    def s(self) -> int:
-        return 9 - self.t
+def as_count(key: str, value) -> int:
+    """value when it is a non-negative int (a bool is not), else
+    ValueError naming the key."""
+    if type(value) is not int or value < 0:
+        raise ValueError("%r must be a non-negative integer, not %r"
+                         % (key, value))
+    return value
 
 
 class FixedCurve(namedtuple("FixedCurve", "genus normal_exponent")):
@@ -73,11 +71,8 @@ class FixedLocusConfig(namedtuple("FixedLocusConfig", "curves n2 n3 n4")):
 
     def __new__(cls, curves: Tuple[FixedCurve, ...], n2: int, n3: int,
                 n4: int):
-        for key, value in (("n2", n2), ("n3", n3), ("n4", n4)):
-            if type(value) is not int or value < 0:
-                raise ValueError("%r must be a non-negative integer, not %r"
-                                 % (key, value))
-        return super().__new__(cls, curves, n2, n3, n4)
+        return super().__new__(cls, curves, as_count("n2", n2),
+                               as_count("n3", n3), as_count("n4", n4))
 
     @property
     def N(self) -> int:
@@ -112,8 +107,8 @@ class FixedLocusConfig(namedtuple("FixedLocusConfig", "curves n2 n3 n4")):
 
 def holo_target(power_j: int) -> Cyc8Element:
     """1 + zeta^(8-j): trace of sigma^j on H^0 + H^2 of the structure sheaf."""
-    if power_j not in (1, 2, 4):
-        raise ValueError("supported powers are 1, 2, 4")
+    if power_j not in _POINT_EXPONENTS:
+        raise ValueError("supported powers are 1, 2")
     return ONE + zeta_pow(8 - power_j)
 
 
@@ -123,10 +118,6 @@ def point_term_exponents(e1: int, e2: int) -> Cyc8Element:
         raise ValueError("isolated point needs nonzero tangent exponents")
     den = (ONE - zeta_pow(e1)) * (ONE - zeta_pow(e2))
     return den.invert()
-
-
-def point_term(pt: PointType) -> Cyc8Element:
-    return point_term_exponents(pt.t, pt.s)
 
 
 def curve_term(c: FixedCurve) -> Cyc8Element:
@@ -139,9 +130,6 @@ def curve_term(c: FixedCurve) -> Cyc8Element:
     return (num * den.invert()) * Fraction(1 - c.genus)
 
 
-_SQUARE_POINT_EXPONENTS = (6, 4)  # local type diag(-i, -1) for sigma^2
-
-
 def holo_total(config: FixedLocusConfig,
                power_j: int = 1) -> Tuple[Cyc8Element, bool]:
     """Fixed-locus side of the holomorphic fixed point formula, plus match flag.
@@ -150,17 +138,15 @@ def holo_total(config: FixedLocusConfig,
     power_j=2 treats all N isolated points as type (6,4); curves should
     carry normal exponent 2 (genus-1 curves contribute 0 regardless).
     """
-    total = ZERO
-    if power_j == 1:
-        for count, t in ((config.n2, 2), (config.n3, 3), (config.n4, 4)):
-            if count:
-                total = total + point_term(PointType(t)) * Fraction(count)
-    elif power_j == 2:
-        if config.N:
-            total = total + point_term_exponents(*_SQUARE_POINT_EXPONENTS) \
-                * Fraction(config.N)
-    else:
+    if power_j not in _POINT_EXPONENTS:
         raise ValueError("holo_total supports power_j in {1, 2}")
+    counts = (config.n2, config.n3, config.n4) if power_j == 1 \
+        else (config.N,)
+    total = ZERO
+    for count, exponents in zip(counts, _POINT_EXPONENTS[power_j]):
+        if count:
+            total = total + point_term_exponents(*exponents) \
+                * Fraction(count)
     for c in config.curves:
         if c.genus == 1:
             continue  # factor (1 - g) kills the term; skips dead invert work
@@ -250,8 +236,9 @@ def derive_prop1_constraints() -> List[Tuple[int, int, int, int, int]]:
 
 @lru_cache(maxsize=None)
 def _prop1_rows() -> Tuple[Tuple[int, int, int, int, int], ...]:
-    columns = [point_term(PointType(2)), point_term(PointType(3)),
-               point_term(PointType(4)), curve_term(FixedCurve(0, 1))]
+    columns = [point_term_exponents(*exponents)
+               for exponents in _POINT_EXPONENTS[1]]
+    columns.append(curve_term(FixedCurve(0, 1)))
     target = holo_target(1)
     raw: List[List[int]] = []
     for i in range(4):

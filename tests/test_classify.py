@@ -125,6 +125,18 @@ def test_csv_round_trip_and_header():
     assert lines[0].split(",")[:4] == ["r", "l", "m", "k_sigma2"]
 
 
+def test_csv_and_json_carry_the_same_columns():
+    rows = enumerate_cases()
+    lines = render_csv(rows).splitlines()
+    keys = lines[0].split(",")
+    for row, line in zip(rows, lines[1:]):
+        data = row.to_dict()
+        assert list(data) == ["index"] + keys
+        cells = line.split(",", len(keys) - 1)
+        assert cells[:-1] == [str(data[key]) for key in keys[:-1]]
+        assert cells[-1] == '"%s"' % ", ".join(data["action"])
+
+
 def test_json_round_trip():
     rows = enumerate_cases()
     again = rows_from_json(rows_to_json(rows))
@@ -137,3 +149,9 @@ def test_render_table_shape():
     assert len(lines) == 17
     assert "action" in lines[0]
     assert "preserves each curve of I_16" in lines[-1]
+
+
+def test_renderers_of_no_rows_give_the_header_line():
+    assert render_csv([]) == CSV_HEADER + "\n"
+    assert render_table([]) == ("case  r  l  m  k_s2  #C  rkPic  k_s4  N"
+                                "  n2  n3  n4  k  action\n")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from k3auto.lattice import (EigenRanks, InvolutionFixData, SPECIAL_EMPTY,
+from k3auto.lattice import (EigenRanks, InvolutionFixData,
                             SPECIAL_TWO_ELLIPTIC, nikulin_fixed_locus,
                             power_ranks, sigma4_skeletons, solve_ranks)
 
@@ -41,8 +41,6 @@ def test_power_ranks_total_is_preserved():
 
 def test_nikulin_shapes():
     assert nikulin_fixed_locus(InvolutionFixData(10, 10)) == "empty"
-    assert nikulin_fixed_locus(
-        InvolutionFixData(10, 10, special=SPECIAL_EMPTY)) == "empty"
     assert nikulin_fixed_locus(
         InvolutionFixData(10, 8, special=SPECIAL_TWO_ELLIPTIC)) \
         == "two-elliptic-curves"

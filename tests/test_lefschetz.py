@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from k3auto.cyclotomic import Cyc8Element, zeta_pow
-from k3auto.lefschetz import (FixedCurve, FixedLocusConfig, PointType,
+from k3auto.lefschetz import (FixedCurve, FixedLocusConfig, as_count,
                               curve_term, derive_prop1_constraints,
                               hermite_normal_form, holo_target, holo_total,
-                              integer_kernel, point_term, prop1_residuals,
-                              prop1_satisfied, topo_check)
+                              integer_kernel, point_term_exponents,
+                              prop1_residuals, prop1_satisfied, topo_check)
 
 from fixtures import TABLE_ROWS
 
@@ -19,18 +19,20 @@ ONE = Cyc8Element.one()
 def test_holo_target():
     assert holo_target(1) == ONE + zeta_pow(7)
     assert holo_target(2) == ONE + zeta_pow(6)
-    assert holo_target(4) == ONE + zeta_pow(4)
+    for power in (3, 4):
+        with pytest.raises(ValueError):
+            holo_target(power)
     with pytest.raises(ValueError):
-        holo_target(3)
+        holo_total(FixedLocusConfig((), 2, 0, 0), 4)
 
 
 def test_point_terms_pinned():
     # 1/((1-z^2)(1-z^7)) recomputed by clearing denominators
-    term = point_term(PointType(2))
+    term = point_term_exponents(2, 7)
     den = (ONE - zeta_pow(2)) * (ONE - zeta_pow(7))
     assert term * den == ONE
     with pytest.raises(ValueError):
-        PointType(5)
+        point_term_exponents(8, 1)
 
 
 def test_curve_term_genus_kills():
@@ -119,6 +121,27 @@ def test_direct_construction_checks_counts():
         FixedCurve(1.0, 1)
     with pytest.raises(ValueError, match="'normal_exp'"):
         FixedCurve(0, "1")
+
+
+def test_one_count_check_for_configs_and_the_verb():
+    # FixedLocusConfig and the lefschetz verb's enumeration mode share it
+    assert as_count("alpha", 0) == 0 and as_count("n2", 14) == 14
+    for value in (-1, 1.0, True, "2", None):
+        with pytest.raises(ValueError) as err:
+            as_count("alpha", value)
+        assert str(err.value) \
+            == "'alpha' must be a non-negative integer, not %r" % (value,)
+
+
+def test_square_sum_reads_only_the_point_total():
+    # every isolated point of the square has type (6,4): the split of N
+    # into n2, n3, n4 does not matter; row 1's square fixes the elliptic
+    # curve and four points
+    curves = (FixedCurve(1, 2),)
+    total, ok = holo_total(FixedLocusConfig(curves, 4, 0, 0), 2)
+    assert ok and total == holo_target(2)
+    assert holo_total(FixedLocusConfig(curves, 1, 1, 2), 2) == (total, ok)
+    assert not holo_total(FixedLocusConfig(curves, 3, 0, 0), 2)[1]
 
 
 def test_config_json_round_trip():

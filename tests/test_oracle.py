@@ -33,7 +33,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from k3auto import polynomial, weierstrass  # noqa: E402
 from k3auto.classify import (_candidates, _decompose,  # noqa: E402
-                             _fixed_locus, enumerate_cases)
+                             _fixed_locus, _square_locus, enumerate_cases)
 from k3auto.cyclotomic import Cyc8Element, zeta_pow  # noqa: E402
 from k3auto.fibers import SMOOTH_SHAPE, action_label  # noqa: E402
 from k3auto.lattice import sigma4_skeletons  # noqa: E402
@@ -662,7 +662,11 @@ def test_holomorphic_sum_of_the_candidates_and_rows_matches_sympy():
     and each fixed rational curve, of normal exponent 1, adds
     (1 + z)/(1 - z)^2; a fixed elliptic curve adds nothing.  The sum equals
     1 + z^7 for exactly the sixteen candidates the enumerator keeps, agrees
-    with holo_total on all 82, and holds on each row's own configuration."""
+    with holo_total on all 82, and holds on each row's own configuration.
+    For the square, each of the fibers' N' isolated points, all of type
+    (6, 4), adds 1/((1 - z^6)(1 - z^4)) and each of its k_sigma2 rational
+    curves (1 + z^2)/(1 - z^2)^2: on every row the sum is 1 + z^6 and
+    equals holo_total of the square's configuration."""
     points = [reduced_quotient(1, (1 - Z ** t) * (1 - Z ** (9 - t)))
               for t in (2, 3, 4)]
     rational_curve = reduced_quotient(1 + Z, (1 - Z) ** 2)
@@ -693,3 +697,19 @@ def test_holomorphic_sum_of_the_candidates_and_rows_matches_sympy():
     assert kept == {row.action for row in rows}
     for row in rows:
         assert holds(_fixed_locus(*_decompose(row), row)[2]), row.index
+
+    square_point = reduced_quotient(1, (1 - Z ** 6) * (1 - Z ** 4))
+    square_curve = reduced_quotient(1 + Z ** 2, (1 - Z ** 2) ** 2)
+    square_target = reduced_quotient(1 + Z ** 6, 1)
+    for row in rows:
+        fd_c, fd_cp, _ = _fixed_locus(*_decompose(row), row)
+        n_square = fd_c.n_sigma2 + fd_cp.n_sigma2
+        expected = n_square * square_point + row.k_sigma2 * square_curve
+        assert expected == square_target, row.index
+        square = _square_locus(fd_c, fd_cp, row.k_sigma2)
+        assert square.N == n_square and square.alpha == row.k_sigma2
+        total, ok = holo_total(square, 2)
+        assert ok, row.index
+        assert total.coords == tuple(
+            Fraction(int(c.p), int(c.q))
+            for c in (expected.coeff_monomial(Z ** k) for k in range(4)))

@@ -12,9 +12,9 @@ import pytest
 from k3auto.classify import ClassificationRow, enumerate_cases
 from k3auto.fibers import (I_CYCLE, ORDER_4, PRESERVE, SMOOTH, FiberAction,
                            FiberFixedData, FiberShape, fiber_fixed_data)
-from k3auto.lattice import (SPECIAL_EMPTY, SPECIAL_TWO_ELLIPTIC, EigenRanks,
+from k3auto.lattice import (SPECIAL_TWO_ELLIPTIC, EigenRanks,
                             InvolutionFixData)
-from k3auto.lefschetz import FixedCurve, FixedLocusConfig, PointType
+from k3auto.lefschetz import FixedCurve, FixedLocusConfig
 from k3auto.maps import RationalMap
 from k3auto.polynomial import Place, RationalPolynomial
 from k3auto.weierstrass import (ActionAnalysis, DiagonalAutomorphism,
@@ -53,7 +53,6 @@ CASES = {
     "InvolutionFixData": (
         lambda: InvolutionFixData(10, 8, SPECIAL_TWO_ELLIPTIC),
         ("rkS", "a", "special")),
-    "PointType": (lambda: PointType(3), ("t",)),
     "FixedCurve": (lambda: FixedCurve(0, 1), ("genus", "normal_exponent")),
     "FixedLocusConfig": (
         lambda: FixedLocusConfig((FixedCurve(1, 1), FixedCurve(0, 1)),
@@ -125,7 +124,6 @@ def test_record_values_and_defaults():
     assert FiberShape(SMOOTH).n is None
     assert FiberAction(PRESERVE).split is None
     assert Place.infinity().t0 is None and Place.infinity().poly is None
-    assert PointType(3).s == 6
     g = DiagonalAutomorphism(12, -6, 15)
     assert g == DiagonalAutomorphism(4, 2, 7)
     assert (g.translate, g.torsion_x0) == (False, None)
@@ -164,13 +162,13 @@ REJECTIONS = [
     (lambda: InvolutionFixData(21, 1), "rkS must lie in [0, 20]"),
     (lambda: InvolutionFixData(10, -1),
      "determinant exponent must be non-negative"),
-    (lambda: InvolutionFixData(10, 8, SPECIAL_EMPTY),
-     "empty-lattice tag requires (rkS, a) = (10, 10)"),
     (lambda: InvolutionFixData(10, 10, SPECIAL_TWO_ELLIPTIC),
      "two-elliptic tag requires (rkS, a) = (10, 8)"),
     (lambda: InvolutionFixData(10, 8, "other"),
      "unknown special tag 'other'"),
-    (lambda: PointType(5), "point type must have t in {2,3,4}, got 5"),
+    # (10, 10) is the empty case without a tag; there is none for it
+    (lambda: InvolutionFixData(10, 10, "empty-lattice"),
+     "unknown special tag 'empty-lattice'"),
     (lambda: FixedCurve(1.0, 1), "'genus' must be an integer, not 1.0"),
     (lambda: FixedCurve(0, "1"), "'normal_exp' must be an integer, not '1'"),
     (lambda: FixedCurve(-1, 1), "genus must be non-negative"),
