@@ -22,11 +22,17 @@ order 2 on I_8" or "reflection of IV*"; action_label and
 parse_action_label read it in both directions, fiber_fixed_data runs its
 engines, and kind_actions and table_position give the enumerator the
 actions of each kind and the order of the rows.
+
+The fixed data of each (shape, action) is computed once per process, on
+first use, and kept in a memo of up to 128 inputs (the classification
+table uses 17); import computes none.  An input the engines refuse
+raises on every call.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
 SMOOTH = "smooth-elliptic"
@@ -349,7 +355,14 @@ def fiber_fixed_data(shape: FiberShape, action: FiberAction) -> FiberFixedData:
     """Fixed-locus data of the action on the given fiber shape."""
     if (shape.kind, action.name) not in _ACTIONS:
         raise ValueError(_REFUSALS[shape.kind] % (action.name,))
-    return _ACTIONS[shape.kind, action.name][1](shape.n, action.split)
+    return _fixed_data(shape.kind, action.name, shape.n, action.split)
+
+
+@lru_cache(maxsize=128)
+def _fixed_data(kind: str, name: str, n: Optional[int],
+                split: Optional[Tuple[int, int]]) -> FiberFixedData:
+    # an engine that refuses its input raises, and nothing is kept
+    return _ACTIONS[kind, name][1](n, split)
 
 
 def kind_actions(kind: str) -> List[str]:

@@ -13,10 +13,16 @@ for every isolated point of its square.  Fixed curves of the square have
 normal exponent 2, so configurations for power_j=2 only use their total
 point count.
 
+The term vectors are constants: each point term and each genus-0 curve
+term is built once per process, on first use, keyed by its exponents
+mod 8, and a curve of genus g scales the genus-0 term by 1 - g.  Import
+builds none of them.  holo_total, curve_term, point_term_exponents and
+the derivation below all read the same cached vectors.
+
 The module also re-derives the two integer point-count constraints by
 expanding the fixed-point sum on the power basis and reducing the
 resulting integer matrix (saturation + Hermite form), instead of
-hardcoding them.
+hardcoding them; the derivation too runs once per process.
 """
 
 from __future__ import annotations
@@ -112,12 +118,23 @@ def holo_target(power_j: int) -> Cyc8Element:
     return ONE + zeta_pow(8 - power_j)
 
 
+@lru_cache(maxsize=None)
+def _point_term(t: int, s: int) -> Cyc8Element:
+    # 1 / ((1 - z^t)(1 - z^s)) for t, s in 1..7
+    return ((ONE - zeta_pow(t)) * (ONE - zeta_pow(s))).invert()
+
+
+@lru_cache(maxsize=None)
+def _unit_curve_term(e: int) -> Cyc8Element:
+    # (1 + z^e) / (1 - z^e)^2 for e in 1..7: a genus-0 curve's term
+    return (ONE + zeta_pow(e)) * ((ONE - zeta_pow(e)) ** 2).invert()
+
+
 def point_term_exponents(e1: int, e2: int) -> Cyc8Element:
     """1 / ((1 - z^e1)(1 - z^e2)); both exponents nonzero mod 8."""
     if e1 % 8 == 0 or e2 % 8 == 0:
         raise ValueError("isolated point needs nonzero tangent exponents")
-    den = (ONE - zeta_pow(e1)) * (ONE - zeta_pow(e2))
-    return den.invert()
+    return _point_term(e1 % 8, e2 % 8)
 
 
 def curve_term(c: FixedCurve) -> Cyc8Element:
@@ -125,9 +142,7 @@ def curve_term(c: FixedCurve) -> Cyc8Element:
     e = c.normal_exponent % 8
     if e == 0:
         raise ValueError("fixed curve needs a nontrivial normal eigenvalue")
-    num = ONE + zeta_pow(e)
-    den = (ONE - zeta_pow(e)) ** 2
-    return (num * den.invert()) * Fraction(1 - c.genus)
+    return _unit_curve_term(e) * Fraction(1 - c.genus)
 
 
 def holo_total(config: FixedLocusConfig,
@@ -145,12 +160,10 @@ def holo_total(config: FixedLocusConfig,
     total = ZERO
     for count, exponents in zip(counts, _POINT_EXPONENTS[power_j]):
         if count:
-            total = total + point_term_exponents(*exponents) \
-                * Fraction(count)
+            total = total + _point_term(*exponents) * Fraction(count)
     for c in config.curves:
-        if c.genus == 1:
-            continue  # factor (1 - g) kills the term; skips dead invert work
-        total = total + curve_term(c)
+        if c.genus != 1:  # the factor (1 - g) kills a genus-1 curve's term
+            total = total + curve_term(c)
     return total, total == holo_target(power_j)
 
 
@@ -236,9 +249,8 @@ def derive_prop1_constraints() -> List[Tuple[int, int, int, int, int]]:
 
 @lru_cache(maxsize=None)
 def _prop1_rows() -> Tuple[Tuple[int, int, int, int, int], ...]:
-    columns = [point_term_exponents(*exponents)
-               for exponents in _POINT_EXPONENTS[1]]
-    columns.append(curve_term(FixedCurve(0, 1)))
+    columns = [_point_term(*exponents) for exponents in _POINT_EXPONENTS[1]]
+    columns.append(_unit_curve_term(1))
     target = holo_target(1)
     raw: List[List[int]] = []
     for i in range(4):

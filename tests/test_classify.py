@@ -4,12 +4,13 @@ from collections import Counter
 
 import pytest
 
-from k3auto import InvariantError, classify
+from k3auto import InvariantError, classify, fibers
 from k3auto.classify import (CSV_HEADER, _candidates, _decompose,
                              _fixed_locus, enumerate_cases, match_row,
                              render_csv,
                              render_table, rows_from_json, rows_to_json,
                              theorem1_groups, validate_row)
+from k3auto.cyclotomic import Cyc8Element
 from k3auto.lattice import sigma4_skeletons
 from k3auto.lefschetz import holo_total, prop1_satisfied
 
@@ -24,6 +25,34 @@ def test_sixteen_rows_match_fixture():
     computed = Counter(classification_key(row) for row in rows)
     expected = Counter(row_key(entry) for entry in TABLE_ROWS)
     assert computed == expected
+
+
+def test_a_repeated_enumeration_inverts_nothing_and_runs_no_engine(
+        monkeypatch):
+    # the Lefschetz terms and each fiber's fixed data are computed once per
+    # process: a second enumeration still sums all 82 candidates over two
+    # fiber lookups each, without an inverse in Q(zeta_8) or an engine run
+    enumerate_cases()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Cyc8Element, "invert",
+                        counted("invert", Cyc8Element.invert))
+    monkeypatch.setattr(classify, "holo_total",
+                        counted("holo_total", classify.holo_total))
+    monkeypatch.setattr(classify, "fiber_fixed_data",
+                        counted("fiber_fixed_data", classify.fiber_fixed_data))
+    for key, (label, engine) in list(fibers._ACTIONS.items()):
+        monkeypatch.setitem(fibers._ACTIONS, key,
+                            (label, counted("engine", engine)))
+    assert len(enumerate_cases()) == 16
+    assert (calls["invert"], calls["engine"], calls["holo_total"],
+            calls["fiber_fixed_data"]) == (0, 0, 82, 164)
 
 
 def test_case_numbering_is_stable():

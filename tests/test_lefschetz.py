@@ -35,6 +35,52 @@ def test_point_terms_pinned():
         point_term_exponents(8, 1)
 
 
+def _fresh_point_term(t, s):
+    return ((ONE - zeta_pow(t)) * (ONE - zeta_pow(s))).invert()
+
+
+def _fresh_curve_term(genus, e):
+    return (ONE + zeta_pow(e)) * ((ONE - zeta_pow(e)) ** 2).invert() \
+        * Fraction(1 - genus)
+
+
+# the normal and tangent exponents of the term checks: -15..15, not 0 mod 8
+EXPONENTS = [e for e in range(-15, 16) if e % 8]
+
+
+def test_cached_terms_equal_the_formula_built_fresh():
+    # the terms are kept per exponent mod 8: every representative, on a
+    # first and a repeated call, gives the formula's value
+    for e1 in EXPONENTS:
+        for e2 in EXPONENTS:
+            fresh = _fresh_point_term(e1, e2)
+            assert point_term_exponents(e1, e2) == fresh
+            assert point_term_exponents(e1, e2) == fresh
+    for genus in (0, 2, 3):
+        for e in EXPONENTS:
+            fresh = _fresh_curve_term(genus, e)
+            assert curve_term(FixedCurve(genus, e)) == fresh
+            assert curve_term(FixedCurve(genus, e)) == fresh
+    # the sums of both powers, with an elliptic curve beside each curve
+    points = {1: (((2, 7), 1), ((3, 6), 2), ((4, 5), 3)), 2: (((6, 4), 6),)}
+    for power in (1, 2):
+        for genus in (0, 2, 3):
+            for e in EXPONENTS:
+                config = FixedLocusConfig(
+                    (FixedCurve(genus, e), FixedCurve(1, e)), 1, 2, 3)
+                fresh = _fresh_curve_term(genus, e)
+                for pair, count in points[power]:
+                    fresh = fresh + _fresh_point_term(*pair) * count
+                assert holo_total(config, power) \
+                    == (fresh, fresh == holo_target(power))
+    for _ in range(2):
+        for e in (-8, 0, 8, 16):
+            with pytest.raises(ValueError):
+                curve_term(FixedCurve(0, e))
+        with pytest.raises(ValueError):
+            point_term_exponents(8, 1)
+
+
 def test_curve_term_genus_kills():
     assert curve_term(FixedCurve(1, 1)).is_zero()
     rational = curve_term(FixedCurve(0, 2))
