@@ -9,10 +9,12 @@ fixed points from finite case analysis over Q(zeta_8), local eigenvalues
 from implicit differentiation, and the final step matches the computed
 action labels against the sixteen-row classification table.
 
-Degenerate invariant fibers are decided combinatorially (node versus
-section for cycles, elimination against the table for IV*); the analysis
-raises rather than guess whenever the Weierstrass model does not determine
-the answer.
+The action on each invariant fiber is read from one table keyed by the
+chart exponents of the fiber (the node test picks between rotation and
+preservation for a translated cycle, and the arms of IV* are the roots of
+Y^2 = (b/t^4)(0)), and the matched row confirms it; the analysis raises
+rather than guess whenever the Weierstrass model does not determine the
+answer.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .cyclotomic import ONE, Cyc8Element, zeta_pow
-from .fibers import (IDENTITY, INVOLUTION, IV_STAR, ORDER_4, PRESERVE,
-                     REFLECTION, ROTATION_2, SMOOTH_SHAPE, TRANSLATION_2,
-                     FiberAction, FiberShape, action_label, fiber_fixed_data,
-                     kind_actions, point_type, type_counts)
+from .fibers import (BRANCH_SWAP, I_CYCLE, IDENTITY, INVOLUTION, IV_STAR,
+                     ORDER_4, PRESERVE, REFLECTION, ROTATION_2, SMOOTH,
+                     SMOOTH_SHAPE, TRANSLATION_2, FiberAction, FiberShape,
+                     action_label, fiber_fixed_data, point_type, type_counts)
 from .polynomial import (Place, RationalPolynomial, _split_rational_roots,
                          multiplicity_profile, split_by_valuation, sum_pairs,
                          valuation_at, weierstrass_discriminant)
@@ -588,7 +590,7 @@ def fixed_points_on_fiber(f: WeierstrassFibration, g: DiagonalAutomorphism,
     _check_generator(f, g)
     for at, f_chart, g_chart in _invariant_charts(f, g):
         if at == place:
-            name, points = _smooth_fiber(f_chart, g_chart)
+            _, name, points = _invariant_fiber(place, "I_0", f_chart, g_chart)
             if name == IDENTITY:
                 raise ValueError("the action is the identity on this fiber; "
                                  "its fixed locus is not a finite set of "
@@ -649,35 +651,36 @@ def automorphism_map(f: WeierstrassFibration,
 # ---------------------------------------------------------------------------
 # action labels and classification matching
 
-# (without, with translation) by chart exponents (ex, ey): a generator that
-# passes _check_generator has one of these four at t = 0 and t = infinity
-_SMOOTH_ACTIONS = {(0, 0): (IDENTITY, TRANSLATION_2),
-                   (0, 4): (INVOLUTION, None),
-                   (4, 2): (ORDER_4, ORDER_4), (4, 6): (ORDER_4, ORDER_4)}
-
-
-def _smooth_action_name(ex: int, ey: int, translate: bool) -> str:
-    name = _SMOOTH_ACTIONS[ex, ey][translate]
-    if name is None:
-        # y -> -y after the translation: P -> -(P + T), fixing the four
-        # points with 2P = T, which no fixed-point case computes
-        raise ValueError(
-            "chart exponents (0, 4) with translation act on the smooth "
-            "fiber as the involution P -> -(P + T), T the 2-torsion "
-            "section; k3auto does not type this action yet")
-    return name
-
-
-def _smooth_fiber(f: WeierstrassFibration, g: DiagonalAutomorphism
-                  ) -> Tuple[str, List[FixedPoint]]:
-    """(action name, isolated fixed points) on the smooth fiber over t = 0
-    of a checked chart; identity and translation-2 get no points."""
-    name = _smooth_action_name(g.ex, g.ey, g.translate)
-    if name in (IDENTITY, TRANSLATION_2):
-        return name, []
-    fixed_points = _translate_fixed_points if g.translate \
-        else _fixed_points_at_zero
-    return name, fixed_points(f, g)
+# The action on the invariant fiber over t = 0 of a checked chart, by chart
+# exponents (ex, ey) and fiber kind: (without, with the translation).  A
+# generator that passes _check_generator has one of these four exponent
+# pairs at t = 0 and at t = infinity, and et = 1 - ex + ey, so the cell
+# decides the action.
+# - A translated cycle is rotated when the section passes through the node
+#   of the Weierstrass cubic, and preserved otherwise (_invariant_fiber).
+# - IV* over t = 0 has v(b) = 4, and its two arms off the zero section lie
+#   over the roots of Y^2 = (b/t^4)(0), Y = y/t^2 (Tate's algorithm;
+#   Silverman, Advanced Topics, IV.9).  g scales Y by zeta^(ey - 2 et):
+#   zeta^(2 - 14) = -1 swaps the arms at (4, 2), zeta^0 keeps them at (4, 6).
+# None, or a kind left out, is a refusal: _UNTYPED names the translated
+# (0, 4) cells, and invariance leaves no fibration for the others (a cycle
+# at (4, .), IV* at (0, .) or with translation).
+_CHART_ACTIONS = {
+    (0, 0): {SMOOTH: (IDENTITY, TRANSLATION_2),
+             I_CYCLE: (PRESERVE, ROTATION_2)},
+    (0, 4): {SMOOTH: (INVOLUTION, None), I_CYCLE: (REFLECTION, None)},
+    (4, 2): {SMOOTH: (ORDER_4, ORDER_4), IV_STAR: (BRANCH_SWAP, None)},
+    (4, 6): {SMOOTH: (ORDER_4, ORDER_4), IV_STAR: (PRESERVE, None)},
+}
+_UNTYPED = {
+    # y -> -y after the translation: P -> -(P + T), fixing the four points
+    # with 2P = T, which no fixed-point case computes
+    (SMOOTH, 0, 4): "chart exponents (0, 4) with translation act on the "
+                    "smooth fiber as the involution P -> -(P + T), T the "
+                    "2-torsion section; k3auto does not type this action yet",
+    (I_CYCLE, 0, 4): "chart exponents (0, 4) with translation on a cycle "
+                     "fiber are outside the classified actions",
+}
 
 
 def _cycle_node_x(f: WeierstrassFibration) -> Fraction:
@@ -689,25 +692,39 @@ def _cycle_node_x(f: WeierstrassFibration) -> Fraction:
     return -c2 / 2
 
 
-def _cycle_action_name(f: WeierstrassFibration,
-                       g: DiagonalAutomorphism) -> str:
-    # the cycle fiber over t = 0
-    ex, ey = g.ex, g.ey
-    if g.translate:
-        if (ex, ey) != (0, 0):
-            raise ValueError(
-                "chart exponents (%d, %d) with translation on a cycle fiber "
-                "are outside the classified actions" % (ex, ey))
-        # the section lands on the far component iff it passes through
-        # the node of the Weierstrass cubic
-        return ROTATION_2 if _section_x(g) == _cycle_node_x(f) else PRESERVE
-    if (ex, ey) == (0, 0):
-        return PRESERVE
-    if (ex, ey) == (0, 4):
-        return REFLECTION
-    raise ValueError(
-        "chart exponents (%d, %d) on a cycle fiber are outside the "
-        "classified actions" % (ex, ey))
+def _invariant_fiber(place: Place, tag: str, f: WeierstrassFibration,
+                     g: DiagonalAutomorphism
+                     ) -> Tuple[FiberShape, str, List[FixedPoint]]:
+    """(shape, action name, isolated fixed points) of the invariant fiber
+    of Kodaira type tag at place, the fiber over t = 0 of the checked chart
+    (f, g); only a smooth fiber gets points, and none under the identity
+    or translation-2."""
+    if tag == "I_0":
+        shape = SMOOTH_SHAPE
+    elif tag.startswith("I_") and not tag.endswith("*"):
+        shape = FiberShape.i_cycle(int(tag[2:]))
+    elif tag == "IV*":
+        shape = FiberShape.iv_star()
+    else:
+        raise ValueError(
+            "invariant fiber of type %s is outside the classified shapes"
+            % tag)
+    name = _CHART_ACTIONS[g.ex, g.ey].get(shape.kind, (None, None))[
+        g.translate]
+    if name is None:
+        raise ValueError(_UNTYPED.get(
+            (shape.kind, g.ex, g.ey),
+            "the %s fiber at %s has chart exponents (%d, %d)%s, which no "
+            "checked generator reaches" % (
+                tag, place, g.ex, g.ey,
+                " with translation" if g.translate else "")))
+    if name == ROTATION_2 and _section_x(g) != _cycle_node_x(f):
+        name = PRESERVE  # the section misses the node
+    if shape != SMOOTH_SHAPE or name in (IDENTITY, TRANSLATION_2):
+        return shape, name, []
+    fixed_points = _translate_fixed_points if g.translate \
+        else _fixed_points_at_zero
+    return shape, name, fixed_points(f, g)
 
 
 class InvariantFiberReport(namedtuple("InvariantFiberReport", (
@@ -769,26 +786,16 @@ def analyze_action(f: WeierstrassFibration,
     types = {report.place: report.kodaira for report in singular}
 
     # (place, kodaira, shape, action, fixed points, point counts) of each
-    # invariant fiber; the IV* action is left to the table, and degenerate
-    # fibers take their counts from the dual graph
+    # invariant fiber; degenerate fibers take their counts from the dual
+    # graph
     entries = []
     for place, f_chart, g_chart in _invariant_charts(f, g):
         tag = types.get(place, "I_0")
-        if tag == "I_0":
-            name, points = _smooth_fiber(f_chart, g_chart)
-            counts = type_counts(p.pair for p in points)
-            action = FiberAction(name, counts[:2] if name == ORDER_4 else None)
-            entries.append((place, tag, SMOOTH_SHAPE, action, points, counts))
-        elif tag.startswith("I_") and not tag.endswith("*"):
-            action = FiberAction(_cycle_action_name(f_chart, g_chart))
-            entries.append((place, tag, FiberShape.i_cycle(int(tag[2:])),
-                           action, [], None))
-        elif tag == "IV*":
-            entries.append((place, tag, FiberShape.iv_star(), None, [], None))
-        else:
-            raise ValueError(
-                "invariant fiber of type %s is outside the classified "
-                "shapes" % tag)
+        shape, name, points = _invariant_fiber(place, tag, f_chart, g_chart)
+        counts = type_counts(p.pair for p in points) \
+            if shape == SMOOTH_SHAPE else None
+        action = FiberAction(name, counts[:2] if name == ORDER_4 else None)
+        entries.append((place, tag, shape, action, points, counts))
 
     if all(entry[2] != SMOOTH_SHAPE for entry in entries):
         raise InvariantError(
@@ -796,26 +803,9 @@ def analyze_action(f: WeierstrassFibration,
             % ", ".join("%s at %s" % (entry[1], entry[0]) for entry in entries))
     # smooth first; of two smooth fibers (ex and ex + 4) one has order four
     entries.sort(key=lambda entry: (entry[2] != SMOOTH_SHAPE,
-                                    entry[2] == SMOOTH_SHAPE
-                                    and entry[3].name == ORDER_4))
-    elliptic_label = action_label(SMOOTH_SHAPE, entries[0][3])
-    place, tag, shape, action, _, _ = entries[1]
-    if action is None:
-        # IV*: the Weierstrass model does not see the dual graph action, so
-        # let the table decide.  Exactly one option survives: the table has
-        # one IV* row for each smooth-fiber action except order four, and
-        # no generator that passes the checks puts IV* beside order four.
-        hits = []
-        for option in map(FiberAction, kind_actions(IV_STAR)):
-            try:
-                hits.append((match_row(table, elliptic_label,
-                                       action_label(shape, option)), option))
-            except ValueError:
-                pass
-        [(row, action)] = hits
-        entries[1] = (place, tag, shape, action, [], None)
-    else:
-        row = match_row(table, elliptic_label, action_label(shape, action))
+                                    entry[3].name == ORDER_4))
+    row = match_row(table, action_label(SMOOTH_SHAPE, entries[0][3]),
+                    action_label(entries[1][2], entries[1][3]))
 
     # fixed-point bookkeeping: coordinates on smooth fibers, dual-graph
     # combinatorics on degenerate ones

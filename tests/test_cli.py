@@ -251,6 +251,20 @@ def test_analyze_names_the_untyped_translated_involution(capsys, tmp_path):
                    "yet\n")
 
 
+def test_analyze_refuses_the_translated_involution_on_a_cycle(capsys,
+                                                              tmp_path):
+    # a = 2, b = 1 + t^8: over t = 0 lies the nodal y^2 = x(x + 1)^2, an I_8
+    fib = write_json(tmp_path, "f.json", {
+        "form": "two-torsion", "a": [["2", 0]], "b": [["1", 0], ["1", 8]]})
+    aut = write_json(tmp_path, "g.json",
+                     {"ex": 0, "ey": 4, "et": 5, "translate": True})
+    code, out, err = run(capsys, "analyze", "--fibration", fib,
+                         "--automorphism", aut)
+    assert code == 1 and not out
+    assert err == ("error: chart exponents (0, 4) with translation on a "
+                   "cycle fiber are outside the classified actions\n")
+
+
 # -- examples -----------------------------------------------------------------
 
 

@@ -16,10 +16,14 @@ z) modulo z^4 + 1, and inverses and norms in Q(zeta_8) must equal
 sympy's inverse modulo z^4 + 1 and its resultant with z^4 + 1, and the
 holomorphic Lefschetz sum of every enumerator candidate and table row,
 summed by sympy in Q[z]/(z^4 + 1), must equal 1 + z^7 exactly where
-holo_total says it does.  sympy and hypothesis are test-only
-dependencies: without them this module is skipped.
+holo_total says it does.  The IV* action analyze_action reads from the
+chart exponents must be the one action that elimination over the table
+keeps, on a grid of short-form data at the four generators that reach
+IV*.  sympy and hypothesis are test-only dependencies: without them this
+module is skipped.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -35,17 +39,19 @@ from k3auto import polynomial, weierstrass  # noqa: E402
 from k3auto.classify import (_candidates, _decompose,  # noqa: E402
                              _fixed_locus, _square_locus, enumerate_cases)
 from k3auto.cyclotomic import Cyc8Element, zeta_pow  # noqa: E402
-from k3auto.fibers import SMOOTH_SHAPE, action_label  # noqa: E402
+from k3auto.fibers import (BRANCH_SWAP, IV_STAR, PRESERVE,  # noqa: E402
+                           SMOOTH_SHAPE, FiberAction, FiberShape,
+                           action_label, kind_actions)
 from k3auto.lattice import sigma4_skeletons  # noqa: E402
 from k3auto.lefschetz import holo_total  # noqa: E402
 from k3auto.maps import CurvePolynomial  # noqa: E402
-from k3auto.polynomial import (RationalPolynomial, gcd,  # noqa: E402
+from k3auto.polynomial import (Place, RationalPolynomial, gcd,  # noqa: E402
                                multiplicity_profile, rational_roots,
                                squarefree_decomposition,
                                weierstrass_discriminant)
-from k3auto.weierstrass import (InvariantError,  # noqa: E402
-                                WeierstrassFibration, fiber_inventory,
-                                torsion_translation)
+from k3auto.weierstrass import (DiagonalAutomorphism,  # noqa: E402
+                                InvariantError, WeierstrassFibration,
+                                fiber_inventory, torsion_translation)
 
 from fixtures import WIDE_LAYERS  # noqa: E402
 
@@ -453,6 +459,54 @@ def test_preset_check_accepts_exactly_the_preset_fibers(drawn):
         with pytest.raises(ValueError, match="example %d preset %r needs"
                            % (family, preset)):
             weierstrass._example(family, preset, params, False)
+
+
+# -- the IV* action against elimination over the table ------------------------
+
+# the four generators that reach IV*, with the place of its fiber
+IV_STAR_GENERATORS = [((4, 2, 7), Place.finite_rational(0)),
+                      ((4, 6, 3), Place.finite_rational(0)),
+                      ((0, 0, 1), Place.infinity()),
+                      ((0, 4, 5), Place.infinity())]
+
+
+def test_iv_star_action_is_the_one_the_table_admits():
+    # the reference is elimination: try every IV* action beside the smooth
+    # fiber's and keep those with a table row.  Over the short form with
+    # coefficients in {-2, -1, 0, 1, 3} on the monomials invariance admits,
+    # every IV* analysis that succeeds keeps exactly one, its matched row,
+    # whose IV* action is the one the arms Y^2 = (b/t^4)(0) give
+    def short(a, b):
+        return WeierstrassFibration(RationalPolynomial(a),
+                                    RationalPolynomial(b))
+    table = enumerate_cases()
+    iv_star = FiberShape.iv_star()
+    analyses = Counter()
+    for exponents, place in IV_STAR_GENERATORS:
+        g = DiagonalAutomorphism(*exponents)
+        chart = g.at_infinity() if place.kind == "infinity" else g
+        expected = BRANCH_SWAP if (chart.ey - 2 * chart.et) % 8 else PRESERVE
+        ea = [e for e in range(9)
+              if not weierstrass.invariance_failures(short({e: 1}, {}), g)]
+        eb = [e for e in range(13)
+              if not weierstrass.invariance_failures(short({}, {e: 1}), g)]
+        for cs in itertools.product((-2, -1, 0, 1, 3),
+                                    repeat=len(ea) + len(eb)):
+            f = short(dict(zip(ea, cs)), dict(zip(eb, cs[len(ea):])))
+            try:
+                if weierstrass.kodaira_type_at(f, place).kodaira != "IV*":
+                    continue
+                analysis = weierstrass.analyze_action(f, g)
+            except (InvariantError, ValueError):
+                continue
+            elliptic, derived = analysis.action
+            kept = [row for name in kind_actions(IV_STAR) for row in table
+                    if row.action == (elliptic, action_label(
+                        iv_star, FiberAction(name)))]
+            assert kept == [analysis.matched_row], (f, g)
+            assert derived == action_label(iv_star, FiberAction(expected))
+            analyses[chart.ex, chart.ey] += 1
+    assert analyses == {(4, 2): 192, (4, 6): 192}
 
 
 # -- 2-torsion translations ---------------------------------------------------

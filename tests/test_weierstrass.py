@@ -13,16 +13,15 @@ import pytest
 
 from k3auto import weierstrass
 from k3auto.classify import enumerate_cases
-from k3auto.fibers import (IDENTITY, INVOLUTION, IV_STAR, ORDER_4,
+from k3auto.fibers import (IDENTITY, INVOLUTION, IV_STAR, ORDER_4, SMOOTH,
                            TRANSLATION_2, TRANSLATION_4, parse_action_label,
                            point_type)
 from k3auto.maps import CurvePolynomial, RationalMap, compose, maps_equal
 from k3auto.polynomial import (Place, RationalPolynomial, valuation_at,
                                weierstrass_discriminant)
 from k3auto.weierstrass import (DiagonalAutomorphism, InvariantError,
-                                WeierstrassFibration, _invariant_charts,
-                                _smooth_action_name,
-                                analyze_action,
+                                WeierstrassFibration, _CHART_ACTIONS,
+                                _invariant_charts, analyze_action,
                                 convert_two_torsion_form, fiber_inventory,
                                 fiber_reports,
                                 fixed_points_on_fiber, invariance_failures,
@@ -752,10 +751,9 @@ def test_two_smooth_invariant_fibers_carry_one_order_four_action():
                 or two_form_multiplier(g) != 1:
             continue
         charts.update((chart.ex, chart.ey) for chart in (g, g.at_infinity()))
-        try:
-            names = [_smooth_action_name(chart.ex, chart.ey, translate)
-                     for chart in (g, g.at_infinity())]
-        except ValueError:
+        names = [_CHART_ACTIONS[chart.ex, chart.ey][SMOOTH][translate]
+                 for chart in (g, g.at_infinity())]
+        if None in names:  # the untyped translated involution
             continue
         assert names.count(ORDER_4) == 1, (g, names)
         partners.update(name for name in names if name != ORDER_4)
@@ -764,25 +762,50 @@ def test_two_smooth_invariant_fibers_carry_one_order_four_action():
     assert charts == {(0, 0), (0, 4), (4, 2), (4, 6)}
 
 
+@pytest.mark.parametrize("exponents, a, b, place, label", [
+    ((0, 0, 1), poly((1, 0)), poly((1, 8), (1, 0)), "t=infinity",
+     "reflection of IV*"),
+    ((0, 4, 5), poly((1, 0)), poly((1, 8), (1, 0)), "t=infinity",
+     "preserves each curve of IV*"),
+    ((4, 2, 7), poly((1, 8)), poly((1, 4), (1, 12)), "t=0",
+     "reflection of IV*"),
+    ((4, 6, 3), poly((1, 8)), poly((1, 4), (1, 12)), "t=0",
+     "preserves each curve of IV*"),
+])
+def test_iv_star_action_follows_its_arms(exponents, a, b, place, label):
+    # in the chart with IV* over t = 0, its two arms off the zero section
+    # lie over the roots of Y^2 = (b/t^4)(0), Y = y/t^2, and g scales Y by
+    # zeta^(ey - 2 et): -1 swaps the arms, 1 keeps each
+    g = DiagonalAutomorphism(*exponents)
+    chart = g if place == "t=0" else g.at_infinity()
+    assert ((chart.ey - 2 * chart.et) % 8 == 4) \
+        == (label == "reflection of IV*")
+    analysis = analyze_action(WeierstrassFibration(a, b), g)
+    [fiber] = [r for r in analysis.invariant_fibers if r.kodaira == "IV*"]
+    assert (str(fiber.place), fiber.label) == (place, label)
+    assert analysis.matched_row.action[1] == label
+
+
 def test_iv_star_never_sits_beside_an_order_four_smooth_fiber():
-    # analyze_action lets the table decide the action on an IV* fiber, and
-    # exactly one row survives: the table has one IV* row for each action
-    # on the smooth fiber except order four ...
+    # analyze_action reads the IV* action from the chart exponents and
+    # matches its row, which must exist: the table has one IV* row for each
+    # action on the smooth fiber except order four ...
     partners = Counter(
         parse_action_label(row.action[0])[1] for row in enumerate_cases()
         if parse_action_label(row.action[1])[0].kind == IV_STAR)
     assert partners == {IDENTITY: 1, TRANSLATION_2: 1, TRANSLATION_4: 1,
                         INVOLUTION: 1}
     # ... and no generator that passes the checks has a smooth order-four
-    # fiber beside an IV* fiber.  The checks are symmetric under t -> 1/t,
-    # so the order-four chart may be the one at t = 0; every coefficient
-    # choice in -2..3 on the monomials invariance admits is typed.
+    # fiber beside an IV* fiber, so the missing row is never asked for.
+    # The checks are symmetric under t -> 1/t, so the order-four chart may
+    # be the one at t = 0; every coefficient choice in -2..3 on the
+    # monomials invariance admits is typed.
     beside_smooth, iv_star = set(), set()
     for ex, ey, et in itertools.product(range(8), repeat=3):
         g = DiagonalAutomorphism(ex, ey, et)
         if (2 * ey - 3 * ex) % 8 or et % 2 == 0 \
                 or two_form_multiplier(g) != 1 \
-                or _smooth_action_name(ex, ey, False) != ORDER_4:
+                or _CHART_ACTIONS[ex, ey][SMOOTH][False] != ORDER_4:
             continue
         for form, (da, db) in (("short", (8, 12)), ("two-torsion", (4, 8))):
             def surface(a, b):
