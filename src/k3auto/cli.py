@@ -56,6 +56,8 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as err:
         raise ValueError("cannot read %s: %s" % (path, err))
+    except UnicodeDecodeError as err:
+        raise ValueError("%s is not UTF-8 text: %s" % (path, err))
     except json.JSONDecodeError as err:
         raise ValueError("%s is not valid JSON: %s" % (path, err))
 

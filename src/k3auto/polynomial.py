@@ -3,11 +3,14 @@
 A polynomial is stored as f/d: f a dense list of ints, constant term
 first, with no trailing zero, and d > 0 coprime to the content of f; zero
 is ([], 1).  The form is canonical, so equality and hashing compare the
-pair.  Only the operations the surface analysis actually needs live here:
-ring arithmetic, exact division, gcd, Yun squarefree decomposition,
-rational roots, and the place/valuation utilities at finite places.  Full
-irreducible factorization is deliberately avoided; squarefree grouping plus
-rational-root extraction is enough everywhere.
+pair.  No int list is changed once it is built: a function changes only
+a list it made itself, so polynomials and the helpers below may share
+lists (a primitive part with content 1 is its argument).  Only the
+operations the surface analysis actually needs live here: ring
+arithmetic, exact division, gcd, Yun squarefree decomposition, rational
+roots, and the place/valuation utilities at finite places.  Full
+irreducible factorization is deliberately avoided; squarefree grouping
+plus rational-root extraction is enough everywhere.
 
 Every algorithm runs in int arithmetic on the stored list, in time
 polynomial in the bit size of the input: division by a primitive divisor
@@ -15,12 +18,14 @@ stays in the integers whenever it is exact (Gauss's lemma), gcd is the
 heuristic GCDHEU (one big-integer gcd of two values, certified by exact
 division) with a primitive pseudo-remainder sequence as its fallback, and
 the layer loop that Yun's algorithm and split_by_valuation share tries
-one exact division before each gcd; a monic divisor needs no integer
-division.  rational_roots solves layers of degree at most 2 in closed
+one exact division before each gcd; a gcd with the constant 1 is 1, with
+no certificate.  A monic divisor needs no integer division, a divisor
+of degree one or two divides synthetically, and a longer one skips its
+zero terms.  rational_roots solves layers of degree at most 2 in closed
 form; for a higher layer it Hensel-lifts the roots of the layer itself,
 at the first prime not dividing its lead at which they are all simple.
 The Weierstrass discriminant 4a^3 + 27b^2 is read off one big-integer
-value at a power of two.
+value at a power of two, whose digits are read by shift and mask.
 Fractions appear only at the boundary: the dict and pair constructors,
 the `coeffs` view, and single values such as evaluate's result and the
 rational roots.
@@ -44,7 +49,11 @@ NEG_INF = float("-inf")
 
 
 class RationalPolynomial:
-    """f/d in one variable: f a dense int list, d a positive denominator."""
+    """f/d in one variable: f a dense int list, d a positive denominator.
+
+    The list f may be shared with other polynomials and with the int
+    list helpers; nothing changes it after it is built.
+    """
 
     __slots__ = ("_num", "_den")
 
@@ -369,9 +378,10 @@ def _split_rational_roots(
     integer modulo every power of a prime p not dividing a, and a*r is an
     integer with |a*r| <= |a| + max |f_i| (Cauchy's bound).  The roots of
     f modulo the first such p at which each of them is simple (f' nonzero
-    there) are found by evaluating f and f', reduced mod p once, at every
-    residue; every rational root reduces to one of them, and a simple
-    root lifts uniquely.  Each is Hensel-lifted on f and f' until the
+    there) are found by evaluating f, reduced mod p once, at every
+    residue, and f' at each root found, leaving p at the first root of
+    f'; every rational root reduces to one of them, and a simple root
+    lifts uniquely.  Each is Hensel-lifted on f and f' until the
     modulus m exceeds twice the bound, a*r is read as the symmetric
     residue of a*s mod m, and r is kept only when its linear factor
     divides f.  A prime with no root proves there is none.  The cost is
@@ -400,24 +410,16 @@ def _split_rational_roots(
         bound = lead + max(abs(c) for c in f[:-1])
         diff = _derivative(f)
         # the first prime not dividing a at which every root of f is simple
-        prime = 1
-        while True:
+        prime, lifted = 1, None
+        while lifted is None:
             prime += 1
-            if not lead % prime or any(
-                    prime % k == 0 for k in range(2, math.isqrt(prime) + 1)):
-                continue
-            small = [c % prime for c in f]
-            small_diff = [c % prime for c in diff]
-            lifted = [s for s in range(prime)
-                      if _eval_mod(small, s, prime) == 0]
-            if all(_eval_mod(small_diff, s, prime) for s in lifted):
-                break
+            if lead % prime and all(
+                    prime % k for k in range(2, math.isqrt(prime) + 1)):
+                lifted = _simple_roots(f, diff, prime)
         modulus = prime
         while lifted and modulus <= 2 * bound:
             modulus *= modulus
-            lifted = [(s - _eval_mod(f, s, modulus)
-                       * pow(_eval_mod(diff, s, modulus), -1, modulus))
-                      % modulus for s in lifted]
+            lifted = [_newton_step(f, s, modulus) for s in lifted]
         for s in lifted:
             # s is r modulo the lifted modulus, so s*a is a*r
             s = s * lead % modulus
@@ -453,7 +455,7 @@ def _primitive_part(f: List[int]) -> List[int]:
     content = reduce(math.gcd, f, 0)
     if f[-1] < 0:
         content = -content
-    return [c // content for c in f]
+    return f if content == 1 else [c // content for c in f]
 
 
 def _derivative(f: List[int]) -> List[int]:
@@ -498,8 +500,12 @@ def _gcd_cofactors(a: List[int], b: List[int]
     both a and b, it is their gcd (the GCDHEU theorem), and the exact
     quotients are the cofactors; otherwise xi grows, and after _HEU_TRIES
     values _int_gcd decides.  No h but 1 is returned without both
-    divisions.
+    divisions, and an operand that is the constant 1 (a unit) makes h 1
+    at once.
     """
+    if a == [1] or b == [1]:
+        # a unit gcd needs no certificate
+        return [1], a, b
     if len(a) > 1 and len(b) > 1:
         xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
         for _ in range(_HEU_TRIES):
@@ -529,6 +535,17 @@ def _eval_at(f: List[int], x: int) -> int:
 def _balanced_digits(n: int, xi: int) -> List[int]:
     """The digits of n in base xi, each in (-xi/2, xi/2], lowest first."""
     digits = []
+    if not xi & (xi - 1):
+        # a power of two: the same digits by shift and mask
+        shift, mask, half = xi.bit_length() - 1, xi - 1, xi >> 1
+        while n:
+            digit = n & mask
+            n >>= shift
+            if digit > half:
+                digit -= xi
+                n += 1
+            digits.append(digit)
+        return digits
     while n:
         n, digit = divmod(n, xi)
         if digit > xi // 2:
@@ -553,13 +570,38 @@ def _int_quotient(f: List[int], g: List[int]) -> Optional[List[int]]:
 
     By Gauss's lemma g divides f over Q exactly when it does over Z, so
     the first quotient term that lc(g) does not divide ends the search.
-    A monic g divides every term, so each quotient term is the current top
-    coefficient; a zero term subtracts nothing.
+    A g of degree one or two divides synthetically: each quotient term,
+    top first, is the next coefficient of f less the one or two terms
+    before it times g's lower coefficients, over lc(g), and f's low
+    coefficients must then equal what the quotient puts there.  A longer
+    g subtracts each quotient term's multiple of g from a copy of f,
+    skipping zero quotient terms and zero terms of g.  Neither argument
+    is changed.
     """
-    f = f[:]
     n, lead = len(g) - 1, g[-1]
-    body = g[:-1]
-    quotient = [0] * max(len(f) - n, 0)
+    if len(f) <= n:
+        return None if any(f) else []
+    if 0 < n <= 2:
+        # q_k = (f_(k+n) - q_(k+1) hi - q_(k+2) lo) / lead
+        hi, lo = g[n - 1], g[0] if n == 2 else 0
+        last = before = 0
+        quotient = []
+        for c in f[:n - 1:-1]:
+            c -= last * hi + before * lo
+            if lead != 1:
+                c, rest = divmod(c, lead)
+                if rest:
+                    return None
+            last, before = c, last
+            quotient.append(c)
+        if f[n - 1] != last * hi + before * lo or (n == 2
+                                                  and f[0] != last * lo):
+            return None
+        quotient.reverse()
+        return quotient
+    f = f[:]
+    body = [(i, gc) for i, gc in enumerate(g[:-1]) if gc]
+    quotient = [0] * (len(f) - n)
     for k in range(len(quotient) - 1, -1, -1):
         c = f[k + n]
         if not c:
@@ -569,9 +611,23 @@ def _int_quotient(f: List[int], g: List[int]) -> Optional[List[int]]:
             if rest:
                 return None
         quotient[k] = c
-        for i, gc in enumerate(body, k):
-            f[i] -= c * gc
+        for i, gc in body:
+            f[k + i] -= c * gc
     return None if any(f[:n]) else quotient
+
+
+def _simple_roots(f: List[int], diff: List[int], prime: int
+                  ) -> Optional[List[int]]:
+    """The roots of f modulo prime, or None at the first that is a root
+    of f' (diff) too."""
+    small = [c % prime for c in f]
+    roots = []
+    for s in range(prime):
+        if not _eval_mod(small, s, prime):
+            if not _eval_mod(diff, s, prime):
+                return None
+            roots.append(s)
+    return roots
 
 
 def _eval_mod(f: List[int], s: int, m: int) -> int:
@@ -579,6 +635,15 @@ def _eval_mod(f: List[int], s: int, m: int) -> int:
     for c in reversed(f):
         out = (out * s + c) % m
     return out
+
+
+def _newton_step(f: List[int], s: int, m: int) -> int:
+    """s - f(s)/f'(s) mod m, with f(s) and f'(s) from one Horner pass."""
+    value = slope = 0
+    for c in reversed(f):
+        slope = (slope * s + value) % m
+        value = (value * s + c) % m
+    return (s - value * pow(slope, -1, m)) % m
 
 
 def _strip(f: List[int]) -> List[int]:

@@ -126,6 +126,14 @@ def test_analyze_parse_error_exits_1(capsys, tmp_path):
                        "--automorphism", aut)
     assert code == 1 and "not valid JSON" in err
 
+    # a UTF-16 byte order mark is not UTF-8: the line names the file
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, "analyze", "--fibration", str(utf16),
+                       "--automorphism", aut)
+    assert code == 1 and err.count("\n") == 1
+    assert "utf16.json is not UTF-8 text" in err
+
     incomplete = write_json(tmp_path, "h.json", {"ex": 0, "ey": 0})
     code, _, err = run(capsys, "analyze", "--fibration",
                        write_json(tmp_path, "f2.json", EX1_FIBRATION),

@@ -11,7 +11,7 @@ from k3auto.polynomial import (Place, RationalPolynomial, gcd,
                                multiplicity_profile, rational_roots,
                                squarefree_decomposition, split_by_valuation,
                                valuation_at, weierstrass_discriminant)
-from k3auto.weierstrass import WeierstrassFibration
+from k3auto.weierstrass import WeierstrassFibration, fiber_inventory
 
 from fixtures import WIDE_LAYERS
 
@@ -246,6 +246,14 @@ def test_primitive_part_of_one_term_lists():
     assert polynomial._primitive_part([-5, 0]) == [1]
     assert polynomial._primitive_part([4, -6]) == [-2, 3]
     assert polynomial._primitive_part([0]) == []
+    # the argument is never changed; a primitive list with a positive
+    # lead comes back as itself
+    for f in ([4, -6], [3, -5], [-3, 5], [2, 0, 0], [7]):
+        before = list(f)
+        polynomial._primitive_part(f)
+        assert f == before
+    primitive = [3, -5, 2]
+    assert polynomial._primitive_part(primitive) is primitive
 
 
 def _int_product(f, g):
@@ -274,7 +282,9 @@ def test_exact_division_by_monic_and_non_monic_divisors():
         kinds.add((g[-1] == 1, len(g) > 1, bound > 9))
         q = _random_ints(rng, rng.randint(1, 7), rng.choice([9, 10 ** 20]))
         f = _int_product(q, g)
+        before = (list(f), list(g))
         assert polynomial._int_quotient(f, g) == q
+        assert (f, g) == before
         if len(g) > 1:
             # a nonzero remainder of lower degree than g
             r = _random_ints(rng, rng.randint(1, len(g) - 1), bound)
@@ -283,6 +293,23 @@ def test_exact_division_by_monic_and_non_monic_divisors():
             assert polynomial._int_quotient(f, g) is None
     # monic and not, constant and not, narrow and wide
     assert len(kinds) == 8 - 2, kinds  # a constant primitive g is [1]
+    # linear divisors (t itself, monic, not, with 20-digit ends) and
+    # sparse ones such as t^2 - d, the shape of an irrational place
+    p, r = PRIME_20_DIGITS
+    divisors = ([0, 1], [-3, 1], [5, 7], [-p, r], [r, 1], [-p, 0, 1],
+                [p, 0, r], [7, 0, 0, 0, 1], [-p, 0, 0, r])
+    for g in divisors:
+        for q in ([1], [2, -1], [0, 0, 3], [p, 0, -r, 3], [-r, 1, 0, 0, p]):
+            f = _int_product(q, g)
+            before = (list(f), list(g))
+            assert polynomial._int_quotient(f, g) == q
+            # a remainder of 1 in one coefficient below g's degree; for a
+            # linear g that is the constant term alone
+            for low in range(len(g) - 1):
+                f[low] += 1
+                assert polynomial._int_quotient(f, g) is None
+                f[low] -= 1
+            assert (f, g) == before
 
 
 # layers of degree at most 2 with the rational roots they have, built up
@@ -545,3 +572,120 @@ def test_discriminant_matches_the_products_on_random_fractions():
                         rng.randint(1, 10 ** 4))
             for e in range(rng.randint(0, top))}) for top in (9, 13))
         assert weierstrass_discriminant(a, b) == a * a * a * 4 + b * b * 27
+
+
+# -- work against the size of the input ----------------------------------
+#
+# Fiber typing must take time polynomial in the input's bit size.  Clocks
+# are too noisy to show that, so the ladder counts work instead: it types
+# each surface with coefficients of 10, 40, 160 and 640 digits, counts the
+# kernel's calls and records the widest integer each returns.
+
+def _draw(rng, digits):
+    return rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1),
+                                               10 ** digits)
+
+
+def _generic_surface(digits):
+    # random a and b: 24 I_1 fibers over one irrational place
+    rng = random.Random(1)
+    return tuple(RationalPolynomial({e: _draw(rng, digits)
+                                     for e in range(top)})
+                 for top in (9, 13))
+
+
+def _cycle_surface(digits):
+    # a = -3h^2, b = 2h^3 + q gives delta = 27 q (4h^3 + q): I_4 at the
+    # roots of t^2 - d, I_2 at those of t^2 - e, and 12 I_1
+    rng = random.Random(2)
+    d, e = (-_draw(rng, max(digits // 12, 1)) ** 2 - 1 for _ in range(2))
+    h = RationalPolynomial({i: _draw(rng, max(digits // 3, 1))
+                            for i in range(5)})
+    return -3 * h ** 2, 2 * h ** 3 + (T ** 2 - d) ** 4 * (T ** 2 - e) ** 2
+
+
+def _layered_surface(digits):
+    # b = 0 and a = c (t - r)(t - s)^2 (t^2 - d)(t - u)^3: delta = 4a^3
+    # has layers of multiplicity 3, 6 and 9 (III, I_0* and III*)
+    rng = random.Random(3)
+    c, r, s, u = (_draw(rng, max(digits // 8, 1)) for _ in range(4))
+    d = -_draw(rng, max(digits // 16, 1)) ** 2 - 1
+    a = c * (T - r) * (T - s) ** 2 * (T ** 2 - d) * (T - u) ** 3
+    return a, RationalPolynomial.zero()
+
+
+def _bits(value) -> int:
+    if value is None:
+        return 0
+    if isinstance(value, RationalPolynomial):
+        return _bits((value._num, value._den))
+    if isinstance(value, Fraction):
+        return _bits((value.numerator, value.denominator))
+    if isinstance(value, (list, tuple)):
+        return max(map(_bits, value), default=0)
+    return abs(value).bit_length()
+
+
+# _balanced_digits runs once per GCDHEU try and once for the discriminant;
+# _newton_step is one Hensel lift step of one root
+COUNTED = ("_gcd_cofactors", "_int_gcd", "_int_quotient",
+           "_split_rational_roots", "_balanced_digits", "_newton_step")
+
+
+def _typing_work(monkeypatch, surface, digits):
+    """(calls, widest returned bits, input bits, inventory) of one typing."""
+    calls, widest = {}, {}
+    for name in COUNTED:
+        def counted(*args, name=name, inner=getattr(polynomial, name)):
+            out = inner(*args)
+            calls[name] = calls.get(name, 0) + 1
+            widest[name] = max(widest.get(name, 0), _bits(out))
+            return out
+        monkeypatch.setattr(polynomial, name, counted)
+    a, b = surface(digits)
+    inventory = fiber_inventory(WeierstrassFibration(a, b))
+    return calls, widest, _bits((a._num, b._num)), inventory
+
+
+# the widest integer a call returns, in bits, is at most a multiple of the
+# input's bits plus a degree term: delta = 4a^3 + 27b^2 has three times
+# the input's bits and its factors exceed that by at most Mignotte's
+# 2^24 and a few bits more; a lift modulus stays below the square of
+# twice a factor's bound, hence six times
+WIDEST_MULTIPLE = {"_newton_step": 6}
+DEGREE_BITS = 96
+
+
+@pytest.mark.parametrize("surface, tries, inventory, most", [
+    (_generic_surface, None, {"I_1": 24},
+     {"_gcd_cofactors": 2, "_int_gcd": 0, "_int_quotient": 3,
+      "_split_rational_roots": 1, "_balanced_digits": 2}),
+    (_cycle_surface, None, {"I_1": 12, "I_2": 2, "I_4": 2},
+     {"_gcd_cofactors": 6, "_int_gcd": 0, "_int_quotient": 15,
+      "_split_rational_roots": 3, "_balanced_digits": 6}),
+    # no GCDHEU try, so that every layer gcd takes the PRS fallback
+    (_layered_surface, 0, {"III": 3, "I_0*": 1, "III*": 1},
+     {"_gcd_cofactors": 5, "_int_gcd": 4, "_int_quotient": 33,
+      "_split_rational_roots": 3, "_balanced_digits": 1}),
+], ids=["generic", "irrational-cycles", "layers-by-prs"])
+def test_typing_work_is_polynomial_in_the_digits(monkeypatch, surface,
+                                                 tries, inventory, most):
+    """The calls one typing makes do not grow with the digits, except the
+    lift steps, which grow like the log of the bound; the counts are
+    pinned from the first run, the divisions with a margin of two for the
+    candidate roots a lift may bring."""
+    for digits in (10, 40, 160, 640):
+        with monkeypatch.context() as patch:
+            if tries is not None:
+                patch.setattr(polynomial, "_HEU_TRIES", tries)
+            calls, widest, in_bits, got = _typing_work(patch, surface,
+                                                       digits)
+        assert got == inventory
+        lift_steps = calls.pop("_newton_step", 0)
+        assert lift_steps <= 3 * in_bits.bit_length(), (digits, lift_steps)
+        assert all(calls.get(name, 0) <= top for name, top in most.items())
+        assert set(calls) <= set(most), calls
+        assert bool(calls.get("_int_gcd")) == (tries == 0)
+        for name, bits in widest.items():
+            assert bits <= (WIDEST_MULTIPLE.get(name, 3) * in_bits
+                            + DEGREE_BITS), (digits, name, bits, in_bits)
