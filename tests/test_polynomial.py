@@ -488,6 +488,13 @@ def test_gcd_heuristic_divides_by_no_constant_one(monkeypatch):
     assert gcd(p, q) == RationalPolynomial.constant(1)
     assert not divisions
     assert (p._num, q._num) == before
+    # a constant operand is a unit: no GCDHEU, no fallback, no division
+    monkeypatch.setattr(polynomial, "_int_gcd", None)
+    monkeypatch.setattr(polynomial, "_eval_at", None)
+    assert gcd(p, RationalPolynomial.constant(Fraction(-3, 4))) == 1
+    assert not divisions
+    # Yun on a linear polynomial: gcd(f, f') has the constant f'
+    assert squarefree_decomposition(3 * T - 1) == [(T - Fraction(1, 3), 1)]
 
 
 @pytest.mark.parametrize("tries", [0, 1])
