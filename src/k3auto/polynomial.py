@@ -19,13 +19,14 @@ heuristic GCDHEU (one big-integer gcd of two values, certified by exact
 division) with a primitive pseudo-remainder sequence as its fallback, and
 the layer loop that Yun's algorithm and split_by_valuation share tries
 one exact division before each gcd; a gcd with the constant 1 is 1, with
-no certificate.  A monic divisor needs no integer division, a divisor
-of degree one or two divides synthetically, and a longer one skips its
-zero terms.  rational_roots solves layers of degree at most 2 in closed
-form; for a higher layer it Hensel-lifts the roots of the layer itself,
-at the first prime not dividing its lead at which they are all simple.
-The Weierstrass discriminant 4a^3 + 27b^2 is read off one big-integer
-value at a power of two, whose digits are read by shift and mask.
+no certificate.  A monic divisor needs no integer division, and a
+divisor of degree one or two divides synthetically.  rational_roots
+solves layers of degree at most 2 in closed form; for a higher layer it
+Hensel-lifts the roots of the layer itself, at the first prime not
+dividing its lead at which they are all simple.  The Weierstrass
+discriminant 4a^3 + 27b^2 is read off one big-integer value.  Every
+value read back as digits, GCDHEU's and the discriminant's, is taken at
+a power of two 2^k, so evaluation and digits are shifts and masks.
 Fractions appear only at the boundary: the dict and pair constructors,
 the `coeffs` view, and single values such as evaluate's result and the
 rational roots.
@@ -324,8 +325,8 @@ def gcd(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
     """Monic gcd over Q (a nonzero constant gcd normalizes to 1).
 
     Works on the integer primitive parts of p and q: the heuristic GCDHEU
-    reads the gcd off one integer gcd of their values at a large integer
-    xi, and keeps it only when it divides both exactly, which together
+    reads the gcd off one integer gcd of their values at a large power of
+    two xi, and keeps it only when it divides both exactly, which together
     with the bound on xi proves it is the gcd; after _HEU_TRIES failed
     values a primitive pseudo-remainder sequence computes it instead.
     """
@@ -494,9 +495,9 @@ def _gcd_cofactors(a: List[int], b: List[int]
     """(h, a/h, b/h) for primitive int lists a, b, not both zero, with h
     their gcd, primitive with a positive leading term.
 
-    GCDHEU (Char, Geddes and Gonnet 1989): at an integer
-    xi >= 2 min(|a|, |b|) + 2 (max norms), read gcd(a(xi), b(xi)) as
-    balanced base-xi digits and take the primitive part h.  If h divides
+    GCDHEU (Char, Geddes and Gonnet 1989): at a power of two
+    xi = 2^k >= 2 min(|a|, |b|) + 2 (max norms), read gcd(a(xi), b(xi))
+    as balanced base-xi digits and take the primitive part h.  If h divides
     both a and b, it is their gcd (the GCDHEU theorem), and the exact
     quotients are the cofactors; otherwise xi grows, and after _HEU_TRIES
     values _int_gcd decides.  No h but 1 is returned without both
@@ -507,11 +508,12 @@ def _gcd_cofactors(a: List[int], b: List[int]
         # a unit gcd needs no certificate
         return [1], a, b
     if len(a) > 1 and len(b) > 1:
-        xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+        # xi = 2^k, the least power of two >= 2 min(|a|, |b|) + 2
+        k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
         for _ in range(_HEU_TRIES):
             # xi exceeds the min-norm input's root bound, so the gcd is > 0
             h = _primitive_part(_balanced_digits(
-                math.gcd(_eval_at(a, xi), _eval_at(b, xi)), xi))
+                math.gcd(_eval_at(a, k), _eval_at(b, k)), k))
             if h == [1]:
                 return h, a, b
             cofactor_a = _int_quotient(a, h)
@@ -519,36 +521,29 @@ def _gcd_cofactors(a: List[int], b: List[int]
                 cofactor_b = _int_quotient(b, h)
                 if cofactor_b is not None:
                     return h, cofactor_a, cofactor_b
-            # sympy's growth rule, about 2.7 xi^(5/4)
-            xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+            # about 4 xi^(5/4), after sympy's 2.7 xi^(5/4)
+            k += k // 4 + 2
     h = _int_gcd(a, b)
     return h, _int_quotient(a, h), _int_quotient(b, h)
 
 
-def _eval_at(f: List[int], x: int) -> int:
+def _eval_at(f: List[int], k: int) -> int:
+    """f(2^k), by shifts."""
     out = 0
     for c in reversed(f):
-        out = out * x + c
+        out = (out << k) + c
     return out
 
 
-def _balanced_digits(n: int, xi: int) -> List[int]:
-    """The digits of n in base xi, each in (-xi/2, xi/2], lowest first."""
+def _balanced_digits(n: int, k: int) -> List[int]:
+    """The digits of n in base 2^k, each in (-2^(k-1), 2^(k-1)], lowest
+    first, by shift and mask."""
+    xi, mask, half = 1 << k, (1 << k) - 1, 1 << (k - 1)
     digits = []
-    if not xi & (xi - 1):
-        # a power of two: the same digits by shift and mask
-        shift, mask, half = xi.bit_length() - 1, xi - 1, xi >> 1
-        while n:
-            digit = n & mask
-            n >>= shift
-            if digit > half:
-                digit -= xi
-                n += 1
-            digits.append(digit)
-        return digits
     while n:
-        n, digit = divmod(n, xi)
-        if digit > xi // 2:
+        digit = n & mask
+        n >>= k
+        if digit > half:
             digit -= xi
             n += 1
         digits.append(digit)
@@ -574,9 +569,8 @@ def _int_quotient(f: List[int], g: List[int]) -> Optional[List[int]]:
     top first, is the next coefficient of f less the one or two terms
     before it times g's lower coefficients, over lc(g), and f's low
     coefficients must then equal what the quotient puts there.  A longer
-    g subtracts each quotient term's multiple of g from a copy of f,
-    skipping zero quotient terms and zero terms of g.  Neither argument
-    is changed.
+    g subtracts each nonzero quotient term's multiple of g from a copy
+    of f.  Neither argument is changed.
     """
     n, lead = len(g) - 1, g[-1]
     if len(f) <= n:
@@ -600,7 +594,7 @@ def _int_quotient(f: List[int], g: List[int]) -> Optional[List[int]]:
         quotient.reverse()
         return quotient
     f = f[:]
-    body = [(i, gc) for i, gc in enumerate(g[:-1]) if gc]
+    body = g[:-1]
     quotient = [0] * (len(f) - n)
     for k in range(len(quotient) - 1, -1, -1):
         c = f[k + n]
@@ -611,8 +605,8 @@ def _int_quotient(f: List[int], g: List[int]) -> Optional[List[int]]:
             if rest:
                 return None
         quotient[k] = c
-        for i, gc in body:
-            f[k + i] -= c * gc
+        for i, gc in enumerate(body, k):
+            f[i] -= c * gc
     return None if any(f[:n]) else quotient
 
 
@@ -821,8 +815,8 @@ def weierstrass_discriminant(a: RationalPolynomial,
     fa, fb, da3, db2 = a._num, b._num, a._den ** 3, b._den ** 2
     bound = (4 * len(fa) ** 2 * max(map(abs, fa), default=0) ** 3 * db2
              + 27 * len(fb) * max(map(abs, fb), default=0) ** 2 * da3)
-    xi = 1 << (bound.bit_length() + 1)
-    value = (4 * _eval_at(fa, xi) ** 3 * db2
-             + 27 * _eval_at(fb, xi) ** 2 * da3)
-    return RationalPolynomial._from_ints(_balanced_digits(value, xi),
+    k = bound.bit_length() + 1
+    value = (4 * _eval_at(fa, k) ** 3 * db2
+             + 27 * _eval_at(fb, k) ** 2 * da3)
+    return RationalPolynomial._from_ints(_balanced_digits(value, k),
                                          da3 * db2)

@@ -452,7 +452,8 @@ def test_layer_gcds_only_where_a_division_fails(monkeypatch):
 
 
 # g has larger coefficients than both of its multiples, so the first value
-# of xi, 2 min(|p|, |q|) + 2, cannot carry it and GCDHEU needs a second xi
+# of xi, the least power of two >= 2 min(|p|, |q|) + 2, cannot carry it
+# and GCDHEU needs a second xi
 MISREAD_GCD = ((T + 1) * (T ** 2 + T + 1)) ** 4
 MISREAD_PAIR = (MISREAD_GCD * (T ** 2 - T + 1) ** 4,
                 Fraction(-5, 3) * MISREAD_GCD * (T - 1) ** 4)
