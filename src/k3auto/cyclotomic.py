@@ -2,8 +2,11 @@
 
 Elements are stored on the power basis (1, z, z^2, z^3), z a primitive 8th
 root of unity and z^4 = -1, with `fractions.Fraction` coordinates: every
-operation is exact, and equal elements have equal coordinates.  The field
-holds i = z^2 and sqrt(2) = z - z^3.  Inverse and norm go through Q(i) in
+operation is exact, and equal elements have equal coordinates.  A
+rational element equals, and hashes as, the int or Fraction it stands
+for (a bool is neither); a product by an int or Fraction scales the four
+coordinates instead of forming the 16-term product.  The field holds
+i = z^2 and sqrt(2) = z - z^3.  Inverse and norm go through Q(i) in
 integers: x = (u + v*z)/d, u = a0 + a2*i and v = a1 + a3*i integral, and
 s5: z -> -z gives x * x^s5 = (u^2 - i*v^2)/d^2 = (p + q*i)/d^2, so N(x) =
 (p^2 + q^2)/d^4 and x^-1 = d^2 * x^s5 * (p - q*i)/(p^2 + q^2).  The module
@@ -19,6 +22,11 @@ from typing import Iterable, Tuple, Union
 Scalar = Union[int, Fraction]
 
 _BASIS_NAMES = ("", "z", "z^2", "z^3")
+
+
+def _is_scalar(value) -> bool:
+    """An int or Fraction, the numbers the rings embed; a bool is not one."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -102,7 +110,7 @@ class Cyc8Element:
     def _coerce(self, other) -> "Cyc8Element":
         if isinstance(other, Cyc8Element):
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return Cyc8Element.from_rational(other)
         return NotImplemented  # type: ignore[return-value]
 
@@ -130,10 +138,11 @@ class Cyc8Element:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b = self.coords, o.coords
+        if not isinstance(other, Cyc8Element):
+            if not _is_scalar(other):
+                return NotImplemented
+            return Cyc8Element(tuple(c * other for c in self.coords))
+        a, b = self.coords, other.coords
         # z^i * z^j = z^(i+j), folded back with z^4 = -1.
         acc = [Fraction(0)] * 4
         for i in range(4):
@@ -219,7 +228,8 @@ class Cyc8Element:
         return self.coords == o.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        # a rational element equals, so must hash as, the number it is
+        return hash(self.coords[0] if self.is_rational() else self.coords)
 
     def __repr__(self):
         return "Cyc8(%s)" % (format_sum(zip(self.coords, _BASIS_NAMES))

@@ -15,9 +15,12 @@ point count.
 
 The term vectors are constants: each point term and each genus-0 curve
 term is built once per process, on first use, keyed by its exponents
-mod 8, and a curve of genus g scales the genus-0 term by 1 - g.  Import
-builds none of them.  holo_total, curve_term, point_term_exponents and
-the derivation below all read the same cached vectors.
+mod 8, and a curve of genus g scales the genus-0 term by 1 - g.  So is
+the target: holo_target builds 1 + zeta^(8-j) once per power, on first
+use, and raises for any other power.  Import builds none of them.
+holo_total, curve_term, point_term_exponents and the derivation below all
+read the same cached vectors, and a point count or 1 - g multiplies them
+as a plain int, which scales the coordinates.
 
 The module also re-derives the two integer point-count constraints by
 expanding the fixed-point sum on the power basis and reducing the
@@ -30,7 +33,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .cyclotomic import ONE, ZERO, Cyc8Element, zeta_pow
@@ -111,6 +113,7 @@ class FixedLocusConfig(namedtuple("FixedLocusConfig", "curves n2 n3 n4")):
                    n2=data["n2"], n3=data["n3"], n4=data["n4"])
 
 
+@lru_cache(maxsize=None)
 def holo_target(power_j: int) -> Cyc8Element:
     """1 + zeta^(8-j): trace of sigma^j on H^0 + H^2 of the structure sheaf."""
     if power_j not in _POINT_EXPONENTS:
@@ -142,7 +145,7 @@ def curve_term(c: FixedCurve) -> Cyc8Element:
     e = c.normal_exponent % 8
     if e == 0:
         raise ValueError("fixed curve needs a nontrivial normal eigenvalue")
-    return _unit_curve_term(e) * Fraction(1 - c.genus)
+    return _unit_curve_term(e) * (1 - c.genus)
 
 
 def holo_total(config: FixedLocusConfig,
@@ -153,18 +156,17 @@ def holo_total(config: FixedLocusConfig,
     power_j=2 treats all N isolated points as type (6,4); curves should
     carry normal exponent 2 (genus-1 curves contribute 0 regardless).
     """
-    if power_j not in _POINT_EXPONENTS:
-        raise ValueError("holo_total supports power_j in {1, 2}")
+    target = holo_target(power_j)
     counts = (config.n2, config.n3, config.n4) if power_j == 1 \
         else (config.N,)
     total = ZERO
     for count, exponents in zip(counts, _POINT_EXPONENTS[power_j]):
         if count:
-            total = total + _point_term(*exponents) * Fraction(count)
+            total = total + _point_term(*exponents) * count
     for c in config.curves:
         if c.genus != 1:  # the factor (1 - g) kills a genus-1 curve's term
             total = total + curve_term(c)
-    return total, total == holo_target(power_j)
+    return total, total == target
 
 
 def topo_check(config: FixedLocusConfig, r: int, l: int) -> bool:

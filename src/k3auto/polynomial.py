@@ -3,9 +3,10 @@
 A polynomial is stored as f/d: f a dense list of ints, constant term
 first, with no trailing zero, and d > 0 coprime to the content of f; zero
 is ([], 1).  The form is canonical, so equality and hashing compare the
-pair.  No int list is changed once it is built: a function changes only
-a list it made itself, so polynomials and the helpers below may share
-lists (a primitive part with content 1 is its argument).  Only the
+pair, except that a constant hashes as the int or Fraction it equals.
+No int list is changed once it is built: a function changes only a list
+it made itself, so polynomials and the helpers below may share lists (a
+primitive part with content 1 is its argument).  Only the
 operations the surface analysis actually needs live here: ring
 arithmetic, exact division, gcd, Yun squarefree decomposition, rational
 roots, and the place/valuation utilities at finite places.  Full
@@ -44,7 +45,7 @@ from functools import reduce
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cyclotomic import Scalar, _as_fraction, format_sum, power
+from .cyclotomic import Scalar, _as_fraction, _is_scalar, format_sum, power
 
 NEG_INF = float("-inf")
 
@@ -161,7 +162,7 @@ class RationalPolynomial:
     def _coerce(self, other) -> "RationalPolynomial":
         if isinstance(other, RationalPolynomial):
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return RationalPolynomial.constant(other)
         return NotImplemented  # type: ignore[return-value]
 
@@ -254,6 +255,9 @@ class RationalPolynomial:
         return self._den == o._den and self._num == o._num
 
     def __hash__(self):
+        # a constant equals, so must hash as, the number it is
+        if len(self._num) <= 1:
+            return hash(Fraction(self._num[0] if self._num else 0, self._den))
         return hash((tuple(self._num), self._den))
 
     def __str__(self):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from k3auto import InvariantError, classify, fibers
+from k3auto import InvariantError, classify, fibers, lefschetz
 from k3auto.classify import (CSV_HEADER, _candidates, _decompose,
                              _fixed_locus, enumerate_cases, match_row,
                              render_csv,
@@ -29,9 +29,11 @@ def test_sixteen_rows_match_fixture():
 
 def test_a_repeated_enumeration_inverts_nothing_and_runs_no_engine(
         monkeypatch):
-    # the Lefschetz terms and each fiber's fixed data are computed once per
-    # process: a second enumeration still sums all 82 candidates over two
-    # fiber lookups each, without an inverse in Q(zeta_8) or an engine run
+    # the Lefschetz terms, the target and each fiber's fixed data are
+    # computed once per process: a second enumeration still sums all 82
+    # candidates over two fiber lookups each, without an inverse in
+    # Q(zeta_8), a built target, a count embedded in Q(zeta_8) or an
+    # engine run
     enumerate_cases()
     calls = Counter()
 
@@ -43,6 +45,10 @@ def test_a_repeated_enumeration_inverts_nothing_and_runs_no_engine(
 
     monkeypatch.setattr(Cyc8Element, "invert",
                         counted("invert", Cyc8Element.invert))
+    monkeypatch.setattr(Cyc8Element, "from_rational", staticmethod(
+        counted("from_rational", Cyc8Element.from_rational)))
+    monkeypatch.setattr(lefschetz, "zeta_pow",
+                        counted("zeta_pow", lefschetz.zeta_pow))
     monkeypatch.setattr(classify, "holo_total",
                         counted("holo_total", classify.holo_total))
     monkeypatch.setattr(classify, "fiber_fixed_data",
@@ -53,6 +59,7 @@ def test_a_repeated_enumeration_inverts_nothing_and_runs_no_engine(
     assert len(enumerate_cases()) == 16
     assert (calls["invert"], calls["engine"], calls["holo_total"],
             calls["fiber_fixed_data"]) == (0, 0, 82, 164)
+    assert (calls["from_rational"], calls["zeta_pow"]) == (0, 0)
 
 
 def test_case_numbering_is_stable():

@@ -130,6 +130,32 @@ def test_rational_embedding_and_mixed_ops():
     assert 2 * ZETA == ZETA * 2
     assert 1 - ZETA == -(ZETA - 1)
     assert Fraction(1, 2) * ONE == Cyc8Element.from_rational(Fraction(1, 2))
+    # a rational element equals its value, so it hashes as its value too
+    for value in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):
+        x = Cyc8Element.from_rational(value)
+        assert x == value and hash(x) == hash(value)
+        assert x in {value} and value in {x} and {value: 1}[x] == 1
+    assert ZETA not in {0, 1} and hash(ZETA) == hash(ZETA * 1)
+    # a bool is no number here: it equals no element, not even one that
+    # shares its hash
+    assert ONE != True and ONE not in {True} and ZERO not in {False}
+    # a product by an int or Fraction scales the coordinates, in either
+    # order, and is the product by the embedded scalar
+    rng = random.Random(80802)
+    scalars = (0, 1, -1, 5, -12, 10 ** 30, Fraction(0), Fraction(-7, 3),
+               Fraction(9, 4), Fraction(-1, 10 ** 20))
+    for _ in range(40):
+        a = random_element(rng)
+        for s in scalars:
+            embedded = a * Cyc8Element.from_rational(s)
+            for product in (a * s, s * a):
+                assert product == embedded
+                assert all(type(c) is Fraction for c in product.coords)
+    for bad in (True, False):
+        with pytest.raises(TypeError):
+            ZETA * bad
+        with pytest.raises(TypeError):
+            bad * ZETA
 
 
 # -- the shared ring idioms -------------------------------------------------

@@ -40,6 +40,15 @@ def test_arithmetic_basics():
     assert p.derivative() == 2 * T + 1
     assert RationalPolynomial.from_pairs([("1/2", 3), (1, 0)]) \
         == Fraction(1, 2) * T ** 3 + 1
+    # a constant equals its value, so it hashes as its value too
+    for value in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):
+        c = RationalPolynomial.constant(value)
+        assert c == value and hash(c) == hash(value)
+        assert c in {value} and value in {c} and {value: 1}[c] == 1
+    assert RationalPolynomial.zero() in {0} and T not in {0, 1}
+    one = RationalPolynomial.constant(1)
+    assert one != True and one not in {True}
+    assert hash(p) == hash(T ** 2 + T - 2)
 
 
 def test_degree_of_zero_is_minus_infinity():
