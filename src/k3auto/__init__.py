@@ -25,8 +25,7 @@ _EXPORTS = {
     "cyclotomic": ("Cyc8Element", "I_UNIT", "ONE", "ZERO", "ZETA",
                    "zeta_pow"),
     "fibers": ("FiberAction", "FiberFixedData", "FiberShape", "action_label",
-               "chain_step", "elliptic_action_data", "fiber_fixed_data",
-               "parse_action_label"),
+               "chain_step", "fiber_fixed_data", "parse_action_label"),
     "lattice": ("EigenRanks", "power_ranks", "sigma4_skeletons",
                 "solve_ranks"),
     "lefschetz": ("FixedCurve", "FixedLocusConfig",

@@ -99,12 +99,6 @@ class Cyc8Element:
     def is_rational(self) -> bool:
         return self.coords[1] == 0 and self.coords[2] == 0 and self.coords[3] == 0
 
-    def rational_part(self) -> Fraction:
-        """The element as a Fraction; raises if it is not rational."""
-        if not self.is_rational():
-            raise ValueError("%r is not a rational number" % (self,))
-        return self.coords[0]
-
     # -- ring structure -------------------------------------------------
 
     def _coerce(self, other) -> "Cyc8Element":
@@ -164,18 +158,6 @@ class Cyc8Element:
         if not isinstance(n, int):
             return NotImplemented
         return power(self.invert(), -n, ONE) if n < 0 else power(self, n, ONE)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.invert()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.invert()
 
     # -- field structure -------------------------------------------------
 

@@ -106,8 +106,7 @@ class FiberAction(namedtuple("FiberAction", "name split")):
 
 
 class FiberFixedData(namedtuple("FiberFixedData", (
-        "k_sigma points k_sigma2 k_sigma4 alpha_contrib n_sigma2 "
-        "elliptic_fixed_by"))):
+        "k_sigma points k_sigma2 k_sigma4 n_sigma2 elliptic_fixed_by"))):
     """Fixed-locus bookkeeping of one fiber under sigma, sigma^2, sigma^4.
 
     points = (count of (2,7), count of (3,6), count of (4,5)).
@@ -119,12 +118,19 @@ class FiberFixedData(namedtuple("FiberFixedData", (
     __slots__ = ()
 
     def __new__(cls, k_sigma: int, points: Tuple[int, int, int],
-                k_sigma2: int, k_sigma4: int, alpha_contrib: int,
-                n_sigma2: int, elliptic_fixed_by: Optional[int] = None):
+                k_sigma2: int, k_sigma4: int, n_sigma2: int,
+                elliptic_fixed_by: Optional[int] = None):
         if not k_sigma <= k_sigma2 <= k_sigma4:
             raise ValueError("pointwise component counts must be monotone in the power")
         return super().__new__(cls, k_sigma, points, k_sigma2, k_sigma4,
-                               alpha_contrib, n_sigma2, elliptic_fixed_by)
+                               n_sigma2, elliptic_fixed_by)
+
+    @property
+    def alpha_contrib(self) -> int:
+        """The fiber's share of alpha = sum of 1 - g over sigma-fixed
+        curves: a degenerate fiber's fixed components are rational, and a
+        smooth fiber is a genus-1 curve, which adds 0."""
+        return 0 if self.elliptic_fixed_by is not None else self.k_sigma
 
 
 def chain_step(pair: Tuple[int, int]) -> Tuple[int, int]:
@@ -187,12 +193,11 @@ def _cycle_preserve_scan(n: int, m: int, anchor: int) -> Tuple[int, List[Tuple[i
 
 def _square_preserving_data(n: int, k_sigma: int,
                             points: Tuple[int, int, int]) -> FiberFixedData:
-    """I_n data of an action whose square preserves every component; each
-    pointwise fixed component is a rational curve, so alpha is k_sigma."""
+    """I_n data of an action whose square preserves every component."""
     k2, iso2 = _cycle_preserve_scan(n, 2, 0)
     return FiberFixedData(k_sigma=k_sigma, points=points, k_sigma2=k2,
                           k_sigma4=_cycle_preserve_scan(n, 4, 0)[0],
-                          alpha_contrib=k_sigma, n_sigma2=len(iso2))
+                          n_sigma2=len(iso2))
 
 
 def _involution_derivative() -> int:
@@ -242,7 +247,7 @@ def _i_n_rotation(n: int, order: int) -> FiberFixedData:
     # sigma^2-fixed
     k4, _ = _cycle_preserve_scan(n, 4, 0)
     return FiberFixedData(k_sigma=0, points=(0, 0, 0), k_sigma2=0,
-                          k_sigma4=k4, alpha_contrib=0, n_sigma2=0)
+                          k_sigma4=k4, n_sigma2=0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +275,7 @@ def _iv_star_preserve() -> FiberFixedData:
     # sigma^4 fixes the central component and the three leaves pointwise
     k4 = 1 + sum(1 for e in (4 * 1, 4 * 2) if e % 8 == 0) * 3
     return FiberFixedData(k_sigma=1, points=points, k_sigma2=1, k_sigma4=k4,
-                          alpha_contrib=1, n_sigma2=_iv_star_sigma2_points())
+                          n_sigma2=_iv_star_sigma2_points())
 
 
 def _iv_star_branch_swap() -> FiberFixedData:
@@ -285,7 +290,7 @@ def _iv_star_branch_swap() -> FiberFixedData:
     points = type_counts([z_free, p_junction, p_mid, p_leaf])
     k4 = 1 + 3  # center plus the three leaves (normal exponent doubles to 8)
     return FiberFixedData(k_sigma=0, points=points, k_sigma2=1, k_sigma4=k4,
-                          alpha_contrib=0, n_sigma2=_iv_star_sigma2_points())
+                          n_sigma2=_iv_star_sigma2_points())
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +301,15 @@ def _elliptic(fixed_by: int,
               points: Optional[Tuple[int, int, int]] = (0, 0, 0),
               n_sigma2: int = 0):
     """The engine of an action on a smooth elliptic fiber that sigma^fixed_by
-    fixes pointwise first (sigma^4 always does, and a genus-1 curve adds 0
-    to alpha).  With points None the action's split types sigma's two fixed
-    points."""
+    fixes pointwise first (sigma^4 always does).  With points None the
+    action's split types sigma's two fixed points."""
     def engine(n: Optional[int],
                split: Optional[Tuple[int, int]]) -> FiberFixedData:
         return FiberFixedData(
             k_sigma=int(fixed_by == 1),
             points=split + (0,) if points is None else points,
-            k_sigma2=int(fixed_by <= 2), k_sigma4=1, alpha_contrib=0,
-            n_sigma2=n_sigma2, elliptic_fixed_by=fixed_by)
+            k_sigma2=int(fixed_by <= 2), k_sigma4=1, n_sigma2=n_sigma2,
+            elliptic_fixed_by=fixed_by)
     return engine
 
 
@@ -344,11 +348,6 @@ _REFUSALS = {SMOOTH: "not a smooth-elliptic action: %r",
 
 # ---------------------------------------------------------------------------
 # public entry points
-
-
-def elliptic_action_data(action: FiberAction) -> FiberFixedData:
-    """Fixed data of an action on a smooth elliptic fiber."""
-    return fiber_fixed_data(SMOOTH_SHAPE, action)
 
 
 def fiber_fixed_data(shape: FiberShape, action: FiberAction) -> FiberFixedData:

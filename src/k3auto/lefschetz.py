@@ -18,9 +18,9 @@ term is built once per process, on first use, keyed by its exponents
 mod 8, and a curve of genus g scales the genus-0 term by 1 - g.  So is
 the target: holo_target builds 1 + zeta^(8-j) once per power, on first
 use, and raises for any other power.  Import builds none of them.
-holo_total, curve_term, point_term_exponents and the derivation below all
-read the same cached vectors, and a point count or 1 - g multiplies them
-as a plain int, which scales the coordinates.
+holo_total, curve_term and the derivation below all read the same
+cached vectors, and a point count or 1 - g multiplies them as a plain
+int, which scales the coordinates.
 
 The module also re-derives the two integer point-count constraints by
 expanding the fixed-point sum on the power basis and reducing the
@@ -53,7 +53,8 @@ def as_count(key: str, value) -> int:
 
 
 class FixedCurve(namedtuple("FixedCurve", "genus normal_exponent")):
-    """A fixed curve: its genus and the normal-direction eigenvalue exponent."""
+    """A fixed curve: its genus and the normal-direction eigenvalue exponent,
+    which is nonzero mod 8 at every genus."""
 
     __slots__ = ()
 
@@ -64,6 +65,8 @@ class FixedCurve(namedtuple("FixedCurve", "genus normal_exponent")):
                                  % (key, value))
         if genus < 0:
             raise ValueError("genus must be non-negative")
+        if normal_exponent % 8 == 0:
+            raise ValueError("fixed curve needs a nontrivial normal eigenvalue")
         return super().__new__(cls, genus, normal_exponent)
 
 
@@ -133,19 +136,9 @@ def _unit_curve_term(e: int) -> Cyc8Element:
     return (ONE + zeta_pow(e)) * ((ONE - zeta_pow(e)) ** 2).invert()
 
 
-def point_term_exponents(e1: int, e2: int) -> Cyc8Element:
-    """1 / ((1 - z^e1)(1 - z^e2)); both exponents nonzero mod 8."""
-    if e1 % 8 == 0 or e2 % 8 == 0:
-        raise ValueError("isolated point needs nonzero tangent exponents")
-    return _point_term(e1 % 8, e2 % 8)
-
-
 def curve_term(c: FixedCurve) -> Cyc8Element:
     """(1 - genus) * (1 + z^e) / (1 - z^e)^2 for normal exponent e."""
-    e = c.normal_exponent % 8
-    if e == 0:
-        raise ValueError("fixed curve needs a nontrivial normal eigenvalue")
-    return _unit_curve_term(e) * (1 - c.genus)
+    return _unit_curve_term(c.normal_exponent % 8) * (1 - c.genus)
 
 
 def holo_total(config: FixedLocusConfig,

@@ -8,8 +8,8 @@ No int list is changed once it is built: a function changes only a list
 it made itself, so polynomials and the helpers below may share lists (a
 primitive part with content 1 is its argument).  Only the
 operations the surface analysis actually needs live here: ring
-arithmetic, exact division, gcd, Yun squarefree decomposition, rational
-roots, and the place/valuation utilities at finite places.  Full
+arithmetic, gcd, Yun squarefree decomposition, rational roots, and the
+place/valuation utilities at finite places.  Full
 irreducible factorization is deliberately avoided; squarefree grouping
 plus rational-root extraction is enough everywhere.
 
@@ -131,16 +131,6 @@ class RationalPolynomial:
         """Max stored exponent; -inf for the zero polynomial."""
         return len(self._num) - 1 if self._num else NEG_INF
 
-    def coefficient(self, exp: int) -> Fraction:
-        if 0 <= exp < len(self._num):
-            return Fraction(self._num[exp], self._den)
-        return Fraction(0)
-
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self._num[-1], self._den)
-
     def evaluate(self, t: Scalar) -> Fraction:
         """p(t) by Horner's rule in integers.
 
@@ -216,38 +206,6 @@ class RationalPolynomial:
             return NotImplemented
         return power(self, n, RationalPolynomial._from_ints([1]))
 
-    def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        # self = f/df, o = content*g/dg, g primitive: scale*f = q*g + r with
-        # q over Z, so q is the exact quotient of scale*f - r by g
-        f, content = self._num, reduce(math.gcd, o._num)
-        g = [c // content for c in o._num]
-        r, scale = _pseudo_remainder(f, g)
-        top = [scale * c for c in f]
-        for i, c in enumerate(r):
-            top[i] -= c
-        q = _int_quotient(top, g)
-        den = scale * self._den
-        return (RationalPolynomial._from_ints([c * o._den for c in q],
-                                              den * content),
-                RationalPolynomial._from_ints(r, den))
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -267,11 +225,7 @@ class RationalPolynomial:
     def __repr__(self):
         return "Poly(%s)" % self
 
-    # -- calculus and normal forms ----------------------------------------
-
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial._from_ints(_derivative(self._num),
-                                             self._den)
+    # -- normal form ------------------------------------------------------
 
     def monic(self) -> "RationalPolynomial":
         return _monic(self._num) if self._num else self
@@ -673,15 +627,6 @@ class Place(namedtuple("Place", "kind t0 poly", defaults=(None, None))):
     @classmethod
     def finite_rational(cls, t0: Scalar) -> "Place":
         return cls(kind="finite-rational", t0=_as_fraction(t0))
-
-    @classmethod
-    def finite_irreducible(cls, p: RationalPolynomial) -> "Place":
-        p = p.monic()
-        if p.degree() < 2:
-            raise ValueError("degree-1 factors normalize to finite-rational")
-        if rational_roots(p):
-            raise ValueError("factor has a rational root; split it first")
-        return cls(kind="finite-irreducible", poly=p)
 
     @classmethod
     def infinity(cls) -> "Place":

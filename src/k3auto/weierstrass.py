@@ -182,9 +182,6 @@ class WeierstrassFibration:
             return self.a, self.b
         return convert_two_torsion_form(self.a, self.b)
 
-    def discriminant(self) -> RationalPolynomial:
-        return weierstrass_discriminant(*self.short_coefficients())
-
     def curve_relation(self) -> CurvePolynomial:
         """The cubic in (x, t) with y^2 = cubic on the surface."""
         from .maps import CurvePolynomial

@@ -190,6 +190,9 @@ CHECK_CONFIG = {"curves": [{"genus": 1, "normal_exp": 1}],
     ("lefschetz", dict(CHECK_CONFIG, curves=[{"genus": 1, "normal_exp": "1"}]),
      None, "'normal_exp'"),
     ("lefschetz", dict(CHECK_CONFIG, curves=5), None, "'curves'"),
+    # refused at every genus, although a genus-1 curve's term is 0
+    ("lefschetz", dict(CHECK_CONFIG, curves=[{"genus": 1, "normal_exp": 0}]),
+     None, "nontrivial normal eigenvalue"),
     # JSON true/false are not read as 1 and 0, although bool is an int
     ("analyze", dict(EX1_FIBRATION, a=[["1", 8], [1, True]]),
      EX1_AUTOMORPHISM, "'a': exponent True is not a non-negative integer"),
@@ -205,6 +208,7 @@ CHECK_CONFIG = {"curves": [{"genus": 1, "normal_exp": 1}],
         "fibration-not-object", "automorphism-not-object", "string-ex",
         "float-ex", "string-translate", "string-n2", "string-n3",
         "string-n4", "float-n2", "string-normal-exp", "curves-not-list",
+        "zero-normal-exp-genus-1",
         "true-exponent", "false-exponent", "true-coefficient",
         "true-torsion-coefficient"])
 def test_malformed_input_gives_one_error_line(capsys, tmp_path, verb, first,

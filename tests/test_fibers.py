@@ -7,10 +7,9 @@ import pytest
 from k3auto.fibers import (BRANCH_SWAP, FiberAction, FiberShape, IDENTITY,
                            INVOLUTION, ORDER_4, PRESERVE, REFLECTION,
                            ROTATION_2, ROTATION_4, TRANSLATION_2,
-                           TRANSLATION_4, action_label, chain_step,
-                           elliptic_action_data,
-                           fiber_fixed_data, parse_action_label, point_type,
-                           type_counts)
+                           SMOOTH_SHAPE, TRANSLATION_4, action_label,
+                           chain_step, fiber_fixed_data, parse_action_label,
+                           point_type, type_counts)
 
 
 def test_chain_step_period_eight_all_starts():
@@ -36,16 +35,17 @@ def test_shape_names_and_validation():
 
 
 def test_smooth_fiber_actions():
-    data = elliptic_action_data(FiberAction(IDENTITY))
-    assert (data.k_sigma, data.points, data.elliptic_fixed_by) \
-        == (1, (0, 0, 0), 1)
-    data = elliptic_action_data(FiberAction(TRANSLATION_2))
+    data = fiber_fixed_data(SMOOTH_SHAPE, FiberAction(IDENTITY))
+    # a fixed genus-1 curve adds 0 to alpha
+    assert (data.k_sigma, data.points, data.elliptic_fixed_by,
+            data.alpha_contrib) == (1, (0, 0, 0), 1, 0)
+    data = fiber_fixed_data(SMOOTH_SHAPE, FiberAction(TRANSLATION_2))
     assert (data.k_sigma, data.k_sigma2, data.elliptic_fixed_by) == (0, 1, 2)
-    data = elliptic_action_data(FiberAction(TRANSLATION_4))
+    data = fiber_fixed_data(SMOOTH_SHAPE, FiberAction(TRANSLATION_4))
     assert (data.k_sigma2, data.k_sigma4, data.elliptic_fixed_by) == (0, 1, 4)
-    data = elliptic_action_data(FiberAction(INVOLUTION))
+    data = fiber_fixed_data(SMOOTH_SHAPE, FiberAction(INVOLUTION))
     assert data.points == (0, 0, 4)
-    data = elliptic_action_data(FiberAction(ORDER_4, split=(2, 0)))
+    data = fiber_fixed_data(SMOOTH_SHAPE, FiberAction(ORDER_4, split=(2, 0)))
     assert data.points == (2, 0, 0) and data.n_sigma2 == 4
     with pytest.raises(ValueError):
         FiberAction(ORDER_4)  # missing split

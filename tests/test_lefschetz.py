@@ -8,8 +8,8 @@ from k3auto.cyclotomic import Cyc8Element, zeta_pow
 from k3auto.lefschetz import (FixedCurve, FixedLocusConfig, as_count,
                               curve_term, derive_prop1_constraints,
                               hermite_normal_form, holo_target, holo_total,
-                              integer_kernel, point_term_exponents,
-                              prop1_residuals, prop1_satisfied, topo_check)
+                              integer_kernel, prop1_residuals,
+                              prop1_satisfied, topo_check)
 
 from fixtures import TABLE_ROWS
 
@@ -27,12 +27,11 @@ def test_holo_target():
 
 
 def test_point_terms_pinned():
-    # 1/((1-z^2)(1-z^7)) recomputed by clearing denominators
-    term = point_term_exponents(2, 7)
+    # 1/((1-z^2)(1-z^7)), the sum of one (2,7) point, recomputed by
+    # clearing denominators
+    term, _ = holo_total(FixedLocusConfig((), 1, 0, 0))
     den = (ONE - zeta_pow(2)) * (ONE - zeta_pow(7))
     assert term * den == ONE
-    with pytest.raises(ValueError):
-        point_term_exponents(8, 1)
 
 
 def _fresh_point_term(t, s):
@@ -49,20 +48,24 @@ EXPONENTS = [e for e in range(-15, 16) if e % 8]
 
 
 def test_cached_terms_equal_the_formula_built_fresh():
-    # the terms are kept per exponent mod 8: every representative, on a
-    # first and a repeated call, gives the formula's value
-    for e1 in EXPONENTS:
-        for e2 in EXPONENTS:
-            fresh = _fresh_point_term(e1, e2)
-            assert point_term_exponents(e1, e2) == fresh
-            assert point_term_exponents(e1, e2) == fresh
+    # each cached term, on a first and a repeated call, gives the
+    # formula's value: a point term as the sum of one point of its type,
+    # a curve term at every representative of its exponent mod 8
+    points = {1: (((2, 7), 1), ((3, 6), 2), ((4, 5), 3)), 2: (((6, 4), 6),)}
+    for power, types in points.items():
+        for slot, (pair, _) in enumerate(types):
+            counts = [0, 0, 0]
+            counts[slot] = 1
+            config = FixedLocusConfig((), *counts)
+            for _ in range(2):
+                assert holo_total(config, power)[0] \
+                    == _fresh_point_term(*pair)
     for genus in (0, 2, 3):
         for e in EXPONENTS:
             fresh = _fresh_curve_term(genus, e)
             assert curve_term(FixedCurve(genus, e)) == fresh
             assert curve_term(FixedCurve(genus, e)) == fresh
     # the sums of both powers, with an elliptic curve beside each curve
-    points = {1: (((2, 7), 1), ((3, 6), 2), ((4, 5), 3)), 2: (((6, 4), 6),)}
     for power in (1, 2):
         for genus in (0, 2, 3):
             for e in EXPONENTS:
@@ -73,12 +76,6 @@ def test_cached_terms_equal_the_formula_built_fresh():
                     fresh = fresh + _fresh_point_term(*pair) * count
                 assert holo_total(config, power) \
                     == (fresh, fresh == holo_target(power))
-    for _ in range(2):
-        for e in (-8, 0, 8, 16):
-            with pytest.raises(ValueError):
-                curve_term(FixedCurve(0, e))
-        with pytest.raises(ValueError):
-            point_term_exponents(8, 1)
 
 
 def test_curve_term_genus_kills():
@@ -86,8 +83,13 @@ def test_curve_term_genus_kills():
     rational = curve_term(FixedCurve(0, 2))
     den = (ONE - zeta_pow(2)) * (ONE - zeta_pow(2))
     assert rational * den == ONE + zeta_pow(2)
-    with pytest.raises(ValueError):
-        curve_term(FixedCurve(0, 8))
+    # a normal exponent 0 mod 8 is refused at construction, at every
+    # genus, so no sum ever skips it
+    for genus in (0, 1, 2):
+        for e in (-8, 0, 8, 16):
+            with pytest.raises(ValueError,
+                               match="nontrivial normal eigenvalue"):
+                FixedCurve(genus, e)
 
 
 def test_hermite_normal_form_known():

@@ -29,15 +29,8 @@ def test_arithmetic_basics():
     p = (T - 1) * (T + 2)
     assert p == T ** 2 + T - 2
     assert p.evaluate(1) == 0 and p.evaluate(-2) == 0
-    assert p.coefficient(1) == 1 and p.coefficient(5) == 0
+    assert p.coeffs == {0: -2, 1: 1, 2: 1}
     assert p.degree() == 2
-    q, r = divmod(p, T - 1)
-    assert q == T + 2 and r.is_zero()
-    assert p.exact_div(T - 1) == T + 2
-    with pytest.raises(ValueError):
-        (p + 1).exact_div(T - 1)
-    assert (3 * p).leading_coefficient() == 3
-    assert p.derivative() == 2 * T + 1
     assert RationalPolynomial.from_pairs([("1/2", 3), (1, 0)]) \
         == Fraction(1, 2) * T ** 3 + 1
     # a constant equals its value, so it hashes as its value too
@@ -57,63 +50,12 @@ def test_degree_of_zero_is_minus_infinity():
     assert zero.degree() == float("-inf")
 
 
-def check_division(p, d):
-    q, r = divmod(p, d)
-    assert q * d + r == p
-    assert r.is_zero() or r.degree() < d.degree()
-    return q, r
-
-
-def test_zero_operands_of_product_and_division():
+def test_zero_operands_of_product():
     zero = RationalPolynomial.zero()
     p = Fraction(3, 4) * T ** 2 - 5
     for product in (zero * p, p * zero, zero * zero, p * 0, 0 * p):
         assert product.is_zero()
-    q, r = check_division(zero, p)
-    assert q.is_zero() and r.is_zero()
-    assert zero.exact_div(p).is_zero()
     assert zero.evaluate(Fraction(2, 3)) == 0
-    for divisor in (zero, 0):
-        with pytest.raises(ZeroDivisionError):
-            divmod(p, divisor)
-        with pytest.raises(ZeroDivisionError):
-            p.exact_div(divisor)
-    with pytest.raises(ZeroDivisionError):
-        divmod(zero, zero)
-
-
-def test_division_by_non_monic_fractional_divisors():
-    d = Fraction(-2, 3) * T ** 2 + Fraction(5, 7) * T - Fraction(1, 9)
-    # a numerator of lower degree than the divisor is its own remainder
-    low = Fraction(7, 2) * T - 1
-    assert check_division(low, d) == (RationalPolynomial.zero(), low)
-    # exact: the quotient comes back, also with a large fractional cofactor
-    cofactor = Fraction(10 ** 20 + 1, 3) * T ** 3 - Fraction(1, 10 ** 20 + 7)
-    assert (d * cofactor).exact_div(d) == cofactor
-    assert check_division(d * cofactor, d) == (cofactor,
-                                               RationalPolynomial.zero())
-    # not exact: the pinned quotient and remainder
-    q, r = check_division(T ** 3 + 1, 2 * T ** 2 - Fraction(1, 2))
-    assert q == Fraction(1, 2) * T
-    assert r == Fraction(1, 4) * T + 1
-    with pytest.raises(ValueError, match="division is not exact"):
-        (T ** 3 + 1).exact_div(2 * T ** 2 - Fraction(1, 2))
-    with pytest.raises(ValueError, match="division is not exact"):
-        (d * cofactor + 1).exact_div(d)
-    # a content that does not divide the numerator over Z
-    assert (T - 1).exact_div(2 * T - 2) == RationalPolynomial.constant(
-        Fraction(1, 2))
-
-
-def test_division_by_constants():
-    p = Fraction(3, 5) * T ** 4 - 7 * T + Fraction(1, 3)
-    for c in (Fraction(-6, 11), 4):
-        q, r = check_division(p, RationalPolynomial.constant(c))
-        assert r.is_zero()
-        assert q == RationalPolynomial({e: v / c
-                                        for e, v in p.coeffs.items()})
-        assert p.exact_div(RationalPolynomial.constant(c)) == q
-        assert p // c == q and (p % c).is_zero()
 
 
 def test_products_and_evaluation_with_fractions():
@@ -124,8 +66,8 @@ def test_products_and_evaluation_with_fractions():
     for t in (Fraction(0), Fraction(-5, 7), Fraction(10 ** 20 + 1, 3), 2):
         assert product.evaluate(t) == p.evaluate(t) * q.evaluate(t)
     assert p.evaluate(Fraction(1, 2)) == 0
-    assert product.coefficient(7) == Fraction(-3, 2)
-    assert product.coefficient(0) == Fraction(-1, 2)
+    assert product.coeffs[7] == Fraction(-3, 2)
+    assert product.coeffs[0] == Fraction(-1, 2)
     assert RationalPolynomial.constant(Fraction(5, 3)).evaluate(7) \
         == Fraction(5, 3)
 
@@ -160,7 +102,7 @@ PRIME_20_DIGITS = (10000000000000000051, 30000000000000000041)
 def test_rational_roots_of_twenty_digit_prime_ends():
     lead, tail = PRIME_20_DIGITS
     p = (lead * T + tail) * (T + 1) * (T ** 2 + T + 1)
-    assert p.leading_coefficient() == lead and p.coefficient(0) == tail
+    assert p.coeffs[4] == lead and p.coeffs[0] == tail
     start = time.perf_counter()
     roots = rational_roots(p)
     elapsed = time.perf_counter() - start
@@ -219,10 +161,11 @@ def test_rational_roots_of_wide_layers(layer, roots, cofactor):
     assert rational_roots(-layer) == roots
     assert multiplicity_profile(layer) == [
         (Place.finite_rational(r), 1) for r in roots] + [
-        (Place.finite_irreducible(cofactor), 1)]
+        (Place("finite-irreducible", poly=cofactor.monic()), 1)]
     # a prime that divides the lead would lose the roots it divides the
     # denominator of
-    assert all(layer.leading_coefficient() % p == 0 for p in (2, 3, 5, 7))
+    lead = layer.coeffs[layer.degree()]
+    assert all(lead % p == 0 for p in (2, 3, 5, 7))
 
 
 def test_irrational_places_sort_as_their_coefficient_views():
@@ -355,10 +298,12 @@ def test_rational_roots_of_low_degree_layers(layer, roots):
     assert rational_roots(layer) == roots
     # the layer is simple; with the rational roots taken out, what is
     # left is one irrational place, or nothing
-    residual = layer.monic()
+    _, residual = polynomial._split_rational_roots(layer)
+    linear = RationalPolynomial.constant(1)
     for root in roots:
-        residual = residual.exact_div(T - root)
-    irrational = ([(Place.finite_irreducible(residual), 1)]
+        linear *= T - root
+    assert residual * linear == layer.monic()
+    irrational = ([(Place("finite-irreducible", poly=residual), 1)]
                   if residual.degree() > 0 else [])
     expected = [(Place.finite_rational(r), 1) for r in roots] + irrational
     assert multiplicity_profile(layer) == expected
@@ -381,7 +326,8 @@ def test_gcd_normalization():
     assert gcd(q, RationalPolynomial.zero()) == q.monic()
     assert gcd(RationalPolynomial.zero(),
                RationalPolynomial.zero()).is_zero()
-    assert gcd(p, p.derivative()) == T - Fraction(1, 2)
+    # p' = (2t - 1)(6t + 11)
+    assert gcd(p, (2 * T - 1) * (6 * T + 11)) == T - Fraction(1, 2)
 
 
 def test_multiplicity_profile_pinned():
@@ -424,9 +370,9 @@ def test_valuations():
     assert valuation_at(fractional, Place.finite_rational(1)) == 1
     assert valuation_at(fractional, Place.finite_rational(-1)) == 0
     assert valuation_at(fractional,
-                        Place.finite_irreducible(T ** 2 - 3)) == 2
+                        Place("finite-irreducible", poly=T ** 2 - 3)) == 2
     assert valuation_at(fractional,
-                        Place.finite_irreducible(T ** 2 + 3)) == 0
+                        Place("finite-irreducible", poly=T ** 2 + 3)) == 0
     with pytest.raises(ValueError):
         valuation_at(p, Place.infinity())
 
@@ -526,7 +472,7 @@ def test_place_basics():
     assert str(Place.infinity()) == "t=infinity"
     assert str(Place.finite_rational(Fraction(1, 2))) == "t=1/2"
     assert Place.finite_rational(3).degree() == 1
-    quad = Place.finite_irreducible(T ** 2 + 1)
+    quad = Place("finite-irreducible", poly=T ** 2 + 1)
     assert quad.degree() == 2
     assert Place.infinity().degree() == 1
 
@@ -544,10 +490,8 @@ def test_infinity_transform_matches_discriminant():
         assert weierstrass_discriminant(at, bt) == RationalPolynomial(
             {24 - e: c for e, c in delta.coeffs.items()})
         # the reversal weights: coefficient j of a becomes 8 - j
-        for e, c in a.coeffs.items():
-            assert at.coefficient(8 - e) == c
-        for e, c in b.coeffs.items():
-            assert bt.coefficient(12 - e) == c
+        assert at.coeffs == {8 - e: c for e, c in a.coeffs.items()}
+        assert bt.coeffs == {12 - e: c for e, c in b.coeffs.items()}
     with pytest.raises(ValueError):
         WeierstrassFibration(T ** 9, T)
 

@@ -27,7 +27,7 @@ _ANALYSIS = worked_example(3, preset="i8")
 _REPORT_FIELDS = ("place", "kodaira", "label", "fixed_points",
                   "point_counts", "rational_fixed_curves", "points_from")
 _FIXED_DATA_FIELDS = ("k_sigma", "points", "k_sigma2", "k_sigma4",
-                      "alpha_contrib", "n_sigma2", "elliptic_fixed_by")
+                      "n_sigma2", "elliptic_fixed_by")
 _ANALYSIS_FIELDS = ("fibration", "automorphism", "singular_fibers",
                     "inventory", "euler_sum", "two_form_exponent",
                     "invariant_fibers", "action", "matched_row", "checks")
@@ -130,7 +130,7 @@ def test_record_values_and_defaults():
     g = DiagonalAutomorphism(12, -6, 15)
     assert g == DiagonalAutomorphism(4, 2, 7)
     assert (g.translate, g.torsion_x0) == (False, None)
-    assert FiberFixedData(0, (0, 0, 0), 0, 1, 0, 0).elliptic_fixed_by is None
+    assert FiberFixedData(0, (0, 0, 0), 0, 1, 0).elliptic_fixed_by is None
     assert InvolutionFixData(10, 10).special is None
 
 
@@ -153,7 +153,7 @@ REJECTIONS = [
      "order-4 action needs a point split summing to 2"),
     (lambda: FiberAction(PRESERVE, (1, 1)),
      "only order-4 actions carry a point split"),
-    (lambda: FiberFixedData(1, (0, 0, 0), 0, 1, 0, 0),
+    (lambda: FiberFixedData(1, (0, 0, 0), 0, 1, 0),
      "pointwise component counts must be monotone in the power"),
     (lambda: EigenRanks(-1, 3, 4, 3), "ranks must be non-negative"),
     (lambda: EigenRanks(3, 3, 2, 2),
@@ -175,6 +175,8 @@ REJECTIONS = [
     (lambda: FixedCurve(1.0, 1), "'genus' must be an integer, not 1.0"),
     (lambda: FixedCurve(0, "1"), "'normal_exp' must be an integer, not '1'"),
     (lambda: FixedCurve(-1, 1), "genus must be non-negative"),
+    (lambda: FixedCurve(1, 8),
+     "fixed curve needs a nontrivial normal eigenvalue"),
     (lambda: FixedLocusConfig((), -1, 0, 0),
      "'n2' must be a non-negative integer, not -1"),
     (lambda: FixedLocusConfig((), 0, True, 0),

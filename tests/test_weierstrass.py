@@ -179,13 +179,19 @@ def test_kodaira_at_infinity_is_kodaira_at_zero_of_the_reversal():
     assert {"I_0", "IV*", "error"} < seen and len(seen) >= 10, seen
 
 
-def test_mixed_irrational_layer_is_split_by_valuation():
+def _mixed_layer():
     # t^2 - 2 and t^2 - 3 both divide delta twice, but only t^2 - 2
-    # divides a and b: (v(a), v(b), v(delta)) = (2, 1, 2) there, type II,
-    # and (0, 0, 2) at t^2 - 3, type I_2
+    # divides a and b
     u = T * T - 2
     w = u * (T * T - 3) ** 2 * (T ** 6 + 5)
-    f = WeierstrassFibration(u * u * -3, u * u * u * 2 + w)
+    return WeierstrassFibration(u * u * -3, u * u * u * 2 + w)
+
+
+def test_mixed_irrational_layer_is_split_by_valuation():
+    # (v(a), v(b), v(delta)) = (2, 1, 2) at t^2 - 2, type II, and
+    # (0, 0, 2) at t^2 - 3, type I_2
+    u = T * T - 2
+    f = _mixed_layer()
     assert fiber_inventory(f) == {"I_1": 16, "I_2": 2, "II": 2}
     triples = {repr(r.place.poly): (r.v_a, r.v_b, r.v_delta, r.kodaira)
                for r in fiber_reports(f) if r.place.degree() == 2}
@@ -383,6 +389,54 @@ def test_reported_valuations_match_direct_computation():
     assert all(seen[kind, additive] >= 5
                for kind in ("finite-rational", "finite-irreducible")
                for additive in (False, True)), seen
+
+
+def _factored(rng, cap):
+    """A nonzero constant times factors t - r and t^2 - d of total degree
+    at most cap; the small pools repeat factors, so roots are multiple."""
+    p = RationalPolynomial.constant(rng.choice([1, -1, 2, -3,
+                                                Fraction(1, 2)]))
+    degree = rng.randint(0, cap)
+    while degree:
+        if degree > 1 and rng.random() < 0.5:
+            p *= T * T - rng.choice([2, 3, -1, -3])
+            degree -= 2
+        else:
+            p *= T - rng.randint(-2, 2)
+            degree -= 1
+    return p
+
+
+def test_kodaira_type_at_agrees_with_fiber_reports():
+    """fixed_points_on_fiber types its one place through kodaira_type_at,
+    analyze_action every place through fiber_reports: at each reported
+    place, rational, irrational or at infinity, the two give one report.
+    The surfaces are those of the valuation cross-check (the golden
+    inputs, the worked-example presets and designed short forms), a
+    layer of delta that splits by valuation, and seeded products of
+    linear and quadratic factors in both forms."""
+    rng = random.Random(80810)
+    samples = [(f, False) for f in (*_valuation_samples(), _mixed_layer())]
+    samples += [(WeierstrassFibration(_factored(rng, da), _factored(rng, db),
+                                      form), True)
+                for form, (da, db) in _WEIGHTS.items() for _ in range(300)]
+    seen = Counter()
+    for f, drawn in samples:
+        try:
+            reports = fiber_reports(f)
+        except InvariantError:
+            # a draw may be no K3 datum; a pinned surface always types
+            assert drawn, f
+            continue
+        for report in reports:
+            assert kodaira_type_at(f, report.place) == report
+            seen[f.form, report.place.kind] += 1
+            if report.v_a > 0 and report.v_b > 0:
+                seen["additive", report.place.kind] += 1
+    # every kind of place in both forms, and additive fibers at each
+    assert all(seen[group, kind] >= 5 for group in (*_WEIGHTS, "additive")
+               for kind in ("finite-rational", "finite-irreducible",
+                            "infinity")), seen
 
 
 def test_rescaling_leaves_fiber_types():
