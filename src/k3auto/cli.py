@@ -27,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,8 +59,26 @@ def _load_json(path: str):
         raise ValueError("cannot read %s: %s" % (path, err))
     except UnicodeDecodeError as err:
         raise ValueError("%s is not UTF-8 text: %s" % (path, err))
+    except RecursionError:
+        raise ValueError("%s is nested too deeply to read" % path) from None
     except json.JSONDecodeError as err:
         raise ValueError("%s is not valid JSON: %s" % (path, err))
+
+
+@contextmanager
+def _any_int_width():
+    """Lift CPython's limit on int-to-string conversion inside the block,
+    and restore it after: a place of an accepted input can have about
+    three times its coefficients' digits.  Python 3.10.0 to 3.10.6 has
+    no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _mark(ok: bool) -> str:
@@ -132,12 +151,14 @@ def cmd_analyze(args) -> int:
     automorphism = DiagonalAutomorphism.from_json(
         _load_json(args.automorphism))
     analysis = analyze_action(fibration, automorphism)
-    if fmt == "json":
-        sys.stdout.write(_json_dump(analysis.to_json()))
-    elif fmt == "csv":
-        sys.stdout.write(render_csv([analysis.matched_row]))
-    else:
-        sys.stdout.write(_analysis_table(analysis))
+    # every input is parsed, under the interpreter's limit
+    with _any_int_width():
+        if fmt == "json":
+            sys.stdout.write(_json_dump(analysis.to_json()))
+        elif fmt == "csv":
+            sys.stdout.write(render_csv([analysis.matched_row]))
+        else:
+            sys.stdout.write(_analysis_table(analysis))
     return 0 if all(analysis.checks.values()) else 1
 
 

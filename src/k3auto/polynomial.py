@@ -17,8 +17,8 @@ Every algorithm runs in int arithmetic on the stored list, in time
 polynomial in the bit size of the input: division by a primitive divisor
 stays in the integers whenever it is exact (Gauss's lemma), gcd is the
 heuristic GCDHEU (one big-integer gcd of two values, certified by exact
-division) with a primitive pseudo-remainder sequence as its fallback, and
-the layer loop that Yun's algorithm and split_by_valuation share tries
+division, at a larger power of two until it certifies), and the layer
+loop that Yun's algorithm and split_by_valuation share tries
 one exact division before each gcd; a gcd with the constant 1 is 1, with
 no certificate.  A monic divisor needs no integer division, and a
 divisor of degree one or two divides synthetically.  rational_roots
@@ -261,13 +261,24 @@ def sum_pairs(pairs: Sequence[Sequence]) -> Dict[int, Fraction]:
     return acc
 
 
+# the most digits a rational string may hold, CPython's default limit on
+# int-from-string conversion; counted before converting, so no longer
+# string is read where PYTHONINTMAXSTRDIGITS lifts that limit
+MAX_DIGITS = 4300
+
+
 def parse_rational(text: str) -> Fraction:
     """The rational a string such as "-3/4", "0.5" or " 2 " denotes.  No
     exponent notation: "1e3000000" is nine characters for 3 million digits.
+    At most MAX_DIGITS digits in all.
     """
     if "e" in text or "E" in text:
         raise ValueError("%r is in exponent notation; write it as an "
                          "integer, p/q or a decimal" % (text,))
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_DIGITS:
+        raise ValueError("has %d digits, more than the %d a rational may "
+                         "have" % (digits, MAX_DIGITS))
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -285,8 +296,8 @@ def gcd(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
     Works on the integer primitive parts of p and q: the heuristic GCDHEU
     reads the gcd off one integer gcd of their values at a large power of
     two xi, and keeps it only when it divides both exactly, which together
-    with the bound on xi proves it is the gcd; after _HEU_TRIES failed
-    values a primitive pseudo-remainder sequence computes it instead.
+    with the bound on xi proves it is the gcd; otherwise it tries a larger
+    xi, and a large enough xi always certifies (see _gcd_cofactors).
     """
     if q.is_zero():
         return p.monic()
@@ -421,68 +432,53 @@ def _derivative(f: List[int]) -> List[int]:
     return [i * c for i, c in enumerate(f)][1:]
 
 
-def _pseudo_remainder(a: List[int], b: List[int]) -> Tuple[List[int], int]:
-    """(r, s): r = s*a - q*b is the pseudo-remainder for some int list q.
-
-    Each step scales a by lc(b)/g rather than lc(b), g the gcd of the two
-    leading terms; zeros left at the top are not stripped.
-    """
-    a = list(a)
-    n, lead_b = len(b) - 1, b[-1]
-    total = 1
-    while len(a) > n:
-        lead_a = a.pop()
-        if not lead_a:
-            continue
-        g = math.gcd(lead_a, lead_b)
-        scale, factor = lead_b // g, lead_a // g
-        total *= scale
-        shift = len(a) - n
-        a = [c * scale for c in a]
-        for i, c in enumerate(b[:-1]):
-            a[shift + i] -= factor * c
-    return a, total
-
-
-# evaluation points GCDHEU tries before the pseudo-remainder sequence
-_HEU_TRIES = 6
-
-
 def _gcd_cofactors(a: List[int], b: List[int]
                    ) -> Tuple[List[int], List[int], List[int]]:
     """(h, a/h, b/h) for primitive int lists a, b, not both zero, with h
     their gcd, primitive with a positive leading term.
 
-    GCDHEU (Char, Geddes and Gonnet 1989): at a power of two
+    GCDHEU (Char, Geddes and Gonnet 1989; Geddes, Czapor and Labahn,
+    Algorithms for Computer Algebra, 7.7): at a power of two
     xi = 2^k >= 2 min(|a|, |b|) + 2 (max norms), read gcd(a(xi), b(xi))
     as balanced base-xi digits and take the primitive part h.  If h divides
     both a and b, it is their gcd (the GCDHEU theorem), and the exact
-    quotients are the cofactors; otherwise xi grows, and after _HEU_TRIES
-    values _int_gcd decides.  No h but 1 is returned without both
-    divisions, and an operand that is the constant 1 (a unit) makes h 1
-    at once.
+    quotients are the cofactors; otherwise k grows by k // 4 + 2 and the
+    loop tries again, until both divisions certify h.  No h but 1 is
+    returned without both divisions; an operand that is the constant 1
+    (a unit) makes h 1 at once, and gcd(h, 0) is the primitive h itself.
+
+    The loop ends.  Let a = h a* and b = h b* with h the gcd.  xi exceeds
+    the root bound 1 + |a| of the min-norm operand, say a, so a(xi) != 0
+    and the value gcd is |h(xi)| D with D = gcd(a*(xi), b*(xi)) > 0.  As
+    Res(a*, b*) = u a* + v b* for some u, v in Z[t], D divides that
+    resultant, which is fixed and nonzero.  Once xi > 2 |Res| |h|, the
+    coefficients of D h lie in (-xi/2, xi/2), so the balanced digits are
+    +-D h exactly, their primitive part is h, and both divisions succeed.
+    Since k grows by a factor of at least 5/4, the number of tries is
+    logarithmic in the bit length of the Hadamard bound on |Res| times
+    Mignotte's bound on |h|, and the last xi has at most 5/4 of that
+    many bits plus two: polynomial in the input's bit size.
     """
     if a == [1] or b == [1]:
         # a unit gcd needs no certificate
         return [1], a, b
-    if len(a) > 1 and len(b) > 1:
-        # xi = 2^k, the least power of two >= 2 min(|a|, |b|) + 2
-        k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
-        for _ in range(_HEU_TRIES):
-            # xi exceeds the min-norm input's root bound, so the gcd is > 0
-            h = _primitive_part(_balanced_digits(
-                math.gcd(_eval_at(a, k), _eval_at(b, k)), k))
-            if h == [1]:
-                return h, a, b
-            cofactor_a = _int_quotient(a, h)
-            if cofactor_a is not None:
-                cofactor_b = _int_quotient(b, h)
-                if cofactor_b is not None:
-                    return h, cofactor_a, cofactor_b
-            # about 4 xi^(5/4), after sympy's 2.7 xi^(5/4)
-            k += k // 4 + 2
-    h = _int_gcd(a, b)
-    return h, _int_quotient(a, h), _int_quotient(b, h)
+    if not a or not b:
+        return (b, [], [1]) if not a else (a, [1], [])
+    # xi = 2^k, the least power of two >= 2 min(|a|, |b|) + 2
+    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
+    while True:
+        # xi exceeds the min-norm input's root bound, so the gcd is > 0
+        h = _primitive_part(_balanced_digits(
+            math.gcd(_eval_at(a, k), _eval_at(b, k)), k))
+        if h == [1]:
+            return h, a, b
+        cofactor_a = _int_quotient(a, h)
+        if cofactor_a is not None:
+            cofactor_b = _int_quotient(b, h)
+            if cofactor_b is not None:
+                return h, cofactor_a, cofactor_b
+        # about 4 xi^(5/4), after sympy's 2.7 xi^(5/4)
+        k += k // 4 + 2
 
 
 def _eval_at(f: List[int], k: int) -> int:
@@ -506,16 +502,6 @@ def _balanced_digits(n: int, k: int) -> List[int]:
             n += 1
         digits.append(digit)
     return digits
-
-
-def _int_gcd(a: List[int], b: List[int]) -> List[int]:
-    """Primitive gcd of two integer lists, not both zero, by a primitive
-    pseudo-remainder sequence (the fallback of _gcd_cofactors)."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive_part(_pseudo_remainder(a, b)[0])
-    return _primitive_part(a)
 
 
 def _int_quotient(f: List[int], g: List[int]) -> Optional[List[int]]:

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import re
+import sys
 
 import pytest
 
@@ -171,6 +173,69 @@ def test_huge_exponent_is_refused_by_its_degree(capsys, tmp_path, exponent,
 
 CHECK_CONFIG = {"curves": [{"genus": 1, "normal_exp": 1}],
                 "n2": 2, "n3": 0, "n4": 0}
+
+
+@pytest.mark.parametrize("depth", [1_100, 100_000])
+@pytest.mark.parametrize("option", ["fibration", "automorphism", "config"])
+def test_deep_json_gives_one_error_line(capsys, tmp_path, option, depth):
+    # 1,100 levels passed the recursion limit of Python 3.10 and 3.11 and
+    # printed a traceback; 100,000 pass every interpreter's JSON guard
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    if option == "config":
+        argv = ["lefschetz", "--config", str(deep)]
+    else:
+        files = {"fibration": write_json(tmp_path, "f.json", EX1_FIBRATION),
+                 "automorphism": write_json(tmp_path, "g.json",
+                                            EX1_AUTOMORPHISM),
+                 option: str(deep)}
+        argv = ["analyze", "--fibration", files["fibration"],
+                "--automorphism", files["automorphism"]]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if depth > 10_000:
+        assert err == "error: %s is nested too deeply to read\n" % deep
+
+
+def _readme_surface(tmp_path, digits):
+    # a = A + t^8, b = 3 + t^8 with an A of the given digits
+    return ("--fibration",
+            write_json(tmp_path, "f.json",
+                       dict(EX1_FIBRATION, a=[["7" * digits, 0], ["1", 8]])),
+            "--automorphism",
+            write_json(tmp_path, "g.json", EX1_AUTOMORPHISM))
+
+
+@pytest.mark.parametrize("limit", [None, 0])
+def test_a_coefficient_beyond_the_digit_bound_is_refused(capsys, tmp_path,
+                                                         limit):
+    # counted before conversion, so lifting the interpreter's limit on
+    # int-from-string conversion (0) does not lift the bound
+    before = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        code, out, err = run(capsys, "analyze",
+                             *_readme_surface(tmp_path, 4_301))
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == 1 and out == ""
+    assert err == ("error: 'a': coefficient has 4301 digits, more than the "
+                   "4300 a rational may have\n")
+
+
+@pytest.mark.parametrize("digits", [1_500, 4_300])
+def test_analyze_prints_places_wider_than_the_int_string_limit(
+        capsys, tmp_path, digits):
+    # the degree-24 place has about three times A's digits; the CLI lifts
+    # the interpreter's limit only while it renders, and restores it
+    before = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "analyze", "--format", "json",
+                         *_readme_surface(tmp_path, digits))
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == before
+    assert max(map(len, re.findall(r"\d+", out))) > before
 
 
 @pytest.mark.parametrize("verb, first, second, field", [

@@ -223,25 +223,18 @@ def gcd_pairs(draw):
     ((T + 1) * (T ** 2 + T + 1) * (T ** 2 - T + 1)) ** 4,
     -3 * ((T + 1) * (T ** 2 + T + 1) * (T - 1)) ** 4)))
 def test_gcd_matches_sympy(pair):
-    """gcd against sympy's monic gcd over QQ, with the default number of
-    xi values and with none (the pseudo-remainder fallback alone); the
-    cofactor triple multiplies back to both primitive parts."""
+    """gcd against sympy's monic gcd over QQ; the cofactor triple
+    multiplies back to both primitive parts."""
     p, q = (to_k3auto(e) for e in pair)
     want = to_k3auto(sympy.Poly(pair[0], T, domain="QQ").gcd(
         sympy.Poly(pair[1], T, domain="QQ")).monic().as_expr())
-    tries = polynomial._HEU_TRIES
-    try:
-        for n_tries in (tries, 0):
-            polynomial._HEU_TRIES = n_tries
-            assert gcd(p, q) == want
-            a, b = (polynomial._primitive_part(x._num) for x in (p, q))
-            h, cofactor_a, cofactor_b = polynomial._gcd_cofactors(a, b)
-            assert h == polynomial._primitive_part(h)
-            as_poly = RationalPolynomial._from_ints
-            assert as_poly(h) * as_poly(cofactor_a) == as_poly(a)
-            assert as_poly(h) * as_poly(cofactor_b) == as_poly(b)
-    finally:
-        polynomial._HEU_TRIES = tries
+    assert gcd(p, q) == want
+    a, b = (polynomial._primitive_part(x._num) for x in (p, q))
+    h, cofactor_a, cofactor_b = polynomial._gcd_cofactors(a, b)
+    assert h == polynomial._primitive_part(h)
+    as_poly = RationalPolynomial._from_ints
+    assert as_poly(h) * as_poly(cofactor_a) == as_poly(a)
+    assert as_poly(h) * as_poly(cofactor_b) == as_poly(b)
 
 
 # -- products ----------------------------------------------------------------------

@@ -408,22 +408,24 @@ def test_layer_gcds_only_where_a_division_fails(monkeypatch):
 
 # g has larger coefficients than both of its multiples, so the first value
 # of xi, the least power of two >= 2 min(|p|, |q|) + 2, cannot carry it
-# and GCDHEU needs a second xi
-MISREAD_GCD = ((T + 1) * (T ** 2 + T + 1)) ** 4
-MISREAD_PAIR = (MISREAD_GCD * (T ** 2 - T + 1) ** 4,
-                Fraction(-5, 3) * MISREAD_GCD * (T - 1) ** 4)
+# and GCDHEU needs a larger xi
+def _misread(m):
+    g = ((T + 1) * (T ** 2 + T + 1)) ** m
+    return g, (g * (T ** 2 - T + 1) ** m, Fraction(-5, 3) * g * (T - 1) ** m)
 
 
-def test_gcd_heuristic_retries_before_the_fallback(monkeypatch):
-    fallbacks = []
-    prs = polynomial._int_gcd
-    monkeypatch.setattr(polynomial, "_int_gcd",
-                        lambda a, b: fallbacks.append(1) or prs(a, b))
-    assert gcd(*MISREAD_PAIR) == MISREAD_GCD.monic()
-    assert not fallbacks
-    monkeypatch.setattr(polynomial, "_HEU_TRIES", 1)
-    assert gcd(*MISREAD_PAIR) == MISREAD_GCD.monic()
-    assert fallbacks == [1]
+def test_gcd_heuristic_retries_until_it_certifies(monkeypatch):
+    """Each try reads one value gcd at xi = 2^k, and k grows by k // 4 + 2
+    until both divisions certify: two tries for m = 4, three for m = 8."""
+    tried = []
+    digits = polynomial._balanced_digits
+    monkeypatch.setattr(polynomial, "_balanced_digits",
+                        lambda n, k: tried.append(k) or digits(n, k))
+    for m, ks in ((4, [7, 10]), (8, [13, 18, 24])):
+        g, pair = _misread(m)
+        tried.clear()
+        assert gcd(*pair) == g.monic()
+        assert tried == ks, m
 
 
 def test_gcd_heuristic_checks_both_divisions():
@@ -444,8 +446,7 @@ def test_gcd_heuristic_divides_by_no_constant_one(monkeypatch):
     assert gcd(p, q) == RationalPolynomial.constant(1)
     assert not divisions
     assert (p._num, q._num) == before
-    # a constant operand is a unit: no GCDHEU, no fallback, no division
-    monkeypatch.setattr(polynomial, "_int_gcd", None)
+    # a constant operand is a unit: no GCDHEU, no division
     monkeypatch.setattr(polynomial, "_eval_at", None)
     assert gcd(p, RationalPolynomial.constant(Fraction(-3, 4))) == 1
     assert not divisions
@@ -453,19 +454,12 @@ def test_gcd_heuristic_divides_by_no_constant_one(monkeypatch):
     assert squarefree_decomposition(3 * T - 1) == [(T - Fraction(1, 3), 1)]
 
 
-@pytest.mark.parametrize("tries", [0, 1])
-def test_pseudo_remainder_fallback_gives_the_same_results(monkeypatch,
-                                                          tries):
-    """The pinned gcd, squarefree, root and split cases with the heuristic
-    cut to `tries` values of xi, so the fallback does (some of) the work."""
-    monkeypatch.setattr(polynomial, "_HEU_TRIES", tries)
-    test_rational_roots_and_squarefree()
-    test_rational_roots_of_twenty_digit_prime_ends()
-    test_rational_roots_of_repeated_and_fractional_factors()
-    test_gcd_normalization()
-    test_split_by_valuation()
-    test_multiplicity_profile_pinned()
-    assert gcd(*MISREAD_PAIR) == MISREAD_GCD.monic()
+def test_gcd_with_a_zero_operand_is_the_other(monkeypatch):
+    # gcd(h, 0) is the primitive h, with cofactors 1 and 0: no GCDHEU
+    monkeypatch.setattr(polynomial, "_eval_at", None)
+    h = [-1, 0, 3]
+    assert polynomial._gcd_cofactors(h, []) == (h, [1], [])
+    assert polynomial._gcd_cofactors([], h) == (h, [], [1])
 
 
 def test_place_basics():
@@ -589,7 +583,7 @@ def _bits(value) -> int:
 
 # _balanced_digits runs once per GCDHEU try and once for the discriminant;
 # _newton_step is one Hensel lift step of one root
-COUNTED = ("_gcd_cofactors", "_int_gcd", "_int_quotient",
+COUNTED = ("_gcd_cofactors", "_int_quotient",
            "_split_rational_roots", "_balanced_digits", "_newton_step")
 
 
@@ -617,28 +611,27 @@ WIDEST_MULTIPLE = {"_newton_step": 6}
 DEGREE_BITS = 96
 
 
-@pytest.mark.parametrize("surface, tries, inventory, most", [
-    (_generic_surface, None, {"I_1": 24},
-     {"_gcd_cofactors": 2, "_int_gcd": 0, "_int_quotient": 3,
+@pytest.mark.parametrize("surface, inventory, most", [
+    (_generic_surface, {"I_1": 24},
+     {"_gcd_cofactors": 2, "_int_quotient": 3,
       "_split_rational_roots": 1, "_balanced_digits": 2}),
-    (_cycle_surface, None, {"I_1": 12, "I_2": 2, "I_4": 2},
-     {"_gcd_cofactors": 6, "_int_gcd": 0, "_int_quotient": 15,
+    (_cycle_surface, {"I_1": 12, "I_2": 2, "I_4": 2},
+     {"_gcd_cofactors": 6, "_int_quotient": 15,
       "_split_rational_roots": 3, "_balanced_digits": 6}),
-    # no GCDHEU try, so that every layer gcd takes the PRS fallback
-    (_layered_surface, 0, {"III": 3, "I_0*": 1, "III*": 1},
-     {"_gcd_cofactors": 5, "_int_gcd": 4, "_int_quotient": 33,
-      "_split_rational_roots": 3, "_balanced_digits": 1}),
-], ids=["generic", "irrational-cycles", "layers-by-prs"])
+    # gcd(delta, delta') and three layer gcds, each certified at its first
+    # xi, and one gcd with the unit 1
+    (_layered_surface, {"III": 3, "I_0*": 1, "III*": 1},
+     {"_gcd_cofactors": 5, "_int_quotient": 31,
+      "_split_rational_roots": 3, "_balanced_digits": 5}),
+], ids=["generic", "irrational-cycles", "layers"])
 def test_typing_work_is_polynomial_in_the_digits(monkeypatch, surface,
-                                                 tries, inventory, most):
+                                                 inventory, most):
     """The calls one typing makes do not grow with the digits, except the
     lift steps, which grow like the log of the bound; the counts are
     pinned from the first run, the divisions with a margin of two for the
     candidate roots a lift may bring."""
     for digits in (10, 40, 160, 640):
         with monkeypatch.context() as patch:
-            if tries is not None:
-                patch.setattr(polynomial, "_HEU_TRIES", tries)
             calls, widest, in_bits, got = _typing_work(patch, surface,
                                                        digits)
         assert got == inventory
@@ -646,7 +639,6 @@ def test_typing_work_is_polynomial_in_the_digits(monkeypatch, surface,
         assert lift_steps <= 3 * in_bits.bit_length(), (digits, lift_steps)
         assert all(calls.get(name, 0) <= top for name, top in most.items())
         assert set(calls) <= set(most), calls
-        assert bool(calls.get("_int_gcd")) == (tries == 0)
         for name, bits in widest.items():
             assert bits <= (WIDEST_MULTIPLE.get(name, 3) * in_bits
                             + DEGREE_BITS), (digits, name, bits, in_bits)
