@@ -13,9 +13,27 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# the most digits a number in the input may hold, CPython's default limit
+# on int-from-string conversion; counted before converting, so no longer
+# number is read where PYTHONINTMAXSTRDIGITS lifts that limit
+MAX_DIGITS = 4300
+
 
 class InvariantError(RuntimeError):
     """A structural invariant of the surface or of the action fails."""
+
+
+class UnknownKeyError(ValueError):
+    """An input object holds a key that its reader does not take."""
+
+
+def refuse_unknown_keys(data, keys, where=""):
+    """UnknownKeyError naming the first key of data not among keys; where
+    says which object of the input it is in."""
+    for key in data:
+        if key not in keys:
+            raise UnknownKeyError("unknown key %r%s; the keys are %s"
+                                  % (key, where, ", ".join(keys)))
 
 
 _EXPORTS = {

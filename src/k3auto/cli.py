@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import InvariantError
+from . import MAX_DIGITS, InvariantError, UnknownKeyError, refuse_unknown_keys
 
 FORMATS = ("table", "json", "csv")
 
@@ -52,9 +52,20 @@ def _json_dump(data) -> str:
 
 
 def _load_json(path: str):
+    """The JSON value in the file at path.  A number of more than
+    MAX_DIGITS digits is refused; one within is read whatever the
+    interpreter's limit."""
+    def bounded_int(text: str) -> int:
+        digits = len(text) - text.startswith("-")
+        if digits > MAX_DIGITS:
+            raise ValueError("%s holds a number of %d digits, more than the "
+                             "%d a number may have"
+                             % (path, digits, MAX_DIGITS))
+        return int(text)
+
     try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, encoding="utf-8") as handle, _any_int_width():
+            return json.load(handle, parse_int=bounded_int)
     except OSError as err:
         raise ValueError("cannot read %s: %s" % (path, err))
     except UnicodeDecodeError as err:
@@ -67,10 +78,10 @@ def _load_json(path: str):
 
 @contextmanager
 def _any_int_width():
-    """Lift CPython's limit on int-to-string conversion inside the block,
-    and restore it after: a place of an accepted input can have about
-    three times its coefficients' digits.  Python 3.10.0 to 3.10.6 has
-    no limit."""
+    """Lift CPython's limit on int <-> string conversion inside the block,
+    and restore it after.  Every number of an input file is counted
+    against MAX_DIGITS before it is converted.  Python 3.10.0 to 3.10.6
+    has no limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -79,6 +90,15 @@ def _any_int_width():
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+@contextmanager
+def _keys_of(path: str):
+    """Name the file in the refusal of a key it does not take."""
+    try:
+        yield
+    except UnknownKeyError as err:
+        raise ValueError("%s: %s" % (path, err)) from None
 
 
 def _mark(ok: bool) -> str:
@@ -147,12 +167,17 @@ def cmd_analyze(args) -> int:
     from .weierstrass import (DiagonalAutomorphism, WeierstrassFibration,
                               analyze_action)
     fmt = _resolve_format(args.format)
-    fibration = WeierstrassFibration.from_json(_load_json(args.fibration))
-    automorphism = DiagonalAutomorphism.from_json(
-        _load_json(args.automorphism))
-    analysis = analyze_action(fibration, automorphism)
-    # every input is parsed, under the interpreter's limit
+    # the coefficient strings are read within MAX_DIGITS whatever the
+    # interpreter's limit, and a place of an accepted input can have
+    # about three times its coefficients' digits
     with _any_int_width():
+        with _keys_of(args.fibration):
+            fibration = WeierstrassFibration.from_json(
+                _load_json(args.fibration))
+        with _keys_of(args.automorphism):
+            automorphism = DiagonalAutomorphism.from_json(
+                _load_json(args.automorphism))
+        analysis = analyze_action(fibration, automorphism)
         if fmt == "json":
             sys.stdout.write(_json_dump(analysis.to_json()))
         elif fmt == "csv":
@@ -276,6 +301,7 @@ def enumerate_point_counts(alpha: int,
 
 def _lefschetz_enumerate(data, fmt: str) -> int:
     from .lefschetz import as_count
+    refuse_unknown_keys(data, ("alpha", "n2", "n3", "n4"))
     alpha = as_count("alpha", data["alpha"])
     pins = {key: as_count(key, data[key])
             for key in ("n2", "n3", "n4") if key in data}
@@ -309,10 +335,11 @@ def cmd_lefschetz(args) -> int:
     data = _load_json(args.config)
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    if "curves" in data:
-        return _lefschetz_check(data, fmt)
-    if "alpha" in data:
-        return _lefschetz_enumerate(data, fmt)
+    with _keys_of(args.config):
+        if "curves" in data:
+            return _lefschetz_check(data, fmt)
+        if "alpha" in data:
+            return _lefschetz_enumerate(data, fmt)
     raise ValueError("config needs either curve data with point counts "
                      "or an 'alpha' value to enumerate")
 

@@ -1,22 +1,25 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_8).
 
 Elements are stored on the power basis (1, z, z^2, z^3), z a primitive 8th
-root of unity and z^4 = -1, with `fractions.Fraction` coordinates: every
-operation is exact, and equal elements have equal coordinates.  A
-rational element equals, and hashes as, the int or Fraction it stands
-for (a bool is neither); a product by an int or Fraction scales the four
-coordinates instead of forming the 16-term product.  The field holds
-i = z^2 and sqrt(2) = z - z^3.  Inverse and norm go through Q(i) in
-integers: x = (u + v*z)/d, u = a0 + a2*i and v = a1 + a3*i integral, and
-s5: z -> -z gives x * x^s5 = (u^2 - i*v^2)/d^2 = (p + q*i)/d^2, so N(x) =
-(p^2 + q^2)/d^4 and x^-1 = d^2 * x^s5 * (p - q*i)/(p^2 + q^2).  The module
-also holds the ring idioms all rings here share: `format_sum` and `power`.
+root of unity and z^4 = -1, as four ints over one positive denominator d
+in lowest terms, as Q[t] and the map polynomials store theirs: every
+operation is exact and runs on ints, each result is normalized by one
+gcd, and equal elements have equal representations.  `coords` gives the
+four coordinates as Fractions, and `as_ints` the ints and d.  A rational
+element equals, and hashes as, the int or Fraction it stands for (a bool
+is neither); a product by an int or Fraction scales the four numerators
+instead of forming the 16-term product.  The field holds i = z^2 and
+sqrt(2) = z - z^3.  Inverse and norm go through Q(i) in integers: x =
+(u + v*z)/d, u = a0 + a2*i and v = a1 + a3*i integral, and s5: z -> -z
+gives x * x^s5 = (u^2 - i*v^2)/d^2 = (p + q*i)/d^2, so N(x) = (p^2 +
+q^2)/d^4 and x^-1 = d^2 * x^s5 * (p - q*i)/(p^2 + q^2).  The module also
+holds the ring idioms all rings here share: `format_sum` and `power`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -67,37 +70,66 @@ def power(base, n: int, one):
 
 
 class Cyc8Element:
-    """An element c0 + c1*z + c2*z^2 + c3*z^3 of Q(zeta_8)."""
+    """An element (a0 + a1*z + a2*z^2 + a3*z^3)/d of Q(zeta_8), the ai
+    ints and d > 0 with gcd(a0, a1, a2, a3, d) = 1."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coords: Iterable[Scalar] = (0, 0, 0, 0)):
-        cs = tuple(_as_fraction(c) for c in coords)
+        cs = [_as_fraction(c) for c in coords]
         if len(cs) != 4:
             raise ValueError("power basis needs exactly 4 coordinates")
-        self.coords: Tuple[Fraction, Fraction, Fraction, Fraction] = cs
+        # canonical: d is the lcm of the reduced denominators
+        d = lcm(*(c.denominator for c in cs))
+        self._num = tuple(c.numerator * (d // c.denominator) for c in cs)
+        self._den = d
 
-    # -- constructors -------------------------------------------------
+    @classmethod
+    def _from_ints(cls, a: Tuple[int, int, int, int],
+                   d: int = 1) -> "Cyc8Element":
+        """a/d in canonical form, for d > 0."""
+        if d != 1:
+            common = gcd(*a, d)
+            if common != 1:
+                a, d = tuple(c // common for c in a), d // common
+        out = cls.__new__(cls)
+        out._num, out._den = a, d
+        return out
+
+    # -- constructors and views ------------------------------------------
 
     @classmethod
     def from_rational(cls, value: Scalar) -> "Cyc8Element":
-        return cls((_as_fraction(value), 0, 0, 0))
+        value = _as_fraction(value)
+        return cls._from_ints((value.numerator, 0, 0, 0), value.denominator)
 
     @classmethod
     def zero(cls) -> "Cyc8Element":
-        return cls()
+        return cls._from_ints((0, 0, 0, 0))
 
     @classmethod
     def one(cls) -> "Cyc8Element":
-        return cls((1, 0, 0, 0))
+        return cls._from_ints((1, 0, 0, 0))
+
+    @property
+    def coords(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The four power-basis coordinates as Fractions."""
+        d = self._den
+        return tuple(Fraction(c, d) for c in self._num)  # type: ignore
+
+    def as_ints(self) -> Tuple[Tuple[int, int, int, int], int]:
+        """(a, d): the four integer coordinates over their one positive
+        denominator, in lowest terms."""
+        return self._num, self._den
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return self.coords[1] == 0 and self.coords[2] == 0 and self.coords[3] == 0
+        _, a1, a2, a3 = self._num
+        return not (a1 or a2 or a3)
 
     # -- ring structure -------------------------------------------------
 
@@ -112,45 +144,50 @@ class Cyc8Element:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Cyc8Element(tuple(a + b for a, b in zip(self.coords, o.coords)))
+        a0, a1, a2, a3 = self._num
+        b0, b1, b2, b3 = o._num
+        d, e = self._den, o._den
+        if d == e:
+            return Cyc8Element._from_ints((a0 + b0, a1 + b1, a2 + b2,
+                                           a3 + b3), d)
+        return Cyc8Element._from_ints((a0 * e + b0 * d, a1 * e + b1 * d,
+                                       a2 * e + b2 * d, a3 * e + b3 * d),
+                                      d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc8Element(tuple(-a for a in self.coords))
+        return Cyc8Element._from_ints(tuple(-a for a in self._num), self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Cyc8Element(tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o - self
+        return o + -self
 
     def __mul__(self, other):
+        a0, a1, a2, a3 = self._num
         if not isinstance(other, Cyc8Element):
             if not _is_scalar(other):
                 return NotImplemented
-            return Cyc8Element(tuple(c * other for c in self.coords))
-        a, b = self.coords, other.coords
+            # an int is its own numerator over the denominator 1
+            n = other.numerator
+            return Cyc8Element._from_ints((a0 * n, a1 * n, a2 * n, a3 * n),
+                                          self._den * other.denominator)
+        b0, b1, b2, b3 = other._num
         # z^i * z^j = z^(i+j), folded back with z^4 = -1.
-        acc = [Fraction(0)] * 4
-        for i in range(4):
-            if a[i] == 0:
-                continue
-            for j in range(4):
-                if b[j] == 0:
-                    continue
-                k = i + j
-                if k < 4:
-                    acc[k] += a[i] * b[j]
-                else:
-                    acc[k - 4] -= a[i] * b[j]
-        return Cyc8Element(acc)
+        return Cyc8Element._from_ints(
+            (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+             a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+             a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0),
+            self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -161,21 +198,21 @@ class Cyc8Element:
 
     # -- field structure -------------------------------------------------
 
-    def _tower(self) -> Tuple[int, int, Tuple[int, int, int, int]]:
-        """(d, p^2 + q^2, w): x^-1 = d * sum(w_k z^k) / (p^2 + q^2)."""
-        d = lcm(*(c.denominator for c in self.coords))
-        a0, a1, a2, a3 = [d//c.denominator * c.numerator for c in self.coords]
+    def _tower(self) -> Tuple[int, Tuple[int, int, int, int]]:
+        """(p^2 + q^2, w): x^-1 = d * sum(w_k z^k) / (p^2 + q^2)."""
+        a0, a1, a2, a3 = self._num
         p = a0 * a0 - a2 * a2 + 2 * a1 * a3
         q = 2 * a0 * a2 - a1 * a1 + a3 * a3
-        return d, p * p + q * q, (a0 * p + a2 * q, -a1 * p - a3 * q,
-                                  a2 * p - a0 * q, a1 * q - a3 * p)
+        return p * p + q * q, (a0 * p + a2 * q, -a1 * p - a3 * q,
+                               a2 * p - a0 * q, a1 * q - a3 * p)
 
     def invert(self) -> "Cyc8Element":
         """x^-1 through the tower over Q(i), in integers."""
-        d, n, w = self._tower()
+        n, w = self._tower()
         if not n:
             raise ZeroDivisionError("inverse of 0 in Q(zeta_8)")
-        return Cyc8Element(Fraction(d * c, n) for c in w)
+        d = self._den
+        return Cyc8Element._from_ints(tuple(d * c for c in w), n)
 
     def galois(self, j: int) -> "Cyc8Element":
         """The field automorphism sending z to z^j, for j in {1,3,5,7}.
@@ -184,22 +221,23 @@ class Cyc8Element:
           j=3: (c0, c3, -c2, c1)     j=5: (c0, -c1, c2, -c3)
           j=7: (c0, -c3, -c2, -c1)   (j=7 sends z to its inverse)
         """
-        c0, c1, c2, c3 = self.coords
+        c0, c1, c2, c3 = self._num
         j = j % 8
         if j == 1:
-            return Cyc8Element((c0, c1, c2, c3))
-        if j == 3:
-            return Cyc8Element((c0, c3, -c2, c1))
-        if j == 5:
-            return Cyc8Element((c0, -c1, c2, -c3))
-        if j == 7:
-            return Cyc8Element((c0, -c3, -c2, -c1))
-        raise ValueError("galois exponent must be odd mod 8, got %d" % j)
+            a = (c0, c1, c2, c3)
+        elif j == 3:
+            a = (c0, c3, -c2, c1)
+        elif j == 5:
+            a = (c0, -c1, c2, -c3)
+        elif j == 7:
+            a = (c0, -c3, -c2, -c1)
+        else:
+            raise ValueError("galois exponent must be odd mod 8, got %d" % j)
+        return Cyc8Element._from_ints(a, self._den)
 
     def norm(self) -> Fraction:
         """Product of all four Galois conjugates; always rational."""
-        d, n, _ = self._tower()
-        return Fraction(n, d ** 4)
+        return Fraction(self._tower()[0], self._den ** 4)
 
     # -- misc -------------------------------------------------------------
 
@@ -207,11 +245,13 @@ class Cyc8Element:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.coords == o.coords
+        return self._den == o._den and self._num == o._num
 
     def __hash__(self):
         # a rational element equals, so must hash as, the number it is
-        return hash(self.coords[0] if self.is_rational() else self.coords)
+        if self.is_rational():
+            return hash(Fraction(self._num[0], self._den))
+        return hash((self._num, self._den))
 
     def __repr__(self):
         return "Cyc8(%s)" % (format_sum(zip(self.coords, _BASIS_NAMES))

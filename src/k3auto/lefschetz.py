@@ -20,7 +20,7 @@ the target: holo_target builds 1 + zeta^(8-j) once per power, on first
 use, and raises for any other power.  Import builds none of them.
 holo_total, curve_term and the derivation below all read the same
 cached vectors, and a point count or 1 - g multiplies them as a plain
-int, which scales the coordinates.
+int, which scales their integer coordinates over the one denominator.
 
 The module also re-derives the two integer point-count constraints by
 expanding the fixed-point sum on the power basis and reducing the
@@ -35,6 +35,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
+from . import refuse_unknown_keys
 from .cyclotomic import ONE, ZERO, Cyc8Element, zeta_pow
 
 # local exponents (t, s) of the isolated fixed points of sigma^j, keyed by
@@ -106,11 +107,14 @@ class FixedLocusConfig(namedtuple("FixedLocusConfig", "curves n2 n3 n4")):
 
     @classmethod
     def from_json(cls, data: Dict) -> "FixedLocusConfig":
+        refuse_unknown_keys(data, ("curves", "n2", "n3", "n4"))
         curves = data.get("curves", [])
         if not isinstance(curves, list) \
                 or not all(isinstance(c, dict) for c in curves):
             raise ValueError("'curves' must be a list of objects, not %r"
                              % (curves,))
+        for c in curves:
+            refuse_unknown_keys(c, ("genus", "normal_exp"), " in a curve")
         return cls(curves=tuple(FixedCurve(c["genus"], c["normal_exp"])
                                 for c in curves),
                    n2=data["n2"], n3=data["n3"], n4=data["n4"])
@@ -229,7 +233,8 @@ def derive_prop1_constraints() -> List[Tuple[int, int, int, int, int]]:
     """Re-derive the two point-count equations from the fixed point formula.
 
     Expands n2*P(2,7) + n3*P(3,6) + n4*P(4,5) + alpha*C(g=0,e=1) = 1 + z^7
-    coordinatewise on the power basis, clears denominators, saturates the
+    coordinatewise on the power basis, brings the integer coordinates of
+    the five vectors over one common denominator, saturates the
     integer row lattice and returns its Hermite form as tuples
     (c_n2, c_n3, c_n4, c_alpha, rhs).  Exactly two independent equations
     survive; in expanded form they read
@@ -246,14 +251,13 @@ def derive_prop1_constraints() -> List[Tuple[int, int, int, int, int]]:
 def _prop1_rows() -> Tuple[Tuple[int, int, int, int, int], ...]:
     columns = [_point_term(*exponents) for exponents in _POINT_EXPONENTS[1]]
     columns.append(_unit_curve_term(1))
-    target = holo_target(1)
-    raw: List[List[int]] = []
-    for i in range(4):
-        fracs = [c.coords[i] for c in columns] + [target.coords[i]]
-        den = math.lcm(*(f.denominator for f in fracs))
-        row = [int(f * den) for f in fracs]
-        if any(row):
-            raw.append(row)
+    columns.append(holo_target(1))
+    vectors = [c.as_ints() for c in columns]
+    # one common denominator clears every row; a row's positive scale
+    # does not change the saturated lattice
+    den = math.lcm(*(d for _, d in vectors))
+    rows = ([a[i] * (den // d) for a, d in vectors] for i in range(4))
+    raw = [row for row in rows if any(row)]
     sat = saturate_rows(raw, 5)
     hnf = hermite_normal_form(sat)
     if len(hnf) != 2:

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import reduce
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -73,22 +72,25 @@ class CurvePolynomial:
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Optional[Dict[Triple, object]] = None):
-        clean: Dict[Key, Fraction] = {}
+        clean: Dict[Key, Tuple[int, int]] = {}
         if terms:
             for key, value in terms.items():
                 i, j, k = key
                 if min(i, j, k) < 0:
                     raise ValueError("exponents must be non-negative")
-                coords = value.coords if isinstance(value, Cyc8Element) \
-                    else (_as_fraction(value),)
+                if isinstance(value, Cyc8Element):
+                    coords, d = value.as_ints()
+                else:
+                    f = _as_fraction(value)
+                    coords, d = (f.numerator,), f.denominator
                 for l, c in enumerate(coords):
                     if c:
-                        clean[(i, j, k, l)] = c
-        # canonical: d is the lcm of the reduced denominators
-        den = reduce(math.lcm, (c.denominator for c in clean.values()), 1)
+                        clean[(i, j, k, l)] = c, d
+        # canonical: each coefficient is in lowest terms over its d, so
+        # the lcm of the d's is the least common denominator
+        den = reduce(math.lcm, (d for _, d in clean.values()), 1)
         self._num: Dict[Key, int] = {
-            key: c.numerator * (den // c.denominator)
-            for key, c in clean.items()}
+            key: c * (den // d) for key, (c, d) in clean.items()}
         self._den: int = den
 
     # -- constructors ------------------------------------------------------
@@ -134,12 +136,12 @@ class CurvePolynomial:
     def terms(self) -> Mapping[Triple, Cyc8Element]:
         """A read-only {(i, j, k): coefficient} view, one entry per
         monomial x^i y^j t^k."""
-        coords: Dict[Triple, List[Fraction]] = {}
+        coords: Dict[Triple, List[int]] = {}
         for (i, j, k, l), c in self._num.items():
-            coords.setdefault((i, j, k), [Fraction(0)] * 4)[l] = \
-                Fraction(c, self._den)
+            coords.setdefault((i, j, k), [0] * 4)[l] = c
         return MappingProxyType(
-            {key: Cyc8Element(cs) for key, cs in coords.items()})
+            {key: Cyc8Element._from_ints(tuple(cs), self._den)
+             for key, cs in coords.items()})
 
     def is_zero(self) -> bool:
         return not self._num

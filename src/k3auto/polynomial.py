@@ -45,6 +45,7 @@ from functools import reduce
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import MAX_DIGITS
 from .cyclotomic import Scalar, _as_fraction, _is_scalar, format_sum, power
 
 NEG_INF = float("-inf")
@@ -231,14 +232,19 @@ class RationalPolynomial:
         return _monic(self._num) if self._num else self
 
 
+# the least int of more than MAX_DIGITS digits
+_TOO_WIDE = 10 ** MAX_DIGITS
+
+
 def sum_pairs(pairs: Sequence[Sequence]) -> Dict[int, Fraction]:
     """{exponent: coefficient} of [coefficient, exponent] pairs, summed
     where an exponent repeats; sums that cancel stay as zero entries.
 
-    A coefficient is an int, a Fraction or a string parse_rational reads,
-    such as "-3/4"; any other input raises ValueError.  The dict's size is
-    the number of pairs whatever the exponents, so a caller can bound the
-    degree before it builds the dense polynomial.
+    A coefficient is an int of at most MAX_DIGITS digits, a Fraction or
+    a string parse_rational reads, such as "-3/4"; any other input raises
+    ValueError.  The dict's size is the number of pairs whatever the
+    exponents, so a caller can bound the degree before it builds the
+    dense polynomial.
     """
     if not isinstance(pairs, (list, tuple)) or not all(
             isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
@@ -246,6 +252,9 @@ def sum_pairs(pairs: Sequence[Sequence]) -> Dict[int, Fraction]:
                          % (pairs,))
     acc: Dict[int, Fraction] = {}
     for coeff, exp in pairs:
+        if _is_int(coeff) and abs(coeff) >= _TOO_WIDE:
+            raise ValueError("coefficient has more than the %d digits a "
+                             "rational may have" % MAX_DIGITS)
         try:
             c = parse_rational(coeff) if isinstance(coeff, str) \
                 else _as_fraction(coeff)
@@ -261,16 +270,13 @@ def sum_pairs(pairs: Sequence[Sequence]) -> Dict[int, Fraction]:
     return acc
 
 
-# the most digits a rational string may hold, CPython's default limit on
-# int-from-string conversion; counted before converting, so no longer
-# string is read where PYTHONINTMAXSTRDIGITS lifts that limit
-MAX_DIGITS = 4300
-
-
 def parse_rational(text: str) -> Fraction:
     """The rational a string such as "-3/4", "0.5" or " 2 " denotes.  No
     exponent notation: "1e3000000" is nine characters for 3 million digits.
-    At most MAX_DIGITS digits in all.
+    At most MAX_DIGITS digits in all.  It converts under the interpreter's
+    limit on int-from-string conversion and leaves that limit as it is;
+    the CLI lifts it while it reads its input files, so a lower
+    PYTHONINTMAXSTRDIGITS refuses no coefficient within the bound there.
     """
     if "e" in text or "E" in text:
         raise ValueError("%r is in exponent notation; write it as an "

@@ -24,7 +24,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import InvariantError
+from . import InvariantError, refuse_unknown_keys
 from .cyclotomic import ONE, Cyc8Element, zeta_pow
 from .fibers import (BRANCH_SWAP, I_CYCLE, IDENTITY, INVOLUTION, IV_STAR,
                      ORDER_4, PRESERVE, REFLECTION, ROTATION_2, SMOOTH,
@@ -199,6 +199,7 @@ class WeierstrassFibration:
     @classmethod
     def from_json(cls, data: Dict) -> "WeierstrassFibration":
         _require(isinstance(data, dict), "the fibration must be a JSON object")
+        refuse_unknown_keys(data, ("form", "a", "b"))
         a, b = _pairs_field(data, "a"), _pairs_field(data, "b")
         form = data.get("form", SHORT_FORM)
         # before the dense lists, whose length is the degree
@@ -365,6 +366,8 @@ class DiagonalAutomorphism(namedtuple("DiagonalAutomorphism",
     def from_json(cls, data: Dict) -> "DiagonalAutomorphism":
         _require(isinstance(data, dict),
                  "the automorphism must be a JSON object")
+        refuse_unknown_keys(data, ("ex", "ey", "et", "translate",
+                                   "torsion_x0"))
         return cls(ex=data["ex"], ey=data["ey"], et=data["et"],
                    translate=data.get("translate", False),
                    torsion_x0=None if data.get("torsion_x0") is None

@@ -225,6 +225,84 @@ def test_a_coefficient_beyond_the_digit_bound_is_refused(capsys, tmp_path,
                    "4300 a rational may have\n")
 
 
+def _json_number_surface(tmp_path, digits):
+    # the README surface with A written as a JSON number, not a string
+    text = json.dumps(dict(EX1_FIBRATION, a=[[None, 0], ["1", 8]]))
+    path = tmp_path / "f.json"
+    path.write_text(text.replace("null", "7" * digits), encoding="utf-8")
+    return ("--fibration", str(path), "--automorphism",
+            write_json(tmp_path, "g.json", EX1_AUTOMORPHISM))
+
+
+@pytest.mark.parametrize("limit", [None, 0])
+def test_a_json_number_beyond_the_digit_bound_is_refused(capsys, tmp_path,
+                                                         limit):
+    # one line naming the file and the bound, whatever the interpreter's
+    # limit on int-from-string conversion
+    argv = _json_number_surface(tmp_path, 4_301)
+    before = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        code, out, err = run(capsys, "analyze", *argv)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == 1 and out == ""
+    assert err == ("error: %s holds a number of 4301 digits, more than the "
+                   "4300 a number may have\n" % argv[1])
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python 3.10.0 to 3.10.6 has no int-string limit")
+@pytest.mark.parametrize("surface", [_readme_surface, _json_number_surface],
+                         ids=["string", "json-number"])
+def test_a_coefficient_within_the_bound_is_read_under_a_lower_limit(
+        capsys, tmp_path, surface):
+    # the digits are counted against MAX_DIGITS, so a lowered interpreter
+    # limit refuses no coefficient within it, and is restored after
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "analyze", "--format", "csv",
+                             *surface(tmp_path, 4_300))
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert (code, err, after) == (0, "", 640)
+    assert out.count("\n") == 2
+
+
+@pytest.mark.parametrize("verb, first, second, culprit, message", [
+    ("analyze", dict(EX1_FIBRATION, from_="short"), EX1_AUTOMORPHISM,
+     "f.json", "unknown key 'from_'; the keys are form, a, b"),
+    ("analyze", EX1_FIBRATION, dict(EX1_AUTOMORPHISM, translat=True),
+     "g.json", "unknown key 'translat'; the keys are ex, ey, et, translate, "
+     "torsion_x0"),
+    ("lefschetz", dict(CHECK_CONFIG, n5=3), None,
+     "c.json", "unknown key 'n5'; the keys are curves, n2, n3, n4"),
+    ("lefschetz", dict(CHECK_CONFIG, alpha=0), None,
+     "c.json", "unknown key 'alpha'; the keys are curves, n2, n3, n4"),
+    ("lefschetz", dict(CHECK_CONFIG, curves=[{"genus": 1, "normal_exp": 1,
+                                              "normal": 3}]), None,
+     "c.json", "unknown key 'normal' in a curve; the keys are genus, "
+     "normal_exp"),
+    ("lefschetz", {"alpha": 1, "n5": 3}, None,
+     "c.json", "unknown key 'n5'; the keys are alpha, n2, n3, n4"),
+], ids=["fibration", "automorphism", "check", "check-with-alpha", "curve",
+        "enumerate"])
+def test_an_unknown_key_is_refused(capsys, tmp_path, verb, first, second,
+                                   culprit, message):
+    if verb == "analyze":
+        argv = ("analyze",
+                "--fibration", write_json(tmp_path, "f.json", first),
+                "--automorphism", write_json(tmp_path, "g.json", second))
+    else:
+        argv = ("lefschetz", "--config", write_json(tmp_path, "c.json", first))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: %s: %s\n" % (tmp_path / culprit, message)
+
+
 @pytest.mark.parametrize("digits", [1_500, 4_300])
 def test_analyze_prints_places_wider_than_the_int_string_limit(
         capsys, tmp_path, digits):

@@ -1,5 +1,6 @@
 """Exact arithmetic in the 8th cyclotomic field."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,38 @@ from k3auto.polynomial import RationalPolynomial
 def random_element(rng, bound=12):
     return Cyc8Element([Fraction(rng.randint(-bound, bound),
                                  rng.randint(1, 9)) for _ in range(4)])
+
+
+def assert_canonical(x):
+    """Four int coordinates over a positive denominator, the five
+    coprime: so equal elements are stored alike."""
+    a, d = x.as_ints()
+    assert type(d) is int and d > 0
+    assert len(a) == 4 and all(type(c) is int for c in a)
+    assert math.gcd(*a, d) == 1
+    assert x.coords == tuple(Fraction(c, d) for c in a)
+
+
+def test_canonical_form():
+    for x in (ZERO, ONE, ZETA, I_UNIT, -ZETA, zeta_pow(7), ZETA.invert()):
+        assert_canonical(x)
+    assert ZERO.as_ints() == ((0, 0, 0, 0), 1)
+    assert (ONE - ZETA).invert().as_ints() == ((1, 1, 1, 1), 2)
+    # the same element over the denominators 6, 12 and 18 in the making
+    half = Cyc8Element([Fraction(1, 2), Fraction(-1, 3), 0, Fraction(5, 6)])
+    for same in (Cyc8Element([Fraction(6, 12), Fraction(-4, 12), 0,
+                              Fraction(10, 12)]),
+                 (ONE * 3 - ZETA * 2 + zeta_pow(3) * 5) * Fraction(1, 6),
+                 (ONE * 9 - ZETA * 6 + zeta_pow(3) * 15) * Fraction(1, 18),
+                 Cyc8Element([Fraction(1, 4), 0, 0, 0]) + Cyc8Element(
+                     [Fraction(1, 4), Fraction(-1, 3), 0, Fraction(5, 6)])):
+        assert_canonical(same)
+        assert same == half and hash(same) == hash(half)
+        assert same.as_ints() == ((3, -2, 0, 5), 6)
+    # sums and products that cancel a denominator come back over 1
+    assert (half + half.galois(5)).as_ints() == ((1, 0, 0, 0), 1)
+    assert (half * 6).as_ints() == ((3, -2, 0, 5), 1)
+    assert (half * Fraction(12, 5)).as_ints() == ((6, -4, 0, 10), 5)
 
 
 def test_basis_relations():
@@ -41,6 +74,8 @@ def test_field_axioms_randomized():
         assert a + ZERO == a
         assert a * ONE == a
         assert a + (-a) == ZERO
+        for x in (a + b, a - b, a * b, -a, a * 6, a.galois(3)):
+            assert_canonical(x)
         checks += 8
         if not a.is_zero():
             inv = a.invert()
@@ -52,6 +87,7 @@ def test_field_axioms_randomized():
             norm = a.norm()
             assert a * conj == Cyc8Element.from_rational(norm)
             assert inv * norm == conj
+            assert_canonical(inv)
             checks += 3
     assert checks >= 1000
 
@@ -137,6 +173,13 @@ def test_rational_embedding_and_mixed_ops():
         assert x == value and hash(x) == hash(value)
         assert x in {value} and value in {x} and {value: 1}[x] == 1
     assert ZETA not in {0, 1} and hash(ZETA) == hash(ZETA * 1)
+    # a rational element built over a larger denominator is its number too
+    third = Cyc8Element([Fraction(1, 6), Fraction(1, 4), 0, 0]) \
+        - Cyc8Element([0, Fraction(1, 4), 0, 0]) + Fraction(1, 6)
+    assert third.as_ints() == ((1, 0, 0, 0), 3)
+    assert third == Fraction(1, 3) and hash(third) == hash(Fraction(1, 3))
+    assert ZETA * 4 * Fraction(1, 2) == ZETA + ZETA
+    assert hash(ZETA * 4 * Fraction(1, 2)) == hash(ZETA + ZETA)
     # a bool is no number here: it equals no element, not even one that
     # shares its hash
     assert ONE != True and ONE not in {True} and ZERO not in {False}
@@ -152,6 +195,7 @@ def test_rational_embedding_and_mixed_ops():
             for product in (a * s, s * a):
                 assert product == embedded
                 assert all(type(c) is Fraction for c in product.coords)
+                assert_canonical(product)
     for bad in (True, False):
         with pytest.raises(TypeError):
             ZETA * bad

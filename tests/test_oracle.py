@@ -11,9 +11,9 @@ read through Tate's table, the worked-example preset check must accept
 exactly the parameters whose sympy inventory is the preset's, 2-torsion
 translations must equal sympy's chord construction, sums, products and
 substitutions of polynomials in (x, y, t) over Q(zeta_8) must equal
-sympy's in (x, y, t, z) modulo z^4 + 1, and inverses and norms in
-Q(zeta_8) must equal sympy's inverse modulo z^4 + 1 and its resultant
-with z^4 + 1, and the holomorphic Lefschetz sum of every enumerator
+sympy's in (x, y, t, z) modulo z^4 + 1, sums, products, products by
+an int or a Fraction and inverses in Q(zeta_8) must equal sympy's modulo
+z^4 + 1 and norms its resultant with z^4 + 1, and the holomorphic Lefschetz sum of every enumerator
 candidate and table row, summed by sympy in Q[z]/(z^4 + 1), must equal
 1 + z^7 exactly where holo_total says it does.  The IV* action
 analyze_action reads from the chart exponents must be the one action
@@ -654,31 +654,52 @@ def test_substitute_matches_sympy(p, parts, e, extra):
     assert_matches(p.substitute(*parts, t_exponent=e, dx=dx, dy=dy), want)
 
 
-# -- inverse and norm in Q(zeta_8) --------------------------------------------
+# -- arithmetic, inverse and norm in Q(zeta_8) ---------------------------------
 
 wide_fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
                            st.integers(1, 10 ** 30))
+zeta_coords = st.lists(st.one_of(st.just(Fraction(0)), small_fractions,
+                                 wide_fractions), min_size=4, max_size=4)
+scalars = st.one_of(st.integers(-10 ** 30, 10 ** 30), small_fractions,
+                    wide_fractions)
+
+
+def cyc_to_sympy(x):
+    return sum(sympy.Rational(c.numerator, c.denominator) * Z ** k
+               for k, c in enumerate(x.coords))
+
+
+def reduced_coords(expr):
+    """The four power-basis coordinates of expr modulo z^4 + 1."""
+    poly = sympy.Poly(sympy.rem(sympy.expand(expr), Z ** 4 + 1, Z), Z,
+                      domain="QQ")
+    return tuple(Fraction(int(c.p), int(c.q))
+                 for c in (poly.coeff_monomial(Z ** k) for k in range(4)))
 
 
 @EXAMPLES
-@given(st.lists(st.one_of(st.just(Fraction(0)), small_fractions,
-                          wide_fractions), min_size=4, max_size=4))
+@given(zeta_coords, zeta_coords, scalars)
 # a unit of Z[zeta_8]: 1 + z + z^2 has norm 1
-@example([1, 1, 1, 0])
-def test_inverse_and_norm_match_sympy(coords):
-    """invert equals sympy's inverse modulo z^4 + 1 over QQ, and norm
-    equals the resultant of z^4 + 1 and the element, the product of the
-    element at the four primitive 8th roots of unity."""
-    x = Cyc8Element(coords)
-    f = curve_to_zeta_sympy(CurvePolynomial.constant(x)).as_expr()
+@example([1, 1, 1, 0], [1, -1, 0, 0], 2)
+def test_inverse_and_norm_match_sympy(coords, other, scalar):
+    """Sums, products and products by an int or a Fraction equal sympy's
+    modulo z^4 + 1 over QQ, invert equals sympy's inverse modulo z^4 + 1,
+    and norm equals the resultant of z^4 + 1 and the element, the product
+    of the element at the four primitive 8th roots of unity."""
+    x, y = Cyc8Element(coords), Cyc8Element(other)
+    f, g = cyc_to_sympy(x), cyc_to_sympy(y)
+    s = sympy.Rational(Fraction(scalar).numerator,
+                       Fraction(scalar).denominator)
+    assert (x + y).coords == reduced_coords(f + g)
+    assert (x - y).coords == reduced_coords(f - g)
+    assert (x * y).coords == reduced_coords(f * g)
+    assert (x * scalar).coords == (scalar * x).coords \
+        == reduced_coords(f * s)
     norm = sympy.resultant(Z ** 4 + 1, f, Z)
     assert x.norm() == Fraction(int(norm.p), int(norm.q))
     assume(not x.is_zero())
-    inverse = sympy.Poly(sympy.invert(f, Z ** 4 + 1, domain=sympy.QQ), Z,
-                         domain="QQ")
-    want = (inverse.coeff_monomial(Z ** k) for k in range(4))
     assert x.invert().coords \
-        == tuple(Fraction(int(c.p), int(c.q)) for c in want)
+        == reduced_coords(sympy.invert(f, Z ** 4 + 1, domain=sympy.QQ))
 
 
 # -- the holomorphic Lefschetz sum of the classification table ----------------

@@ -83,6 +83,16 @@ def test_booleans_are_refused():
         RationalPolynomial.from_pairs([[False, 2]])
 
 
+def test_an_int_coefficient_is_bounded_as_a_string_is():
+    widest = 10 ** polynomial.MAX_DIGITS - 1
+    for sign in (1, -1):
+        assert RationalPolynomial.from_pairs([[sign * widest, 2]]) \
+            == RationalPolynomial({2: sign * widest})
+        with pytest.raises(ValueError, match="coefficient has more than the "
+                           "4300 digits a rational may have"):
+            RationalPolynomial.from_pairs([["1", 0], [sign * (widest + 1), 2]])
+
+
 def test_rational_roots_and_squarefree():
     p = (2 * T - 1) ** 2 * (T + 3) * (T ** 2 + 1)
     roots = rational_roots(p)
