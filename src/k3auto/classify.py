@@ -14,14 +14,16 @@ k_sigma4 and has a non-negative integral solution of the eigenspace rank
 system; a case that does not raises InvariantError rather than being
 dropped.
 
-Exactly sixteen cases survive.  validate_row re-checks each row from
-scratch, including the induced order-4 data of the square (its isolated
-point count satisfies N' = 2k' + 4 and its own Lefschetz identities).
+Exactly sixteen cases survive, built once per process on first use (a new
+list per call; a build that raises caches nothing).  validate_row re-checks
+each row from scratch, with the induced order-4 data of the square
+(N' = 2k' + 4 for its isolated points, and its own Lefschetz identities).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
@@ -165,8 +167,9 @@ def _assemble(rk_pic: int, num_c: int, k_sigma4: int, c_action: FiberAction,
                           action=labels)
 
 
-def enumerate_cases() -> List[ClassificationRow]:
-    """All admissible cases, in table order; sixteen for the full vocabulary."""
+@lru_cache(maxsize=None)
+def _build_cases() -> Tuple[ClassificationRow, ...]:
+    """The enumeration itself, run once per process by enumerate_cases."""
     found = []
     for rk_pic, num_c, k_sigma4 in sigma4_skeletons():
         for c_action, cp_shape, cp_action in _candidates(rk_pic):
@@ -175,8 +178,15 @@ def enumerate_cases() -> List[ClassificationRow]:
             if built is not None:
                 found.append(built)
     found.sort(key=lambda item: item[0])
-    return [ClassificationRow(index=i + 1, **fields)
-            for i, (_, fields) in enumerate(found)]
+    return tuple(ClassificationRow(index=i + 1, **fields)
+                 for i, (_, fields) in enumerate(found))
+
+
+def enumerate_cases() -> List[ClassificationRow]:
+    """All admissible cases in table order, sixteen for the full vocabulary:
+    a new list per call of the frozen rows built once per process (a build
+    that raises caches nothing)."""
+    return list(_build_cases())
 
 
 def _decompose(row: ClassificationRow):

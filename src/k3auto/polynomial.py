@@ -277,10 +277,13 @@ def parse_rational(text: str) -> Fraction:
     limit on int-from-string conversion and leaves that limit as it is;
     the CLI lifts it while it reads its input files, so a lower
     PYTHONINTMAXSTRDIGITS refuses no coefficient within the bound there.
+    A refusal quotes a text of over 40 characters by its ends and length.
     """
+    shown = repr(text) if len(text) <= 40 else "%r (%d characters)" % (
+        text[:24] + "..." + text[-8:], len(text))
     if "e" in text or "E" in text:
-        raise ValueError("%r is in exponent notation; write it as an "
-                         "integer, p/q or a decimal" % (text,))
+        raise ValueError("%s is in exponent notation; write it as an "
+                         "integer, p/q or a decimal" % shown)
     digits = sum(map(str.isdigit, text))
     if digits > MAX_DIGITS:
         raise ValueError("has %d digits, more than the %d a rational may "
@@ -288,7 +291,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError("%r is not a rational number" % (text,)) from None
+        raise ValueError("%s is not a rational number" % shown) from None
 
 
 def _monic(f: List[int]) -> RationalPolynomial:

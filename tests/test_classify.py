@@ -29,12 +29,15 @@ def test_sixteen_rows_match_fixture():
 
 def test_a_repeated_enumeration_inverts_nothing_and_runs_no_engine(
         monkeypatch):
-    # the Lefschetz terms, the target and each fiber's fixed data are
-    # computed once per process: a second enumeration still sums all 82
-    # candidates over two fiber lookups each, without an inverse in
-    # Q(zeta_8), a built target, a count embedded in Q(zeta_8) or an
-    # engine run
-    enumerate_cases()
+    # the table is built once per process: a second enumeration sums
+    # nothing, looks up no fixed data and runs no engine, and each call
+    # hands out a new list of the same rows, so a caller that changes its
+    # list changes no later call's.  The builder itself, run again, still
+    # sums all 82 candidates over two fiber lookups each, without an
+    # inverse in Q(zeta_8), a built target, a count embedded in Q(zeta_8)
+    # or an engine run: the Lefschetz terms, the target and each fiber's
+    # fixed data are computed once per process too
+    first = enumerate_cases()
     calls = Counter()
 
     def counted(name, fn):
@@ -56,7 +59,18 @@ def test_a_repeated_enumeration_inverts_nothing_and_runs_no_engine(
     for key, (label, engine) in list(fibers._ACTIONS.items()):
         monkeypatch.setitem(fibers._ACTIONS, key,
                             (label, counted("engine", engine)))
+    second = enumerate_cases()
+    assert (calls["invert"], calls["engine"], calls["holo_total"],
+            calls["fiber_fixed_data"]) == (0, 0, 0, 0)
+    assert second == first and second is not first
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    second.pop()
     assert len(enumerate_cases()) == 16
+    assert sum(calls.values()) == 0
+
+    rebuilt = classify._build_cases.__wrapped__()
+    assert list(rebuilt) == enumerate_cases()
     assert (calls["invert"], calls["engine"], calls["holo_total"],
             calls["fiber_fixed_data"]) == (0, 0, 82, 164)
     assert (calls["from_rational"], calls["zeta_pow"]) == (0, 0)
@@ -115,16 +129,32 @@ def test_enumerator_funnel_and_the_abstract_bounds():
 def test_enumerator_refuses_a_kept_case_without_skeleton_or_ranks(
         monkeypatch):
     """A case the holomorphic identity keeps but that does not fit its
-    skeleton, or has no eigenspace ranks, is a fault: it raises."""
+    skeleton, or has no eigenspace ranks, is a fault: it raises.  The
+    uncached builder runs under each patch, so it raises whatever ran
+    before; a public enumeration whose build raises caches nothing; and
+    the table stays the fixture's."""
+    enumerate_cases()
+    build = classify._build_cases.__wrapped__
+
     def no_ranks(*args):
         raise ValueError("inconsistent configuration")
     with monkeypatch.context() as patch:
         patch.setattr(classify, "solve_ranks", no_ranks)
         with pytest.raises(InvariantError, match="no eigenspace ranks"):
+            build()
+    with monkeypatch.context() as patch:
+        patch.setattr(classify, "sigma4_skeletons", lambda: [(18, 1, 7)])
+        with pytest.raises(InvariantError, match="skeleton 7"):
+            build()
+    classify._build_cases.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(classify, "solve_ranks", no_ranks)
+        with pytest.raises(InvariantError, match="no eigenspace ranks"):
             enumerate_cases()
-    monkeypatch.setattr(classify, "sigma4_skeletons", lambda: [(18, 1, 7)])
-    with pytest.raises(InvariantError, match="skeleton 7"):
-        enumerate_cases()
+    rows = enumerate_cases()
+    assert len(rows) == 16
+    assert Counter(classification_key(row) for row in rows) \
+        == Counter(row_key(entry) for entry in TABLE_ROWS)
 
 
 def test_theorem_groups():

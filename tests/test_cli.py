@@ -465,6 +465,33 @@ def test_both_verbs_refuse_exponent_notation(capsys, tmp_path, text):
     assert "exponent notation" in err
 
 
+@pytest.mark.parametrize("text, shown", [
+    # up to 40 characters a refused coefficient is quoted whole, beyond
+    # that by its first 24 and last 8 characters and its length, so the
+    # line stays short however long the input
+    ("7" * 39 + "x", repr("7" * 39 + "x")),
+    ("7" * 40 + "x", "'%s...%s' (41 characters)" % ("7" * 24, "7" * 7 + "x")),
+    ("7" * 4299 + "x",
+     "'%s...%s' (4300 characters)" % ("7" * 24, "7" * 7 + "x")),
+    ("1/" + "0" * 4000, "'1/%s...%s' (4002 characters)" % ("0" * 22, "0" * 8)),
+    ("7" * 5000 + "e3",
+     "'%s...%s' (5002 characters)" % ("7" * 24, "7" * 6 + "e3")),
+], ids=["40", "41", "4300", "zero-denominator", "exponent"])
+def test_a_long_refused_coefficient_is_quoted_by_its_ends(
+        capsys, tmp_path, text, shown):
+    fibration = dict(EX1_FIBRATION, a=[[text, 8], ["1", 0]])
+    code, out, err = run(capsys, "analyze",
+                         "--fibration", write_json(tmp_path, "f.json",
+                                                   fibration),
+                         "--automorphism", write_json(tmp_path, "g.json",
+                                                      EX1_AUTOMORPHISM))
+    assert code == 1 and out == ""
+    reason = ("is in exponent notation; write it as an integer, p/q or a "
+              "decimal" if "e" in text else "is not a rational number")
+    assert err == "error: 'a': coefficient %s %s\n" % (shown, reason)
+    assert len(err) <= 160
+
+
 def test_rational_strings_keep_their_values(capsys):
     # decimals, fractions and padded integers read as before
     code, out, _ = run(capsys, "examples", "--id", "1", "--params",
