@@ -191,13 +191,13 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_params(text: Optional[str]) -> Optional[List[Fraction]]:
-    from .polynomial import parse_rational
+    from .polynomial import parse_rational, quoted
     if text is None:
         return None
     try:
         return [parse_rational(piece) for piece in text.split(",")]
     except ValueError as err:
-        raise ValueError("bad --params %r: %s" % (text, err))
+        raise ValueError("bad --params %s: %s" % (quoted(text), err))
 
 
 def cmd_examples(args) -> int:

@@ -248,8 +248,8 @@ def sum_pairs(pairs: Sequence[Sequence]) -> Dict[int, Fraction]:
     """
     if not isinstance(pairs, (list, tuple)) or not all(
             isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
-        raise ValueError("expected [coefficient, exponent] pairs, not %r"
-                         % (pairs,))
+        raise ValueError("expected [coefficient, exponent] pairs, not %s"
+                         % quoted(pairs))
     acc: Dict[int, Fraction] = {}
     for coeff, exp in pairs:
         if _is_int(coeff) and abs(coeff) >= _TOO_WIDE:
@@ -259,15 +259,29 @@ def sum_pairs(pairs: Sequence[Sequence]) -> Dict[int, Fraction]:
             c = parse_rational(coeff) if isinstance(coeff, str) \
                 else _as_fraction(coeff)
         except TypeError:
-            raise ValueError("coefficient %r is not a rational number"
-                             % (coeff,)) from None
+            raise ValueError("coefficient %s is not a rational number"
+                             % quoted(coeff)) from None
         except ValueError as err:
             raise ValueError("coefficient %s" % err) from None
         if not _is_int(exp) or exp < 0:
-            raise ValueError("exponent %r is not a non-negative integer"
-                             % (exp,))
+            raise ValueError("exponent %s is not a non-negative integer"
+                             % quoted(exp))
         acc[exp] = acc.get(exp, Fraction(0)) + c
     return acc
+
+
+def quoted(value) -> str:
+    """value as a refusal echoes it.  Its text is the value itself for a
+    string and its repr otherwise.  Up to 40 characters of text that is
+    repr(value); past 40, the text's first 24 and last 8 characters
+    joined by "..." (a string's excerpt in quotes), then "(N characters)"
+    with N the text's length, so the echo stays short."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    cut = text[:24] + "..." + text[-8:]
+    return "%s (%d characters)" % (
+        repr(cut) if isinstance(value, str) else cut, len(text))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -277,10 +291,9 @@ def parse_rational(text: str) -> Fraction:
     limit on int-from-string conversion and leaves that limit as it is;
     the CLI lifts it while it reads its input files, so a lower
     PYTHONINTMAXSTRDIGITS refuses no coefficient within the bound there.
-    A refusal quotes a text of over 40 characters by its ends and length.
+    A refusal echoes the text as quoted() does.
     """
-    shown = repr(text) if len(text) <= 40 else "%r (%d characters)" % (
-        text[:24] + "..." + text[-8:], len(text))
+    shown = quoted(text)
     if "e" in text or "E" in text:
         raise ValueError("%s is in exponent notation; write it as an "
                          "integer, p/q or a decimal" % shown)

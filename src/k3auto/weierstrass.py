@@ -775,14 +775,21 @@ class ActionAnalysis(namedtuple("ActionAnalysis", (
         }
 
 
-def analyze_action(f: WeierstrassFibration,
-                   g: DiagonalAutomorphism) -> ActionAnalysis:
+def analyze_action(f: WeierstrassFibration, g: DiagonalAutomorphism, *,
+                   reports: Optional[List[FiberReport]] = None
+                   ) -> ActionAnalysis:
     """Verify invariance, locate the invariant fibers, compute the fixed
-    points and action labels, and match the unique classification row."""
+    points and action labels, and match the unique classification row.
+
+    reports, when given, must be fiber_reports(f), already computed; it
+    saves typing the fibers a second time.  Without it f is typed here,
+    after the generator checks and the table, so every refusal keeps its
+    precedence.
+    """
     from .classify import enumerate_cases, match_row, validate_row
     _check_generator(f, g)
     table = enumerate_cases()
-    singular = fiber_reports(f)
+    singular = fiber_reports(f) if reports is None else reports
     types = {report.place: report.kodaira for report in singular}
 
     # (place, kodaira, shape, action, fixed points, point counts) of each
@@ -868,8 +875,8 @@ def _fibers_text(counts: Dict[str, int]) -> str:
 
 def _example(example_id: int, preset: str, params: Optional[Sequence],
              use_tau: bool):
-    """(f, g) for worked_example, once the arguments are checked and the
-    parameters give the preset's singular fibers."""
+    """(f, g, fiber_reports(f)) for worked_example, once the arguments
+    are checked and the parameters give the preset's singular fibers."""
     if example_id not in _FAMILIES:
         raise ValueError("example id must be one of 1, 2, 3, 4")
     if use_tau and example_id != 3:
@@ -890,7 +897,8 @@ def _example(example_id: int, preset: str, params: Optional[Sequence],
     where = "example %d preset %r" % (example_id, preset)
     shown = ", ".join(map(str, values))
     try:
-        counts = fiber_inventory(f)
+        reports = fiber_reports(f)
+        counts = _inventory(reports)
         given = _fibers_text(counts)
     except InvariantError as err:
         counts, given = None, "no K3 surface (%s)" % err
@@ -908,7 +916,7 @@ def _example(example_id: int, preset: str, params: Optional[Sequence],
                  "give -gamma = %s" % (where, shown, square))
         x0 = RationalPolynomial({4: -values[0] / 2, 0: root})
     ex, ey, et, translate = generators[use_tau]
-    return f, DiagonalAutomorphism(ex, ey, et, translate, x0)
+    return f, DiagonalAutomorphism(ex, ey, et, translate, x0), reports
 
 
 def worked_example(example_id: int, preset: str = "generic",
@@ -924,7 +932,9 @@ def worked_example(example_id: int, preset: str = "generic",
         (-x, i y, zeta^7 t) composed with a 2-torsion translation.
 
     Presets pin parameter witnesses.  Explicit params must give the
-    preset's singular fibers (fiber_inventory), and for example 4 i8 a
-    rational square -gamma, whose root gives the translation section.
+    preset's singular fibers, and for example 4 i8 a rational square
+    -gamma, whose root gives the translation section.  The fibers are
+    typed once: the preset check's fiber_reports go on to analyze_action.
     """
-    return analyze_action(*_example(example_id, preset, params, use_tau))
+    f, g, reports = _example(example_id, preset, params, use_tau)
+    return analyze_action(f, g, reports=reports)

@@ -492,6 +492,53 @@ def test_a_long_refused_coefficient_is_quoted_by_its_ends(
     assert len(err) <= 160
 
 
+LONG_LIST = list(range(3000))  # its repr has 16,890 characters
+LONG_SHOWN = "[0, 1, 2, 3, 4, 5, 6, 7,...8, 2999] (16890 characters)"
+
+
+@pytest.mark.parametrize("a, reason", [
+    # a JSON value in the wrong slot is echoed by the same rule as a
+    # refused coefficient string: whole up to 40 characters of its repr
+    ([[[1, 2], 8]], "coefficient [1, 2] is not a rational number"),
+    ([["1", "8"]], "exponent '8' is not a non-negative integer"),
+    ([[1, 8, 0]],
+     "expected [coefficient, exponent] pairs, not [[1, 8, 0]]"),
+    ([[LONG_LIST, 8], ["1", 0]],
+     "coefficient %s is not a rational number" % LONG_SHOWN),
+    ([["1", LONG_LIST], ["1", 0]],
+     "exponent %s is not a non-negative integer" % LONG_SHOWN),
+    ([LONG_LIST], "expected [coefficient, exponent] pairs, not "
+     "[[0, 1, 2, 3, 4, 5, 6, 7..., 2999]] (16892 characters)"),
+], ids=["coefficient", "exponent", "pairs", "long-coefficient",
+        "long-exponent", "long-pairs"])
+def test_a_refused_json_value_is_quoted_by_its_ends(capsys, tmp_path, a,
+                                                    reason):
+    fibration = dict(EX1_FIBRATION, a=a)
+    code, out, err = run(capsys, "analyze",
+                         "--fibration", write_json(tmp_path, "f.json",
+                                                   fibration),
+                         "--automorphism", write_json(tmp_path, "g.json",
+                                                      EX1_AUTOMORPHISM))
+    assert code == 1 and out == ""
+    assert err == "error: 'a': %s\n" % reason
+    assert len(err) <= 160
+
+
+@pytest.mark.parametrize("params, line", [
+    ("1,zz,3,1", "bad --params '1,zz,3,1': 'zz' is not a rational number"),
+    ("7" * 4299 + "x,1,1,3",
+     "bad --params '%s...%s' (4306 characters): '%s...%s' (4300 "
+     "characters) is not a rational number"
+     % ("7" * 24, "7x,1,1,3", "7" * 24, "7" * 7 + "x")),
+], ids=["short", "4306"])
+def test_refused_params_are_quoted_by_their_ends(capsys, params, line):
+    code, out, err = run(capsys, "examples", "--id", "1",
+                         "--params=" + params)
+    assert code == 1 and out == ""
+    assert err == "error: %s\n" % line
+    assert len(err) <= 160
+
+
 def test_rational_strings_keep_their_values(capsys):
     # decimals, fractions and padded integers read as before
     code, out, _ = run(capsys, "examples", "--id", "1", "--params",

@@ -434,7 +434,7 @@ def test_preset_check_accepts_exactly_the_preset_fibers(drawn):
     if (family, preset) == (4, "i8"):
         accepted &= sympy.sqrt(-params[2]).is_rational
     if accepted:
-        f, _ = weierstrass._example(family, preset, params, False)
+        f, _, _ = weierstrass._example(family, preset, params, False)
         assert fiber_inventory(f) == pin
     else:
         with pytest.raises(ValueError, match="example %d preset %r needs"

@@ -771,6 +771,40 @@ def test_worked_example_with_a_six_digit_prime_runs_fast():
     assert elapsed < 2.0, elapsed
 
 
+def _count_typing(monkeypatch):
+    """Counter of the fiber_reports and weierstrass_discriminant calls made
+    through the weierstrass module from here on."""
+    calls = Counter()
+
+    def counting(name):
+        inner = getattr(weierstrass, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(weierstrass, name, wrapper)
+
+    counting("fiber_reports")
+    counting("weierstrass_discriminant")
+    return calls
+
+
+@pytest.mark.parametrize("example_id,preset,use_tau,params",
+                         [entry[:3] + (None,) for entry in REGRESSION]
+                         + [(4, "i8", False, (2, 1, -1))])
+def test_a_worked_example_types_its_fibers_once(monkeypatch, example_id,
+                                                preset, use_tau, params):
+    calls = _count_typing(monkeypatch)
+    analysis = worked_example(example_id, preset, params, use_tau)
+    assert calls == {"fiber_reports": 1, "weierstrass_discriminant": 1}
+    # without the preset check's reports, analyze_action types f itself
+    calls.clear()
+    again = analyze_action(analysis.fibration, analysis.automorphism)
+    assert calls == {"fiber_reports": 1, "weierstrass_discriminant": 1}
+    assert again == analysis
+    assert analysis.singular_fibers == fiber_reports(analysis.fibration)
+
+
 def test_analyze_action_error_taxonomy():
     f = WeierstrassFibration(poly((1, 8), (1, 0)), poly((1, 8), (3, 0)))
     with pytest.raises(InvariantError, match="2-form multiplier"):
