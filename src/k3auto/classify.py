@@ -88,6 +88,10 @@ class ClassificationRow(namedtuple("ClassificationRow", [
 
 
 _ORDER4_SPLITS = ((2, 0), (1, 1), (0, 2))
+# the fixed curves a row's loci are made of: the elliptic and the rational
+# curves, with normal exponent 1 under sigma and 2 under its square
+_ELLIPTIC, _RATIONAL = FixedCurve(1, 1), FixedCurve(0, 1)
+_SQUARE_ELLIPTIC, _SQUARE_RATIONAL = FixedCurve(1, 2), FixedCurve(0, 2)
 # the second invariant fiber of each Picard rank's skeleton
 _SECOND_FIBERS = {10: (SMOOTH_SHAPE,),
                   14: (FiberShape.iv_star(), FiberShape.i_cycle(8)),
@@ -131,9 +135,9 @@ def _fixed_locus(c_action: FiberAction, cp_shape: FiberShape,
         k = fd_c.alpha_contrib + fd_cp.alpha_contrib
     else:
         n2, n3, n4, k = row.n2, row.n3, row.n4, row.k
-    curves: Tuple[FixedCurve, ...] = (FixedCurve(0, 1),) * k
+    curves: Tuple[FixedCurve, ...] = (_RATIONAL,) * k
     if fd_c.k_sigma == 1:
-        curves = (FixedCurve(1, 1),) + curves
+        curves = (_ELLIPTIC,) + curves
     return fd_c, fd_cp, FixedLocusConfig(curves, n2, n3, n4)
 
 
@@ -212,10 +216,10 @@ def _decompose(row: ClassificationRow):
 def _square_locus(fd_c, fd_cp, k_sigma2: int) -> FixedLocusConfig:
     """The square's fixed locus: the two fibers' isolated points, k_sigma2
     rational curves and each elliptic curve the square fixes pointwise."""
-    curves: Tuple[FixedCurve, ...] = (FixedCurve(0, 2),) * k_sigma2
+    curves: Tuple[FixedCurve, ...] = (_SQUARE_RATIONAL,) * k_sigma2
     for fd in (fd_c, fd_cp):
         if fd.elliptic_fixed_by is not None and fd.elliptic_fixed_by <= 2:
-            curves = (FixedCurve(1, 2),) + curves
+            curves = (_SQUARE_ELLIPTIC,) + curves
     return FixedLocusConfig(curves, fd_c.n_sigma2 + fd_cp.n_sigma2, 0, 0)
 
 

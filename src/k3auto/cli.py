@@ -335,7 +335,9 @@ def cmd_lefschetz(args) -> int:
     data = _load_json(args.config)
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    with _keys_of(args.config):
+    # a genus or count within MAX_DIGITS can give a residual of more
+    # digits than the interpreter's limit prints
+    with _keys_of(args.config), _any_int_width():
         if "curves" in data:
             return _lefschetz_check(data, fmt)
         if "alpha" in data:

@@ -380,9 +380,11 @@ def action_label(shape: FiberShape, action: FiberAction) -> str:
     return label % shape.n if shape.kind == I_CYCLE else label
 
 
+@lru_cache(maxsize=128)
 def parse_action_label(label: str) -> Tuple[FiberShape, str]:
     """The fiber shape and action name of a table label (inverse of
-    action_label)."""
+    action_label), parsed once per label and kept in a memo of up to 128
+    labels; a label it refuses raises on every call."""
     for (kind, name), (template, _) in _ACTIONS.items():
         if kind == I_CYCLE:
             prefix = template[:-len("%d")]

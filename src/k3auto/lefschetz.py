@@ -18,9 +18,11 @@ term is built once per process, on first use, keyed by its exponents
 mod 8, and a curve of genus g scales the genus-0 term by 1 - g.  So is
 the target: holo_target builds 1 + zeta^(8-j) once per power, on first
 use, and raises for any other power.  Import builds none of them.
-holo_total, curve_term and the derivation below all read the same
-cached vectors, and a point count or 1 - g multiplies them as a plain
-int, which scales their integer coordinates over the one denominator.
+For each power the terms and the target are then brought, once, to four
+integer coordinates over one common denominator.  holo_total and the
+derivation below read those vectors: the sum is four integer dot
+products with the point counts and the factors 1 - g, and only the
+total becomes a Cyc8Element.
 
 The module also re-derives the two integer point-count constraints by
 expanding the fixed-point sum on the power basis and reducing the
@@ -36,7 +38,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from . import refuse_unknown_keys
-from .cyclotomic import ONE, ZERO, Cyc8Element, zeta_pow
+from .cyclotomic import ONE, Cyc8Element, zeta_pow
 
 # local exponents (t, s) of the isolated fixed points of sigma^j, keyed by
 # the power j; the counts n2, n3, n4 follow the order of the j = 1 entry,
@@ -140,9 +142,18 @@ def _unit_curve_term(e: int) -> Cyc8Element:
     return (ONE + zeta_pow(e)) * ((ONE - zeta_pow(e)) ** 2).invert()
 
 
-def curve_term(c: FixedCurve) -> Cyc8Element:
-    """(1 - genus) * (1 + z^e) / (1 - z^e)^2 for normal exponent e."""
-    return _unit_curve_term(c.normal_exponent % 8) * (1 - c.genus)
+@lru_cache(maxsize=None)
+def _int_terms(power_j: int):
+    """(point vectors, genus-0 curve vectors for e = 1..7, target vector,
+    den): each term of the power as four integer coordinates over one
+    common denominator den, built once per power."""
+    terms = [holo_target(power_j)]
+    terms += [_point_term(*pair) for pair in _POINT_EXPONENTS[power_j]]
+    terms += [_unit_curve_term(e) for e in range(1, 8)]
+    den = math.lcm(*(term.as_ints()[1] for term in terms))
+    target, *vectors = [tuple(a * (den // d) for a in num)
+                        for num, d in map(Cyc8Element.as_ints, terms)]
+    return tuple(vectors[:-7]), tuple(vectors[-7:]), target, den
 
 
 def holo_total(config: FixedLocusConfig,
@@ -152,18 +163,24 @@ def holo_total(config: FixedLocusConfig,
     power_j=1 sums the three point types with curve terms as given.
     power_j=2 treats all N isolated points as type (6,4); curves should
     carry normal exponent 2 (genus-1 curves contribute 0 regardless).
+    The sum runs on the terms' integer coordinates over one denominator,
+    and only the total becomes a Cyc8Element.
     """
-    target = holo_target(power_j)
+    points, curves, target, den = _int_terms(power_j)
     counts = (config.n2, config.n3, config.n4) if power_j == 1 \
         else (config.N,)
-    total = ZERO
-    for count, exponents in zip(counts, _POINT_EXPONENTS[power_j]):
-        if count:
-            total = total + _point_term(*exponents) * count
-    for c in config.curves:
-        if c.genus != 1:  # the factor (1 - g) kills a genus-1 curve's term
-            total = total + curve_term(c)
-    return total, total == target
+    weighted = list(zip(counts, points))
+    # the factor (1 - g) kills a genus-1 curve's term
+    weighted += [(1 - c.genus, curves[c.normal_exponent % 8 - 1])
+                 for c in config.curves if c.genus != 1]
+    a0 = a1 = a2 = a3 = 0
+    for w, (b0, b1, b2, b3) in weighted:
+        a0 += w * b0
+        a1 += w * b1
+        a2 += w * b2
+        a3 += w * b3
+    total = (a0, a1, a2, a3)
+    return Cyc8Element._from_ints(total, den), total == target
 
 
 def topo_check(config: FixedLocusConfig, r: int, l: int) -> bool:
@@ -249,14 +266,11 @@ def derive_prop1_constraints() -> List[Tuple[int, int, int, int, int]]:
 
 @lru_cache(maxsize=None)
 def _prop1_rows() -> Tuple[Tuple[int, int, int, int, int], ...]:
-    columns = [_point_term(*exponents) for exponents in _POINT_EXPONENTS[1]]
-    columns.append(_unit_curve_term(1))
-    columns.append(holo_target(1))
-    vectors = [c.as_ints() for c in columns]
-    # one common denominator clears every row; a row's positive scale
-    # does not change the saturated lattice
-    den = math.lcm(*(d for _, d in vectors))
-    rows = ([a[i] * (den // d) for a, d in vectors] for i in range(4))
+    # the integer coordinates over holo_total's one denominator; a row's
+    # positive scale does not change the saturated lattice
+    points, curves, target, _ = _int_terms(1)
+    vectors = points + (curves[0], target)
+    rows = ([vector[i] for vector in vectors] for i in range(4))
     raw = [row for row in rows if any(row)]
     sat = saturate_rows(raw, 5)
     hnf = hermite_normal_form(sat)

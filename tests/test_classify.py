@@ -10,9 +10,10 @@ from k3auto.classify import (CSV_HEADER, _candidates, _decompose,
                              render_csv,
                              render_table, rows_from_json, rows_to_json,
                              theorem1_groups, validate_row)
-from k3auto.cyclotomic import Cyc8Element
+from k3auto.cyclotomic import Cyc8Element, zeta_pow
 from k3auto.lattice import sigma4_skeletons
-from k3auto.lefschetz import holo_total, prop1_satisfied
+from k3auto.lefschetz import (FixedCurve, FixedLocusConfig, holo_total,
+                              prop1_satisfied)
 
 from fixtures import (GROUP_CURVE_FIXED, GROUP_NOT_FIXED,
                       GROUP_SQUARE_FIXED, TABLE_ROWS, classification_key,
@@ -27,6 +28,16 @@ def test_sixteen_rows_match_fixture():
     assert computed == expected
 
 
+def _counter(calls):
+    """A wrapper maker that counts each wrapped function's calls by name."""
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    return counted
+
+
 def test_a_repeated_enumeration_inverts_nothing_and_runs_no_engine(
         monkeypatch):
     # the table is built once per process: a second enumeration sums
@@ -39,12 +50,7 @@ def test_a_repeated_enumeration_inverts_nothing_and_runs_no_engine(
     # fixed data are computed once per process too
     first = enumerate_cases()
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    counted = _counter(calls)
 
     monkeypatch.setattr(Cyc8Element, "invert",
                         counted("invert", Cyc8Element.invert))
@@ -74,6 +80,60 @@ def test_a_repeated_enumeration_inverts_nothing_and_runs_no_engine(
     assert (calls["invert"], calls["engine"], calls["holo_total"],
             calls["fiber_fixed_data"]) == (0, 0, 82, 164)
     assert (calls["from_rational"], calls["zeta_pow"]) == (0, 0)
+
+
+def _fresh_holo_total(config, power):
+    # the field formula, built from scratch: 1/((1 - z^t)(1 - z^s)) per
+    # point, (1 - g)(1 + z^e)/(1 - z^e)^2 per curve, against 1 + z^(8-j)
+    one = Cyc8Element.one()
+    pairs = [((2, 7), config.n2), ((3, 6), config.n3), ((4, 5), config.n4)] \
+        if power == 1 else [((6, 4), config.N)]
+    total = Cyc8Element.zero()
+    for (t, s), count in pairs:
+        total += ((one - zeta_pow(t)) * (one - zeta_pow(s))).invert() * count
+    for c in config.curves:
+        e = c.normal_exponent
+        total += (one + zeta_pow(e)) * ((one - zeta_pow(e)) ** 2).invert() \
+            * (1 - c.genus)
+    return total, total == one + zeta_pow(8 - power)
+
+
+def test_row_checks_and_sums_run_on_ints(monkeypatch):
+    # holo_total sums the terms' integer coordinates and builds one
+    # Cyc8Element, the total, and validate_row takes its fixed curves from
+    # constants: after a warm-up, the sums of both powers and the checks of
+    # all sixteen rows multiply, add and invert nothing in Q(zeta_8) and
+    # build no FixedCurve, and every sum is the field formula's
+    rows = enumerate_cases()
+    configs = []
+    for row in rows:
+        fd_c, fd_cp, config = _fixed_locus(*_decompose(row), row)
+        configs += [(config, 1),
+                    (classify._square_locus(fd_c, fd_cp, row.k_sigma2), 2)]
+    curves = (FixedCurve(1, 3), FixedCurve(0, 5), FixedCurve(2, -1))
+    configs += [(FixedLocusConfig(curves[:size], n2, n3, n4), power)
+                for size in range(4) for n2, n3, n4 in ((0, 0, 0), (3, 1, 2))
+                for power in (1, 2)]
+    expected = [_fresh_holo_total(config, power) for config, power in configs]
+    for row in rows:
+        validate_row(row)
+    for config, power in configs:
+        holo_total(config, power)
+    calls = Counter()
+    counted = _counter(calls)
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "invert"):
+        monkeypatch.setattr(Cyc8Element, name,
+                            counted(name, getattr(Cyc8Element, name)))
+    monkeypatch.setattr(FixedCurve, "__new__", staticmethod(
+        counted("FixedCurve", FixedCurve.__new__)))
+    sums = [holo_total(config, power) for config, power in configs]
+    checks = [validate_row(row) for row in rows]
+    assert sum(calls.values()) == 0, calls
+    assert sums == expected
+    assert [sum(flag for _, flag in sums[2 * i:2 * i + 2])
+            for i in range(16)] == [2] * 16
+    assert all(all(row_checks.values()) for row_checks in checks)
 
 
 def test_case_numbering_is_stable():

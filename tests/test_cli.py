@@ -683,6 +683,24 @@ def test_lefschetz_bad_config(capsys, tmp_path):
     assert code == 1 and "JSON object" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_lefschetz_checks_a_genus_wider_than_the_int_string_limit(
+        capsys, tmp_path, fmt):
+    # a genus of 4,300 nines is within MAX_DIGITS, and its residuals have
+    # more digits than the interpreter's limit prints: the check still
+    # answers, as a failed check, and the limit is restored after
+    path = tmp_path / "wide.json"
+    path.write_text('{"curves": [{"genus": %s, "normal_exp": 1}], '
+                    '"n2": 0, "n3": 0, "n4": 0}' % ("9" * 4300),
+                    encoding="utf-8")
+    before = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "lefschetz", "--config", str(path),
+                         "--format", fmt)
+    assert (code, err) == (1, "")
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+    assert sys.get_int_max_str_digits() == before
+
+
 def _paper_point_counts(alpha, pins):
     # n2 + n3 - 4 alpha = 2 and n4 + n2 - n3 - 2 alpha = 2, N <= 14
     return [(n2, n3, n4)

@@ -6,7 +6,7 @@ import pytest
 
 from k3auto.cyclotomic import Cyc8Element, zeta_pow
 from k3auto.lefschetz import (FixedCurve, FixedLocusConfig, as_count,
-                              curve_term, derive_prop1_constraints,
+                              derive_prop1_constraints,
                               hermite_normal_form, holo_target, holo_total,
                               integer_kernel, prop1_residuals,
                               prop1_satisfied, topo_check)
@@ -47,10 +47,17 @@ def _fresh_curve_term(genus, e):
 EXPONENTS = [e for e in range(-15, 16) if e % 8]
 
 
+def _curve_sum(genus, e, power=1):
+    # the sum of one fixed curve and no isolated point: its curve term
+    return holo_total(FixedLocusConfig((FixedCurve(genus, e),), 0, 0, 0),
+                      power)[0]
+
+
 def test_cached_terms_equal_the_formula_built_fresh():
     # each cached term, on a first and a repeated call, gives the
     # formula's value: a point term as the sum of one point of its type,
-    # a curve term at every representative of its exponent mod 8
+    # a curve term as the sum of one curve, at every representative of
+    # its exponent mod 8 and under both powers
     points = {1: (((2, 7), 1), ((3, 6), 2), ((4, 5), 3)), 2: (((6, 4), 6),)}
     for power, types in points.items():
         for slot, (pair, _) in enumerate(types):
@@ -63,8 +70,8 @@ def test_cached_terms_equal_the_formula_built_fresh():
     for genus in (0, 2, 3):
         for e in EXPONENTS:
             fresh = _fresh_curve_term(genus, e)
-            assert curve_term(FixedCurve(genus, e)) == fresh
-            assert curve_term(FixedCurve(genus, e)) == fresh
+            for power in (1, 2, 1, 2):
+                assert _curve_sum(genus, e, power) == fresh
     # the sums of both powers, with an elliptic curve beside each curve
     for power in (1, 2):
         for genus in (0, 2, 3):
@@ -79,8 +86,8 @@ def test_cached_terms_equal_the_formula_built_fresh():
 
 
 def test_curve_term_genus_kills():
-    assert curve_term(FixedCurve(1, 1)).is_zero()
-    rational = curve_term(FixedCurve(0, 2))
+    assert _curve_sum(1, 1).is_zero()
+    rational = _curve_sum(0, 2)
     den = (ONE - zeta_pow(2)) * (ONE - zeta_pow(2))
     assert rational * den == ONE + zeta_pow(2)
     # a normal exponent 0 mod 8 is refused at construction, at every
