@@ -143,7 +143,7 @@ def _unit_curve_term(e: int) -> Cyc8Element:
 
 
 @lru_cache(maxsize=None)
-def _int_terms(power_j: int):
+def _int_terms(power_j: int) -> Tuple[tuple, tuple, tuple, int]:
     """(point vectors, genus-0 curve vectors for e = 1..7, target vector,
     den): each term of the power as four integer coordinates over one
     common denominator den, built once per power."""
